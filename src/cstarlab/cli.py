@@ -249,6 +249,13 @@ def cmd_hull_member(args) -> int:
     return _hull_exit(res.status)
 
 
+def _defects(check: hull.WitnessCheck) -> str:
+    return (
+        f"min_eig {check.min_eig:.2e}, sum defect {check.sum_defect:.2e}, "
+        f"moment defect {check.moment_defect:.2e}"
+    )
+
+
 def cmd_hull_witness(args) -> int:
     tol = _tolconfig(args)
     T = io.load_matrix(args.t)
@@ -257,11 +264,7 @@ def cmd_hull_witness(args) -> int:
     if res.status == "member":
         check = res.witness.validate(X)
         if not check.valid:
-            print(
-                f"witness failed validation: min_eig {check.min_eig:.2e}, "
-                f"sum defect {check.sum_defect:.2e}, moment defect {check.moment_defect:.2e}",
-                file=sys.stderr,
-            )
+            print(f"witness failed validation: {_defects(check)}", file=sys.stderr)
             return EXIT_INDETERMINATE
         with open(args.out, "w") as fh:
             fh.write(io.canonical_dumps(io.witness_to_payload(res.witness)))
@@ -270,7 +273,8 @@ def cmd_hull_witness(args) -> int:
         print(f"non-member: certificate value {res.certificate.value:.6g} escapes "
               f"[{res.certificate.interval[0]:.6g}, {res.certificate.interval[1]:.6g}]")
     else:
-        print(f"boundary: residual {res.residual:.2e} after {res.iterations} iterations")
+        check = hull.two_point_witness(T, X, tol).validate(X)
+        print(f"boundary: residual {res.residual:.2e}; closed-form witness {_defects(check)}")
     return _hull_exit(res.status)
 
 

@@ -2,17 +2,19 @@
 
 For T with ascending eigenvalues lam_1..lam_n (with multiplicity), the hull
 of {T} is parametrized by PSD blocks E_i with sum E_i = I and
-sum lam_i E_i = X. Membership runs a Dykstra-style alternating projection
-on that constraint system and returns either a validated witness, a
-separating certificate (an eigenvector of X whose eigenvalue escapes
-[lam_1, lam_n]), or an honest `boundary` verdict. The log-convex hull
-reduces to the same solver through inversion.
+sum lam_i E_i = X, and X lies in it iff every eigenvalue of X lies in
+[lam_1, lam_n]. Membership is decided in closed form from that interval: an
+escape beyond the psd band yields a separating certificate (an eigenvector
+of X whose eigenvalue escapes [lam_1, lam_n]); otherwise the two extreme
+blocks E_1 = (lam_n I - X)/gap and E_n = (X - lam_1 I)/gap form a witness,
+which is validated before `member` is returned and yields an honest
+`boundary` verdict when it fails. The log-convex hull reduces to the same
+decision through inversion.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,7 +51,6 @@ __all__ = [
     "OracleResult",
     "FeasibilityResult",
     "FunctionHull",
-    "ITERATION_CAP",
     "spectral_interval_oracle",
     "hull_membership",
     "two_point_witness",
@@ -60,8 +61,6 @@ __all__ = [
     "harmonic_sum_closure_test",
 ]
 
-ITERATION_CAP = 10_000
-_STALL_WINDOW = 200  # iterations without 1% progress before infeasibility is suspected
 _SALT_HARMONIC = 10
 
 
@@ -88,25 +87,18 @@ class HullWitness:
         if len(self.blocks) != lam.shape[0]:
             raise InputError("one block per eigenvalue is required")
 
-    def validate(self, X: HermitianMatrix, min_eig_scale: float = 1.0) -> WitnessCheck:
-        """Check E_i >= -1e-10*scale, ||sum E_i - I|| <= 1e-8 and
-        ||sum lam_i E_i - X|| <= 1e-8 (spectral norms)."""
-        dim = X.dim
-        total = np.zeros((dim, dim), dtype=np.complex128)
-        moment = np.zeros((dim, dim), dtype=np.complex128)
-        min_eig = math.inf
-        for lam, block in zip(self.eigenvalues, self.blocks):
-            arr = block.array
-            total += arr
-            moment += lam * arr
-            min_eig = min(min_eig, float(np.linalg.eigvalsh(arr)[0]))
-        sum_defect = float(np.linalg.norm(total - np.eye(dim), 2))
+    def validate(self, X: HermitianMatrix) -> WitnessCheck:
+        """Check ||sum lam_i E_i - X|| <= 1e-8*scale, with scale the spectral
+        scale of the eigenvalues and X, and ||sum E_i - I|| <= 1e-8 and
+        E_i >= -1e-10 (spectral norms). The blocks sum to I, so their sum
+        defect and eigenvalues are dimensionless and keep absolute bounds."""
+        E = np.array([block.array for block in self.blocks])
+        min_eig = float(np.min(np.linalg.eigvalsh(E)))
+        sum_defect = float(np.linalg.norm(E.sum(axis=0) - np.eye(X.dim), 2))
+        moment = (self.eigenvalues[:, None, None] * E).sum(axis=0)
         moment_defect = float(np.linalg.norm(moment - X.array, 2))
-        valid = (
-            min_eig >= -1e-10 * min_eig_scale
-            and sum_defect <= 1e-8
-            and moment_defect <= 1e-8
-        )
+        scale = _scale_of(self.eigenvalues, X.array)
+        valid = min_eig >= -1e-10 and sum_defect <= 1e-8 and moment_defect <= 1e-8 * scale
         return WitnessCheck(valid, min_eig, sum_defect, moment_defect)
 
 
@@ -136,11 +128,16 @@ class OracleResult:
 
 @dataclass(frozen=True, eq=False)
 class FeasibilityResult:
+    """Verdict of a hull decision. `residual` is the escape of X beyond the
+    hull for `non-member`, the distance of X to lam I for a degenerate T, and
+    otherwise the largest defect of the closed-form witness. `iterations` is
+    always 0 and stays because the perfbench harness reads it."""
+
     status: str  # 'member' | 'non-member' | 'boundary'
-    iterations: int
     residual: float
     witness: HullWitness | None = None
     certificate: HullCertificate | None = None
+    iterations: int = field(default=0, init=False)
 
     def __post_init__(self):
         if self.status == "member" and self.witness is None:
@@ -150,6 +147,9 @@ class FeasibilityResult:
 
 
 def _scale_of(lam: np.ndarray, x: np.ndarray) -> float:
+    # hull bands are the unit-scale tolerance times this scale: the floor sits
+    # on the scale, not on the band, so a verdict does not change when T and
+    # X are scaled together
     return max(float(np.max(np.abs(lam))), float(np.max(np.abs(np.linalg.eigvalsh(x)))), 1e-14)
 
 
@@ -170,7 +170,7 @@ def spectral_interval_oracle(
     w = np.linalg.eigvalsh(X.array)
     margin = float(min(np.min(w) - lam[0], lam[-1] - np.max(w)))
     scale = _scale_of(lam, X.array)
-    return OracleResult(inside=margin >= -tol.psd(scale), margin=margin)
+    return OracleResult(inside=margin >= -tol.psd(1.0) * scale, margin=margin)
 
 
 def _certificate(x: np.ndarray, lam_lo: float, lam_hi: float) -> HullCertificate:
@@ -186,120 +186,37 @@ def _certificate(x: np.ndarray, lam_lo: float, lam_hi: float) -> HullCertificate
     )
 
 
-# --- Dykstra machinery -----------------------------------------------------
-
-
-def _project_affine(E, lam, x, eye, s1, s2, det):
-    # exact projection onto {sum E_i = I, sum lam_i E_i = X}: the Hermitian
-    # correctors (A, B) solve the 2x2 system with Gram matrix
-    # [[n, sum lam], [sum lam, sum lam^2]]
-    n = len(lam)
-    r1 = eye - E.sum(axis=0)
-    r2 = x - np.tensordot(lam, E, axes=1)
-    a = (s2 * r1 - s1 * r2) / det
-    b = (n * r2 - s1 * r1) / det
-    return E + a[None, :, :] + lam[:, None, None] * b[None, :, :]
-
-
-def _project_psd(G):
-    w, u = np.linalg.eigh(G)
-    wc = np.clip(w, 0.0, None)
-    return (u * wc[:, None, :]) @ np.conj(np.transpose(u, (0, 2, 1)))
-
-
-def _sym_stack(G):
-    return (G + np.conj(np.transpose(G, (0, 2, 1)))) / 2.0
-
-
-def _stack_residual(E, lam, x, eye) -> float:
-    return max(
-        float(np.linalg.norm(eye - E.sum(axis=0))),
-        float(np.linalg.norm(x - np.tensordot(lam, E, axes=1))),
-    )
-
-
-def _hermitian_basis(d: int) -> list:
-    basis = []
-    for j in range(d):
-        m = np.zeros((d, d), np.complex128)
-        m[j, j] = 1.0
-        basis.append(m)
-    rt = 1.0 / np.sqrt(2.0)
-    for j in range(d):
-        for k in range(j + 1, d):
-            m = np.zeros((d, d), np.complex128)
-            m[j, k] = m[k, j] = rt
-            basis.append(m)
-            m = np.zeros((d, d), np.complex128)
-            m[j, k] = 1j * rt
-            m[k, j] = -1j * rt
-            basis.append(m)
-    return basis
-
-
-def _herm_to_vec(h: np.ndarray) -> np.ndarray:
-    d = h.shape[0]
-    out = np.empty(d * d)
-    out[:d] = np.diagonal(h).real
-    at = d
-    rt2 = np.sqrt(2.0)
-    for j in range(d):
-        for k in range(j + 1, d):
-            out[at] = rt2 * h[j, k].real
-            out[at + 1] = rt2 * h[j, k].imag
-            at += 2
-    return out
-
-
-def _face_polish(E, lam, x, eye, rank_tol: float):
-    """Solve the affine system restricted to the cone faces the iterate has
-    identified; returns a PSD stack or None.
-
-    The clamp pattern of the current blocks usually locks in long before the
-    plain iteration converges, and on the identified faces the constraints
-    are purely linear, so a least-squares solve jumps to the limit. The
-    result is only a candidate: callers must re-verify it.
+def _closed_form(T: HermitianMatrix, X: HermitianMatrix, tol: ToleranceConfig):
+    """(lam, scale, degenerate, escape, witness), shared by `hull_membership`
+    and `two_point_witness`. For a degenerate T (gap <= 1e-9*scale) the hull
+    is {lam I}, escape is the distance of X to it and the witness E_1 = I;
+    otherwise escape is the distance by which the spectrum of X leaves
+    [lam_min, lam_max] (negative inside) and the witness the two-point one.
+    The witness is None when escape exceeds the psd band, else unvalidated.
     """
-    n, d, _ = E.shape
-    faces = []
-    for i in range(n):
-        w, u = np.linalg.eigh(E[i])
-        faces.append(u[:, w > rank_tol])
-    bases = {v.shape[1]: _hermitian_basis(v.shape[1]) for v in faces if v.shape[1] > 0}
-    cols = []
-    for i, v in enumerate(faces):
-        if v.shape[1] == 0:
-            continue
-        for b in bases[v.shape[1]]:
-            mat = v @ b @ v.conj().T
-            cols.append(np.concatenate([_herm_to_vec(mat), _herm_to_vec(lam[i] * mat)]))
-    if not cols:
-        return None
-    system = np.array(cols).T
-    target = np.concatenate([_herm_to_vec(eye), _herm_to_vec(x)])
-    sol, *_ = np.linalg.lstsq(system, target, rcond=None)
-    out = np.zeros_like(E)
-    at = 0
-    for i, v in enumerate(faces):
-        r = v.shape[1]
-        if r == 0:
-            continue
-        m = np.zeros((r, r), np.complex128)
-        for b in bases[r]:
-            m += sol[at] * b
-            at += 1
-        w, u = np.linalg.eigh((m + m.conj().T) / 2.0)
-        out[i] = v @ ((u * np.clip(w, 0.0, None)) @ u.conj().T) @ v.conj().T
-    return _sym_stack(out)
-
-
-def _min_block_eig(E) -> float:
-    return float(np.min(np.linalg.eigvalsh(E)))
-
-
-def _witness_from_stack(lam, E) -> HullWitness:
-    blocks = [HermitianMatrix(E[i], atol=np.inf) for i in range(E.shape[0])]
-    return HullWitness(eigenvalues=lam, blocks=blocks)
+    if T.dim != X.dim:
+        raise DimensionMismatchError(f"dims {T.dim} and {X.dim} differ")
+    lam = np.linalg.eigvalsh(T.array)
+    x = X.array
+    dim = T.dim
+    scale = _scale_of(lam, x)
+    eye = np.eye(dim, dtype=np.complex128)
+    stack = np.zeros((lam.shape[0], dim, dim), np.complex128)
+    gap = float(lam[-1] - lam[0])
+    degenerate = gap <= 1e-9 * scale
+    if degenerate:
+        center = float(np.mean(lam))
+        escape = float(np.max(np.abs(np.linalg.eigvalsh(x - center * eye))))
+        stack[0] = eye
+    else:
+        w = np.linalg.eigvalsh(x)
+        escape = float(max(lam[0] - w[0], w[-1] - lam[-1]))
+        stack[0] = (lam[-1] * eye - x) / gap
+        stack[-1] = (x - lam[0] * eye) / gap
+    if escape > tol.psd(1.0) * scale:
+        return lam, scale, degenerate, escape, None
+    blocks = [HermitianMatrix(e, atol=np.inf) for e in stack]
+    return lam, scale, degenerate, escape, HullWitness(eigenvalues=lam, blocks=blocks)
 
 
 def hull_membership(
@@ -307,113 +224,30 @@ def hull_membership(
 ) -> FeasibilityResult:
     """Decide whether X lies in the C*-convex hull of {T}.
 
-    Alternating projections (Dykstra corrections on the PSD side, exact
-    closed-form projection on the affine side) search for witness blocks.
-    `member` is only returned with a validated witness and `non-member`
-    only with a separating eigenvector certificate whose escape clears the
-    psd tolerance band; ties that admit neither proof object, and runs that
-    exhaust the iteration cap, are classified `boundary`.
+    An escape of the spectrum of X beyond the psd band returns `non-member`
+    with a separating eigenvector certificate. Otherwise the closed-form
+    witness is built and validated: `member` if it passes, `boundary` if it
+    fails, which is where ties inside the psd band land. For a degenerate T
+    the witness E_1 = I is accepted only within the solver tolerance of
+    lam I, and the rest of the band is `boundary`.
     """
-    if T.dim != X.dim:
-        raise DimensionMismatchError(f"dims {T.dim} and {X.dim} differ")
-    lam = np.linalg.eigvalsh(T.array)
-    x = X.array
-    dim = T.dim
-    n = lam.shape[0]
-    scale = _scale_of(lam, x)
-    psd_band = tol.psd(scale)
-    wx = np.linalg.eigvalsh(x)
-    oracle_margin = float(min(wx[0] - lam[0], lam[-1] - wx[-1]))
-
-    gap = float(lam[-1] - lam[0])
-    if gap <= 1e-9 * scale:
-        # degenerate hull {lam I}
-        center = float(np.mean(lam))
-        dist = float(np.max(np.abs(np.linalg.eigvalsh(x - center * np.eye(dim)))))
-        if dist <= tol.solver(scale):
-            stack = np.zeros((n, dim, dim), np.complex128)
-            stack[0] = np.eye(dim)
-            return FeasibilityResult(
-                status="member",
-                iterations=0,
-                residual=dist,
-                witness=_witness_from_stack(lam, stack),
-            )
-        if dist > psd_band:
-            return FeasibilityResult(
-                status="non-member",
-                iterations=0,
-                residual=dist,
-                certificate=_certificate(x, lam[0], lam[-1]),
-            )
-        return FeasibilityResult(status="boundary", iterations=0, residual=dist)
-
-    eye = np.eye(dim, dtype=np.complex128)
-    s1 = float(lam.sum())
-    s2 = float((lam**2).sum())
-    det = n * s2 - s1 * s1
-    thresh = max(min(tol.solver(scale), 9e-9), 1e-13)
-
-    E = np.tile(eye / n, (n, 1, 1))
-    P = np.zeros_like(E)
-    best = math.inf
-    best_iter = 0
-    stall_checked = False
-    residual = math.inf
-
-    for it in range(1, ITERATION_CAP + 1):
-        F = _project_affine(E, lam, x, eye, s1, s2, det)
-        G = _sym_stack(F + P)
-        E_next = _project_psd(G)
-        P = G - E_next
-        E = E_next
-        residual = _stack_residual(E, lam, x, eye)
-        if residual < thresh:
-            witness = _witness_from_stack(lam, E)
-            if witness.validate(X, min_eig_scale=scale).valid:
-                return FeasibilityResult(
-                    status="member", iterations=it, residual=residual, witness=witness
-                )
-        if residual < best * 0.99:
-            best = residual
-            best_iter = it
-        if it in (25, 50) or it % 100 == 0:
-            cand = _face_polish(E, lam, x, eye, rank_tol=1e-6 * scale)
-            if cand is not None:
-                cand_res = _stack_residual(cand, lam, x, eye)
-                if cand_res < thresh and _min_block_eig(cand) > -1e-10 * scale:
-                    witness = _witness_from_stack(lam, cand)
-                    if witness.validate(X, min_eig_scale=scale).valid:
-                        return FeasibilityResult(
-                            status="member", iterations=it, residual=cand_res, witness=witness
-                        )
-        if (
-            not stall_checked
-            and it - best_iter > _STALL_WINDOW
-            and best > 2.0 * thresh
-        ):
-            # a plateau far from feasibility indicates an empty intersection;
-            # infeasibility still needs the independent certificate, and a
-            # tie inside the psd band supports neither verdict
-            stall_checked = True
-            if oracle_margin < -psd_band:
-                return FeasibilityResult(
-                    status="non-member",
-                    iterations=it,
-                    residual=residual,
-                    certificate=_certificate(x, lam[0], lam[-1]),
-                )
-            if oracle_margin <= psd_band:
-                return FeasibilityResult(status="boundary", iterations=it, residual=residual)
-
-    if oracle_margin < -psd_band:
+    lam, scale, degenerate, escape, witness = _closed_form(T, X, tol)
+    if witness is None:
         return FeasibilityResult(
             status="non-member",
-            iterations=ITERATION_CAP,
-            residual=residual,
-            certificate=_certificate(x, lam[0], lam[-1]),
+            residual=escape,
+            certificate=_certificate(X.array, lam[0], lam[-1]),
         )
-    return FeasibilityResult(status="boundary", iterations=ITERATION_CAP, residual=residual)
+    if degenerate:
+        valid = escape <= tol.solver(1.0) * scale
+        residual = escape
+    else:
+        check = witness.validate(X)
+        valid = check.valid
+        residual = max(check.sum_defect, check.moment_defect, -check.min_eig)
+    if valid:
+        return FeasibilityResult(status="member", residual=residual, witness=witness)
+    return FeasibilityResult(status="boundary", residual=residual)
 
 
 def two_point_witness(
@@ -421,31 +255,16 @@ def two_point_witness(
 ) -> HullWitness:
     """Closed-form witness using only the extreme eigenvalues of T:
     E_min = (lam_max I - X)/(lam_max - lam_min) and
-    E_max = (X - lam_min I)/(lam_max - lam_min), all other blocks zero."""
-    if T.dim != X.dim:
-        raise DimensionMismatchError(f"dims {T.dim} and {X.dim} differ")
-    lam = np.linalg.eigvalsh(T.array)
-    dim = T.dim
-    scale = _scale_of(lam, X.array)
-    gap = float(lam[-1] - lam[0])
-    x = X.array
-    if gap <= 1e-9 * scale:
-        center = float(np.mean(lam))
-        dist = float(np.max(np.abs(np.linalg.eigvalsh(x - center * np.eye(dim)))))
-        if dist > tol.psd(scale):
+    E_max = (X - lam_min I)/(lam_max - lam_min), all other blocks zero.
+
+    Raises InputError when X escapes the hull beyond the psd band. The
+    witness is returned unvalidated; check it with `HullWitness.validate`."""
+    _, _, degenerate, escape, witness = _closed_form(T, X, tol)
+    if witness is None:
+        if degenerate:
             raise InputError("degenerate T: only lam I itself lies in the hull")
-        stack = np.zeros((lam.shape[0], dim, dim), np.complex128)
-        stack[0] = np.eye(dim)
-        return _witness_from_stack(lam, stack)
-    w = np.linalg.eigvalsh(x)
-    margin = float(min(w[0] - lam[0], lam[-1] - w[-1]))
-    if margin < -tol.psd(scale):
-        raise InputError(f"X lies outside the hull interval (margin {margin:.3e})")
-    eye = np.eye(dim, dtype=np.complex128)
-    stack = np.zeros((lam.shape[0], dim, dim), np.complex128)
-    stack[0] = (lam[-1] * eye - x) / gap
-    stack[-1] = (x - lam[0] * eye) / gap
-    return _witness_from_stack(lam, stack)
+        raise InputError(f"X lies outside the hull interval (margin {-escape:.3e})")
+    return witness
 
 
 def sample_hull_member(T: HermitianMatrix, t: CoefficientTuple) -> HermitianMatrix:

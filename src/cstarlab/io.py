@@ -187,7 +187,6 @@ def feasibility_to_payload(
 ) -> dict:
     return {
         "status": res.status,
-        "iterations": res.iterations,
         "residual": float(res.residual),
         "witness": witness_to_payload(res.witness) if res.witness else None,
         "certificate": (

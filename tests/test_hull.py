@@ -90,6 +90,12 @@ class TestHullMembership:
         assert barely.status != "non-member"
         mid_band = hull_membership(t, HermitianMatrix(np.diag([1.0 + 5e-9, 0.5])))
         assert mid_band.status == "boundary"
+        # the same relative tie at a non-unit scale
+        c = 1e3
+        scaled_tie = hull_membership(
+            HermitianMatrix(np.diag([0.0, c])), HermitianMatrix(np.diag([c * (1 + 3e-9), c / 2]))
+        )
+        assert scaled_tie.status == "boundary"
 
     def test_dim_mismatch(self):
         with pytest.raises(DimensionMismatchError):
