@@ -25,6 +25,7 @@ from .hermitian import (
     HermitianMatrix,
     ToleranceConfig,
     _eigh,
+    _haar_columns,
     _seeded_rng,
     _sqrt_psd,
     _sym,
@@ -191,13 +192,9 @@ def validate_tuple(t: CoefficientTuple, tol: ToleranceConfig = DEFAULT_TOL) -> T
 
 
 def _sample_tuple_arrs(dim: int, m: int, rng: np.random.Generator) -> list[np.ndarray]:
-    # orthonormal columns of an (m*dim) x dim Ginibre matrix, sliced into
-    # m square blocks; the stacked isometry gives sum C_i* C_i = I exactly
-    g = rng.standard_normal((m * dim, dim)) + 1j * rng.standard_normal((m * dim, dim))
-    q, r = np.linalg.qr(g)
-    d = np.diag(r).copy()
-    d[d == 0] = 1.0
-    q = q * (d / np.abs(d))
+    # Haar isometry of shape (m*dim) x dim, sliced into m square blocks;
+    # the stacked isometry gives sum C_i* C_i = I exactly
+    q = _haar_columns(m * dim, dim, rng)
     return [q[i * dim : (i + 1) * dim, :] for i in range(m)]
 
 

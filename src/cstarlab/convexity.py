@@ -8,6 +8,11 @@ inequalities only fail visibly for well-separated spectra.
 
 Per-sample randomness is derived from (master seed, suite salt, sample
 index), so verdicts are independent of execution order.
+
+All suites share one sampling loop, `_run_suite`, which owns the margin
+tracker, the per-sample generators, the stop at the first violation and
+the counterexample; a suite supplies only its `draw`. The six Loewner-order
+suites add the escalating window and lambda_min(rhs - lhs) via `_order_suite`.
 """
 
 from __future__ import annotations
@@ -31,8 +36,10 @@ from .hermitian import (
     HermitianMatrix,
     SpectrumInterval,
     ToleranceConfig,
+    _apply_arr,
     _eigh,
     _geometric_mean_arr,
+    _max_abs_eig,
     _rand_hermitian_arr,
     _sym,
     haar_unitary,
@@ -135,25 +142,8 @@ def _window(domain: SpectrumInterval, spread: float, positive: bool = False):
     return lo_f + pad, hi_f - pad
 
 
-def _specnorm(a: np.ndarray) -> float:
-    return float(np.max(np.abs(np.linalg.eigvalsh(a))))
-
-
 def _mineig(a: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(a)[0])
-
-
-def _feval(f: ScalarFunctionSpec, a: np.ndarray, positive: bool = False) -> np.ndarray:
-    w, u = _eigh(a)
-    for lam in w:
-        if not f.domain.contains(float(lam)):
-            raise DomainError(float(lam), str(f.domain), f.label)
-    fw = np.asarray(f.evaluator(w), dtype=float)
-    if not np.all(np.isfinite(fw)):
-        raise NumericalError(f"{f.label} produced non-finite values")
-    if positive and np.any(fw <= 0.0):
-        raise NonPositiveError(f"{f.label} is not positive on the sampled spectrum")
-    return _sym((u * fw) @ u.conj().T)
 
 
 class _Tracker:
@@ -201,6 +191,58 @@ def _wrap(a: np.ndarray) -> HermitianMatrix:
     return HermitianMatrix(a, atol=np.inf)
 
 
+def _run_suite(tol: ToleranceConfig, seed: int, salt: int, samples: int, draw, **fixed_ce_fields):
+    """The sampling loop of every suite.
+
+    `draw(rng, idx, tracker)` returns `(margin, scale, inputs, lhs, rhs[,
+    function])` on raw arrays. The first sample whose margin falls below
+    the psd band at `scale` ends the loop; only then are `inputs["xs"]`,
+    `inputs["ys"]`, lhs and rhs wrapped into the counterexample, which
+    `fixed_ce_fields` (kind, function, mode) complete.
+    """
+    tr = _Tracker(tol)
+    for idx in range(samples):
+        margin, scale, inputs, lhs, rhs, *function = draw(_sample_rng(seed, salt, idx), idx, tr)
+        if tr.classify(margin, scale) == "violated":
+            inputs = {k: list(map(_wrap, v)) if k in ("xs", "ys") else v for k, v in inputs.items()}
+            if function:
+                fixed_ce_fields["function"] = function[0]
+            ce = Counterexample(dim=lhs.shape[0], inputs=inputs, lhs=_wrap(lhs), rhs=_wrap(rhs),
+                                violation=margin, **fixed_ce_fields)
+            return tr.verdict(ce)
+    return tr.verdict()
+
+
+def _order_suite(f, tol, seed, salt, samples, evaluate, positive=False, **fixed_ce_fields):
+    """A suite checking lhs <= rhs in the Loewner order, with eigenvalues
+    drawn from the escalating window of f's domain (its positive part when
+    `positive`); `evaluate(rng, lo, hi, tracker)` returns (inputs, lhs, rhs)."""
+
+    def draw(rng, idx, tracker):
+        lo, hi = _window(f.domain, _round_spread(idx, samples), positive)
+        if positive and (lo >= hi or hi <= 0):
+            raise InputError(f"domain {f.domain} has no positive part to sample")
+        if lo >= hi:
+            raise InputError(f"domain {f.domain} is too small to sample")
+        inputs, lhs, rhs = evaluate(rng, lo, hi, tracker)
+        scale = max(_max_abs_eig(lhs), _max_abs_eig(rhs))
+        return _mineig(rhs - lhs), scale, inputs, lhs, rhs
+
+    return _run_suite(tol, seed, salt, samples, draw, function=f.label, **fixed_ce_fields)
+
+
+def _midpoint_sides(f: ScalarFunctionSpec, xs):
+    """(f((X+Y)/2), (f(X)+f(Y))/2)."""
+    x, y = xs
+    return _apply_arr(f, (x + y) / 2.0), (_apply_arr(f, x) + _apply_arr(f, y)) / 2.0
+
+
+def _jensen_sides(f: ScalarFunctionSpec, coeffs, xs):
+    """(f(sum C_i* X_i C_i), sum C_i* f(X_i) C_i)."""
+    lhs = _apply_arr(f, _combine_arr(coeffs, xs))
+    return lhs, _combine_arr(coeffs, [_apply_arr(f, x) for x in xs])
+
+
 def midpoint_convexity_test(
     f: ScalarFunctionSpec,
     dim: int,
@@ -212,30 +254,12 @@ def midpoint_convexity_test(
     """Search for X, Y with f((X+Y)/2) not below (f(X)+f(Y))/2."""
     if dim < 1:
         raise InputError("dim must be at least 1")
-    tr = _Tracker(tol)
-    for idx in range(samples):
-        rng = _sample_rng(seed, _SALT_MIDPOINT, idx)
-        lo, hi = _window(f.domain, _round_spread(idx, samples))
-        if lo >= hi:
-            raise InputError(f"domain {f.domain} is too small to sample")
-        x = _rand_hermitian_arr(dim, lo, hi, rng)
-        y = _rand_hermitian_arr(dim, lo, hi, rng)
-        lhs = _feval(f, (x + y) / 2.0)
-        rhs = (_feval(f, x) + _feval(f, y)) / 2.0
-        margin = _mineig(rhs - lhs)
-        scale = max(_specnorm(lhs), _specnorm(rhs))
-        if tr.classify(margin, scale) == "violated":
-            ce = Counterexample(
-                kind="midpoint",
-                dim=dim,
-                function=f.label,
-                inputs={"xs": [_wrap(x), _wrap(y)]},
-                lhs=_wrap(lhs),
-                rhs=_wrap(rhs),
-                violation=margin,
-            )
-            return tr.verdict(ce)
-    return tr.verdict()
+
+    def evaluate(rng, lo, hi, tracker):
+        xs = [_rand_hermitian_arr(dim, lo, hi, rng) for _ in range(2)]
+        return {"xs": xs}, *_midpoint_sides(f, xs)
+
+    return _order_suite(f, tol, seed, _SALT_MIDPOINT, samples, evaluate, kind="midpoint")
 
 
 def jensen_test(
@@ -260,57 +284,22 @@ def jensen_test(
         raise InputError("isometry mode requires m = 1")
     if dim < 1 or m < 1:
         raise InputError("dim and m must be at least 1")
-    tr = _Tracker(tol)
-    for idx in range(samples):
-        rng = _sample_rng(seed, _SALT_JENSEN, idx)
-        lo, hi = _window(f.domain, _round_spread(idx, samples))
-        if lo >= hi:
-            raise InputError(f"domain {f.domain} is too small to sample")
 
-        if mode == "map-family":
-            fam = sample_map_family(dim, m, rng)
+    def evaluate(rng, lo, hi, tracker):
+        fam = sample_map_family(dim, m, rng) if mode == "map-family" else None
+        coeffs = _sample_tuple_arrs(dim, m, rng) if fam is None else None
 
-            def build():
-                xs = [_rand_hermitian_arr(dim, lo, hi, rng) for _ in range(m)]
-                value = _sym(sum(p.apply_arr(x) for p, x in zip(fam.maps, xs)))
-                lhs = _feval(f, value)
-                rhs = _sym(sum(p.apply_arr(_feval(f, x)) for p, x in zip(fam.maps, xs)))
-                return xs, lhs, rhs
+        def build():
+            xs = [_rand_hermitian_arr(dim, lo, hi, rng) for _ in range(m)]
+            if fam is None:
+                return {"xs": xs, "coeffs": coeffs}, *_jensen_sides(f, coeffs, xs)
+            lhs = _apply_arr(f, _sym(sum(p.apply_arr(x) for p, x in zip(fam.maps, xs))))
+            rhs = _sym(sum(p.apply_arr(_apply_arr(f, x)) for p, x in zip(fam.maps, xs)))
+            return {"xs": xs, "maps": fam}, lhs, rhs
 
-            xs, lhs, rhs = _retry_domain(tr, build)
-            coeffs = None
-        else:
-            coeffs = _sample_tuple_arrs(dim, m, rng)
+        return _retry_domain(tracker, build)
 
-            def build():
-                xs = [_rand_hermitian_arr(dim, lo, hi, rng) for _ in range(m)]
-                lhs = _feval(f, _combine_arr(coeffs, xs))
-                rhs = _combine_arr(coeffs, [_feval(f, x) for x in xs])
-                return xs, lhs, rhs
-
-            xs, lhs, rhs = _retry_domain(tr, build)
-            fam = None
-
-        margin = _mineig(rhs - lhs)
-        scale = max(_specnorm(lhs), _specnorm(rhs))
-        if tr.classify(margin, scale) == "violated":
-            inputs = {"xs": [_wrap(x) for x in xs]}
-            if coeffs is not None:
-                inputs["coeffs"] = list(coeffs)
-            if fam is not None:
-                inputs["maps"] = fam
-            ce = Counterexample(
-                kind="jensen",
-                dim=dim,
-                function=f.label,
-                mode=mode,
-                inputs=inputs,
-                lhs=_wrap(lhs),
-                rhs=_wrap(rhs),
-                violation=margin,
-            )
-            return tr.verdict(ce)
-    return tr.verdict()
+    return _order_suite(f, tol, seed, _SALT_JENSEN, samples, evaluate, kind="jensen", mode=mode)
 
 
 def log_midpoint_test(
@@ -325,30 +314,16 @@ def log_midpoint_test(
     pairs; f must map (0, inf) into (0, inf)."""
     if dim < 1:
         raise InputError("dim must be at least 1")
-    tr = _Tracker(tol)
-    for idx in range(samples):
-        rng = _sample_rng(seed, _SALT_LOG_MIDPOINT, idx)
-        lo, hi = _window(f.domain, _round_spread(idx, samples), positive=True)
-        if lo >= hi or hi <= 0:
-            raise InputError(f"domain {f.domain} has no positive part to sample")
-        x = _rand_hermitian_arr(dim, lo, hi, rng)
-        y = _rand_hermitian_arr(dim, lo, hi, rng)
-        lhs = _feval(f, (x + y) / 2.0, positive=True)
-        rhs = _geometric_mean_arr(_feval(f, x, positive=True), _feval(f, y, positive=True))
-        margin = _mineig(rhs - lhs)
-        scale = max(_specnorm(lhs), _specnorm(rhs))
-        if tr.classify(margin, scale) == "violated":
-            ce = Counterexample(
-                kind="log-midpoint",
-                dim=dim,
-                function=f.label,
-                inputs={"xs": [_wrap(x), _wrap(y)]},
-                lhs=_wrap(lhs),
-                rhs=_wrap(rhs),
-                violation=margin,
-            )
-            return tr.verdict(ce)
-    return tr.verdict()
+
+    def evaluate(rng, lo, hi, tracker):
+        x, y = (_rand_hermitian_arr(dim, lo, hi, rng) for _ in range(2))
+        lhs = _apply_arr(f, (x + y) / 2.0, positive=True)
+        rhs = _geometric_mean_arr(_apply_arr(f, x, positive=True), _apply_arr(f, y, positive=True))
+        return {"xs": [x, y]}, lhs, rhs
+
+    return _order_suite(
+        f, tol, seed, _SALT_LOG_MIDPOINT, samples, evaluate, positive=True, kind="log-midpoint"
+    )
 
 
 def log_harmonic_jensen_test(
@@ -365,31 +340,18 @@ def log_harmonic_jensen_test(
     characterizes operator log-convex functions."""
     if dim < 1 or m < 1:
         raise InputError("dim and m must be at least 1")
-    tr = _Tracker(tol)
-    for idx in range(samples):
-        rng = _sample_rng(seed, _SALT_LOG_HARMONIC, idx)
-        lo, hi = _window(f.domain, _round_spread(idx, samples), positive=True)
-        if lo >= hi or hi <= 0:
-            raise InputError(f"domain {f.domain} has no positive part to sample")
+
+    def evaluate(rng, lo, hi, tracker):
         coeffs = _sample_tuple_arrs(dim, m, rng)
         xs = [_rand_hermitian_arr(dim, lo, hi, rng) for _ in range(m)]
-        lhs = _feval(f, _combine_arr(coeffs, xs))
-        inner = _combine_arr(coeffs, [_inv_pd_arr(_feval(f, x, positive=True)) for x in xs])
-        rhs = _inv_pd_arr(inner)
-        margin = _mineig(rhs - lhs)
-        scale = max(_specnorm(lhs), _specnorm(rhs))
-        if tr.classify(margin, scale) == "violated":
-            ce = Counterexample(
-                kind="log-harmonic-jensen",
-                dim=dim,
-                function=f.label,
-                inputs={"xs": [_wrap(x) for x in xs], "coeffs": list(coeffs)},
-                lhs=_wrap(lhs),
-                rhs=_wrap(rhs),
-                violation=margin,
-            )
-            return tr.verdict(ce)
-    return tr.verdict()
+        lhs = _apply_arr(f, _combine_arr(coeffs, xs))
+        inner = _combine_arr(coeffs, [_inv_pd_arr(_apply_arr(f, x, positive=True)) for x in xs])
+        return {"xs": xs, "coeffs": coeffs}, lhs, _inv_pd_arr(inner)
+
+    return _order_suite(
+        f, tol, seed, _SALT_LOG_HARMONIC, samples, evaluate, positive=True,
+        kind="log-harmonic-jensen",
+    )
 
 
 def epigraph_closure_test(
@@ -411,40 +373,19 @@ def epigraph_closure_test(
     """
     if dim < 1 or m < 1:
         raise InputError("dim and m must be at least 1")
-    tr = _Tracker(tol)
-    for idx in range(samples):
-        rng = _sample_rng(seed, _SALT_EPIGRAPH, idx)
-        lo, hi = _window(f.domain, _round_spread(idx, samples))
-        if lo >= hi:
-            raise InputError(f"domain {f.domain} is too small to sample")
+
+    def evaluate(rng, lo, hi, tracker):
         coeffs = _sample_tuple_arrs(dim, m, rng)
 
         def build():
             xs = [_rand_hermitian_arr(dim, lo, hi, rng) for _ in range(m)]
-            ys = [fx + _psd_noise(fx, dim, noise_scale, rng) for fx in (_feval(f, x) for x in xs)]
-            lhs = _feval(f, _combine_arr(coeffs, xs))
-            rhs = _combine_arr(coeffs, ys)
-            return xs, ys, lhs, rhs
+            ys = [fx + _psd_noise(fx, dim, noise_scale, rng) for fx in (_apply_arr(f, x) for x in xs)]
+            lhs = _apply_arr(f, _combine_arr(coeffs, xs))
+            return {"xs": xs, "ys": ys, "coeffs": coeffs}, lhs, _combine_arr(coeffs, ys)
 
-        xs, ys, lhs, rhs = _retry_domain(tr, build)
-        margin = _mineig(rhs - lhs)
-        scale = max(_specnorm(lhs), _specnorm(rhs))
-        if tr.classify(margin, scale) == "violated":
-            ce = Counterexample(
-                kind="epigraph",
-                dim=dim,
-                function=f.label,
-                inputs={
-                    "xs": [_wrap(x) for x in xs],
-                    "ys": [_wrap(y) for y in ys],
-                    "coeffs": list(coeffs),
-                },
-                lhs=_wrap(lhs),
-                rhs=_wrap(rhs),
-                violation=margin,
-            )
-            return tr.verdict(ce)
-    return tr.verdict()
+        return _retry_domain(tracker, build)
+
+    return _order_suite(f, tol, seed, _SALT_EPIGRAPH, samples, evaluate, kind="epigraph")
 
 
 def _psd_noise(ref: np.ndarray, dim: int, noise_scale: float, rng) -> np.ndarray:
@@ -452,10 +393,10 @@ def _psd_noise(ref: np.ndarray, dim: int, noise_scale: float, rng) -> np.ndarray
         return np.zeros((dim, dim), dtype=np.complex128)
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     n = g @ g.conj().T
-    top = _specnorm(n)
+    top = _max_abs_eig(n)
     if top == 0.0:
         return np.zeros((dim, dim), dtype=np.complex128)
-    return n * (noise_scale * _specnorm(ref) / top)
+    return n * (noise_scale * _max_abs_eig(ref) / top)
 
 
 def log_epigraph_closure_test(
@@ -472,42 +413,24 @@ def log_epigraph_closure_test(
     log-combinations (harmonic C*-mixing of both components)."""
     if dim < 1 or m < 1:
         raise InputError("dim and m must be at least 1")
-    tr = _Tracker(tol)
-    for idx in range(samples):
-        rng = _sample_rng(seed, _SALT_LOG_EPIGRAPH, idx)
-        lo, hi = _window(f.domain, _round_spread(idx, samples), positive=True)
-        if lo >= hi or hi <= 0:
-            raise InputError(f"domain {f.domain} has no positive part to sample")
+
+    def evaluate(rng, lo, hi, tracker):
         coeffs = _sample_tuple_arrs(dim, m, rng)
 
         def build():
             xs = [_rand_hermitian_arr(dim, lo, hi, rng) for _ in range(m)]
-            fs = [_feval(f, _inv_pd_arr(x), positive=True) for x in xs]
+            fs = [_apply_arr(f, _inv_pd_arr(x), positive=True) for x in xs]
             ys = [fx + _psd_noise(fx, dim, noise_scale, rng) for fx in fs]
             xc = _inv_pd_arr(_combine_arr(coeffs, [_inv_pd_arr(x) for x in xs]))
             yc = _inv_pd_arr(_combine_arr(coeffs, [_inv_pd_arr(y) for y in ys]))
-            lhs = _feval(f, _inv_pd_arr(xc), positive=True)
-            return xs, ys, lhs, yc
+            lhs = _apply_arr(f, _inv_pd_arr(xc), positive=True)
+            return {"xs": xs, "ys": ys, "coeffs": coeffs}, lhs, yc
 
-        xs, ys, lhs, rhs = _retry_domain(tr, build)
-        margin = _mineig(rhs - lhs)
-        scale = max(_specnorm(lhs), _specnorm(rhs))
-        if tr.classify(margin, scale) == "violated":
-            ce = Counterexample(
-                kind="log-epigraph",
-                dim=dim,
-                function=f.label,
-                inputs={
-                    "xs": [_wrap(x) for x in xs],
-                    "ys": [_wrap(y) for y in ys],
-                    "coeffs": list(coeffs),
-                },
-                lhs=_wrap(lhs),
-                rhs=_wrap(rhs),
-                violation=margin,
-            )
-            return tr.verdict(ce)
-    return tr.verdict()
+        return _retry_domain(tracker, build)
+
+    return _order_suite(
+        f, tol, seed, _SALT_LOG_EPIGRAPH, samples, evaluate, positive=True, kind="log-epigraph"
+    )
 
 
 def interval_set_falsifier(
@@ -528,10 +451,9 @@ def interval_set_falsifier(
     a = A.array
     dim = A.dim
     w, u = _eigh(a)
-    scale = float(np.max(np.abs(w))) if dim else 0.0
+    scale = float(np.max(np.abs(w)))
     if w[0] < -tol.psd(scale):
         raise NonPositiveError(f"A must be positive semidefinite (min eig {w[0]:.3e})")
-    tr = _Tracker(tol)
 
     def membership_margin(x: np.ndarray) -> float:
         return min(_mineig(x), _mineig(a - x))
@@ -544,7 +466,6 @@ def interval_set_falsifier(
         combined = _sym(swap.conj().T @ a @ swap)
         margin = membership_margin(combined)
         if margin < -tol.psd(scale):
-            tr.worst = margin
             ce = Counterexample(
                 kind="interval-set",
                 dim=dim,
@@ -553,30 +474,20 @@ def interval_set_falsifier(
                 rhs=A,
                 violation=margin,
             )
-            return tr.verdict(ce)
+            return TestVerdict("violated", samples_run=0, worst_margin=margin, counterexample=ce)
 
     sqrt_a = _sym((u * np.sqrt(np.clip(w, 0.0, None))) @ u.conj().T)
-    for idx in range(samples):
-        rng = _sample_rng(seed, _SALT_INTERVAL, idx)
+
+    def draw(rng, idx, tracker):
         m = int(rng.integers(1, 5))
         coeffs = _sample_tuple_arrs(dim, m, rng)
-        xs = []
-        for _ in range(m):
-            wmix = _rand_hermitian_arr(dim, 0.0, 1.0, rng)  # member of [0, I]
-            xs.append(_sym(sqrt_a @ wmix @ sqrt_a))
+        # sqrt(A) W sqrt(A) with W in [0, I] is a member of [0, A]
+        xs = [_sym(sqrt_a @ _rand_hermitian_arr(dim, 0.0, 1.0, rng) @ sqrt_a) for _ in range(m)]
         combined = _combine_arr(coeffs, xs)
-        margin = membership_margin(combined)
-        if tr.classify(margin, max(scale, _specnorm(combined))) == "violated":
-            ce = Counterexample(
-                kind="interval-set",
-                dim=dim,
-                inputs={"xs": [_wrap(x) for x in xs], "coeffs": list(coeffs), "bound": A},
-                lhs=_wrap(combined),
-                rhs=A,
-                violation=margin,
-            )
-            return tr.verdict(ce)
-    return tr.verdict()
+        inputs = {"xs": xs, "coeffs": coeffs, "bound": A}
+        return membership_margin(combined), max(scale, _max_abs_eig(combined)), inputs, combined, a
+
+    return _run_suite(tol, seed, _SALT_INTERVAL, samples, draw, kind="interval-set")
 
 
 def sublevel_family_test(
@@ -598,7 +509,6 @@ def sublevel_family_test(
         raise InputError("the function family is empty")
     if dim < 1 or m < 1:
         raise InputError("dim and m must be at least 1")
-    tr = _Tracker(tol)
 
     lo_d = max(f.domain.lo for f, _ in family)
     hi_d = min(f.domain.hi for f, _ in family)
@@ -623,40 +533,23 @@ def sublevel_family_test(
         u_basis = haar_unitary(dim, rng)
         return _sym((u_basis * np.array(eigs)) @ u_basis.conj().T)
 
-    for idx in range(samples):
-        rng = _sample_rng(seed, _SALT_SUBLEVEL, idx)
+    def draw(rng, idx, tracker):
         lo, hi = _window(joint, _round_spread(idx, samples))
         if lo >= hi:
             raise InputError("joint domain is too small to sample")
         coeffs = _sample_tuple_arrs(dim, m, rng)
         xs = [draw_member(rng, lo, hi) for _ in range(m)]
         combined = _combine_arr(coeffs, xs)
-        worst_margin = math.inf
-        worst_pair = None
-        for f, bound in family:
-            fx = _feval(f, combined)
-            margin = float(bound - np.linalg.eigvalsh(fx)[-1])
-            if margin < worst_margin:
-                worst_margin = margin
-                worst_pair = (f, bound, fx)
-        f_bad, bound_bad, fx_bad = worst_pair
-        scale = max(abs(bound_bad), _specnorm(fx_bad))
-        if tr.classify(worst_margin, scale) == "violated":
-            ce = Counterexample(
-                kind="sublevel",
-                dim=dim,
-                function=f_bad.label,
-                inputs={
-                    "xs": [_wrap(x) for x in xs],
-                    "coeffs": list(coeffs),
-                    "bound_value": float(bound_bad),
-                },
-                lhs=_wrap(fx_bad),
-                rhs=_wrap(bound_bad * np.eye(dim, dtype=np.complex128)),
-                violation=worst_margin,
-            )
-            return tr.verdict(ce)
-    return tr.verdict()
+        fxs = [_apply_arr(f, combined) for f, _ in family]
+        margins = [float(b - np.linalg.eigvalsh(fx)[-1]) for fx, (_, b) in zip(fxs, family)]
+        worst = margins.index(min(margins))
+        (f_bad, bound_bad), fx_bad = family[worst], fxs[worst]
+        scale = max(abs(bound_bad), _max_abs_eig(fx_bad))
+        inputs = {"xs": xs, "coeffs": coeffs, "bound_value": float(bound_bad)}
+        rhs = bound_bad * np.eye(dim, dtype=np.complex128)
+        return margins[worst], scale, inputs, fx_bad, rhs, f_bad.label
+
+    return _run_suite(tol, seed, _SALT_SUBLEVEL, samples, draw, kind="sublevel")
 
 
 def embed_counterexample(ce: Counterexample, f: ScalarFunctionSpec, scalar: float) -> Counterexample:
@@ -682,15 +575,13 @@ def embed_counterexample(ce: Counterexample, f: ScalarFunctionSpec, scalar: floa
         return out
 
     xs = [grow(x.array, scalar) for x in ce.inputs["xs"]]
+    inputs = {"xs": [_wrap(x) for x in xs]}
     if ce.kind == "midpoint":
-        lhs = _feval(f, (xs[0] + xs[1]) / 2.0)
-        rhs = (_feval(f, xs[0]) + _feval(f, xs[1])) / 2.0
-        inputs = {"xs": [_wrap(x) for x in xs]}
+        lhs, rhs = _midpoint_sides(f, xs)
     else:
         coeffs = [grow(c, 1.0 if i == 0 else 0.0) for i, c in enumerate(ce.inputs["coeffs"])]
-        lhs = _feval(f, _combine_arr(coeffs, xs))
-        rhs = _combine_arr(coeffs, [_feval(f, x) for x in xs])
-        inputs = {"xs": [_wrap(x) for x in xs], "coeffs": coeffs}
+        inputs["coeffs"] = coeffs
+        lhs, rhs = _jensen_sides(f, coeffs, xs)
     violation = _mineig(rhs - lhs)
     if not violation < 0:
         raise NumericalError("embedded instance no longer violates the inequality")

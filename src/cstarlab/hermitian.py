@@ -37,7 +37,7 @@ __all__ = [
     "haar_unitary",
 ]
 
-HERMITIAN_ATOL = 1e-12  # entrywise |M - M*| allowed at construction
+HERMITIAN_ATOL = 1e-12  # entrywise |M - M*| allowed, times max(1, max |M_jk|)
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -100,7 +100,8 @@ DEFAULT_TOL = ToleranceConfig()
 
 @dataclass(frozen=True, eq=False)
 class HermitianMatrix:
-    """An n x n complex matrix with enforced self-adjointness.
+    """An n x n complex matrix with enforced self-adjointness: entrywise
+    defects |M - M*| above `atol` * max(1, max |M_jk|) are rejected.
 
     The stored array is the exact Hermitian average of the input and is
     read-only; instances are safe to share across threads.
@@ -117,11 +118,12 @@ class HermitianMatrix:
         if not np.all(np.isfinite(a)):
             raise InputError("matrix entries must be finite")
         defect = np.abs(a - a.conj().T)
-        if defect.size and float(defect.max()) > atol:
+        limit = atol * max(1.0, float(np.max(np.abs(a))))
+        if float(defect.max()) > limit:
             j, k = np.unravel_index(int(np.argmax(defect)), defect.shape)
             raise HermitianDefectError(
                 f"self-adjointness defect {float(defect.max()):.3e} at entry "
-                f"({j},{k}) exceeds {atol:.0e}"
+                f"({j},{k}) exceeds {limit:.3e}"
             )
         object.__setattr__(self, "entries", _freeze(_sym(a)))
 
@@ -246,18 +248,37 @@ def loewner_leq(
     return LoewnerResult(holds=margin >= -tol.psd(scale), margin=margin)
 
 
+def _apply_arr(f, a: np.ndarray, positive: bool = False) -> np.ndarray:
+    """Functional calculus on a raw array; with `positive`, f must be
+    strictly positive on the spectrum."""
+    w, u = _eigh(a)
+    for lam in w:
+        if not f.domain.contains(float(lam)):
+            raise DomainError(float(lam), str(f.domain), f.label)
+    fw = np.asarray(f.evaluator(w), dtype=float)
+    if not np.all(np.isfinite(fw)):
+        raise NumericalError(f"{f.label} produced non-finite values")
+    if positive and np.any(fw <= 0.0):
+        raise NonPositiveError(f"{f.label} is not positive on the sampled spectrum")
+    return _sym((u * fw) @ u.conj().T)
+
+
 def apply_function(f, H: HermitianMatrix) -> HermitianMatrix:
     """Functional calculus: U diag(f(w)) U* over the decomposition of H.
 
     Every eigenvalue must lie in f's domain interval, with open endpoints
-    excluded strictly.
+    excluded strictly, and f must be finite on the spectrum.
     """
-    w, u = _eigh(H.array)
-    for lam in w:
-        if not f.domain.contains(float(lam)):
-            raise DomainError(float(lam), str(f.domain), getattr(f, "label", ""))
-    fw = np.asarray(f.evaluator(w), dtype=float)
-    return HermitianMatrix(_sym((u * fw) @ u.conj().T), atol=np.inf)
+    return HermitianMatrix(_apply_arr(f, H.array), atol=np.inf)
+
+
+def _require_pd(tol: ToleranceConfig, **named: HermitianMatrix) -> None:
+    """Raise unless each named operand is strictly positive beyond the psd
+    band at its own scale."""
+    for name, M in named.items():
+        w = np.linalg.eigvalsh(M.array)
+        if w[0] <= tol.psd(float(np.max(np.abs(w)))):
+            raise NonPositiveError(f"{name} must be strictly positive (min eig {w[0]:.3e})")
 
 
 def _geometric_mean_arr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -278,22 +299,23 @@ def geometric_mean(
     """
     if A.dim != B.dim:
         raise DimensionMismatchError(f"dims {A.dim} and {B.dim} differ")
-    for name, M in (("first", A), ("second", B)):
-        w = np.linalg.eigvalsh(M.array)
-        if w[0] <= tol.psd(float(np.max(np.abs(w)))):
-            raise NonPositiveError(
-                f"{name} operand is not strictly positive (min eigenvalue {w[0]:.3e})"
-            )
+    _require_pd(tol, A=A, B=B)
     return HermitianMatrix(_geometric_mean_arr(A.array, B.array), atol=np.inf)
 
 
-def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via QR of a complex Ginibre matrix."""
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+def _haar_columns(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-distributed orthonormal columns: QR of a complex Ginibre
+    matrix, with the phases of diag(R) moved into Q."""
+    g = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
     q, r = np.linalg.qr(g)
     d = np.diag(r).copy()
     d[d == 0] = 1.0  # measure-zero guard
     return q * (d / np.abs(d))
+
+
+def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-distributed unitary via QR of a complex Ginibre matrix."""
+    return _haar_columns(dim, dim, rng)
 
 
 def sample_hermitian(
@@ -328,9 +350,7 @@ def sample_hermitian(
     if lo + pad > hi - pad:
         pad = (hi - lo) / 4.0
     rng = _seeded_rng(rng_seed)
-    u = haar_unitary(dim, rng)
-    w = np.sort(rng.uniform(lo + pad, hi - pad, size=dim))
-    return HermitianMatrix(_sym((u * w) @ u.conj().T), atol=np.inf)
+    return HermitianMatrix(_rand_hermitian_arr(dim, lo + pad, hi - pad, rng), atol=np.inf)
 
 
 def _seeded_rng(seed) -> np.random.Generator:

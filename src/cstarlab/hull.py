@@ -18,12 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    InputError,
-    NonPositiveError,
-    NumericalError,
-)
+from .errors import DimensionMismatchError, InputError, NumericalError
 from .combinations import (
     CoefficientTuple,
     _inv_pd_arr,
@@ -32,16 +27,18 @@ from .combinations import (
     apply_combination,
     validate_tuple,
 )
-from .convexity import Counterexample, TestVerdict, _Tracker, _sample_rng
+from .convexity import TestVerdict, _mineig, _run_suite
 from .functions import ScalarFunctionSpec
 from .hermitian import (
     DEFAULT_TOL,
     HermitianMatrix,
     ToleranceConfig,
     _eigh,
+    _max_abs_eig,
+    _rand_hermitian_arr,
+    _require_pd,
     _sym,
     apply_function,
-    haar_unitary,
 )
 
 __all__ = [
@@ -314,10 +311,7 @@ def lch_membership(
     certificate refers to that reduced problem."""
     if T.dim != X.dim:
         raise DimensionMismatchError(f"dims {T.dim} and {X.dim} differ")
-    for name, M in (("T", T), ("X", X)):
-        w = np.linalg.eigvalsh(M.array)
-        if w[0] <= tol.psd(float(np.max(np.abs(w)))):
-            raise NonPositiveError(f"{name} must be strictly positive (min eig {w[0]:.3e})")
+    _require_pd(tol, T=T, X=X)
     t_inv = HermitianMatrix(_inv_pd_arr(T.array), atol=np.inf)
     x_inv = HermitianMatrix(_inv_pd_arr(X.array), atol=np.inf)
     return hull_membership(t_inv, x_inv, tol)
@@ -344,7 +338,7 @@ def hull_of_function(T: HermitianMatrix, f: ScalarFunctionSpec) -> FunctionHull:
     queries delegate to `hull_membership` on f(T)."""
     ft = apply_function(f, T)
     return FunctionHull(
-        eigenvalues=np.sort(np.linalg.eigvalsh(ft.array)),
+        eigenvalues=np.linalg.eigvalsh(ft.array),
         transformed=ft,
     )
 
@@ -406,10 +400,7 @@ def harmonic_sum_closure_test(
     """
     if T1.dim != T2.dim:
         raise DimensionMismatchError(f"dims {T1.dim} and {T2.dim} differ")
-    for name, M in (("T1", T1), ("T2", T2)):
-        w = np.linalg.eigvalsh(M.array)
-        if w[0] <= tol.psd(float(np.max(np.abs(w)))):
-            raise NonPositiveError(f"{name} must be strictly positive (min eig {w[0]:.3e})")
+    _require_pd(tol, T1=T1, T2=T2)
     dim = T1.dim
     l1 = np.linalg.eigvalsh(T1.array)
     l2 = np.linalg.eigvalsh(T2.array)
@@ -418,43 +409,24 @@ def harmonic_sum_closure_test(
     h_lo = _parallel_sum(a1, a2)
     h_hi = _parallel_sum(b1, b2)
     eye = np.eye(dim, dtype=np.complex128)
-    tr = _Tracker(tol)
-    for idx in range(samples):
-        rng = _sample_rng(seed, _SALT_HARMONIC, idx)
+
+    def draw(rng, idx, tracker):
         m = int(rng.integers(1, 4))
         coeffs = _sample_tuple_arrs(dim, m, rng)
-        zs = []
-        for _ in range(m):
-            ux = haar_unitary(dim, rng)
-            x = _sym((ux * rng.uniform(a1, b1, dim)) @ ux.conj().T)
-            uy = haar_unitary(dim, rng)
-            y = _sym((uy * rng.uniform(a2, b2, dim)) @ uy.conj().T)
-            zs.append(_inv_pd_arr(_inv_pd_arr(x) + _inv_pd_arr(y)))
+        zs = [_inv_pd_arr(_inv_pd_arr(_rand_hermitian_arr(dim, a1, b1, rng))
+                          + _inv_pd_arr(_rand_hermitian_arr(dim, a2, b2, rng))) for _ in range(m)]
         combined = _log_combine_arr(coeffs, zs)
-        margin = min(
-            float(np.linalg.eigvalsh(combined - h_lo * eye)[0]),
-            float(np.linalg.eigvalsh(h_hi * eye - combined)[0]),
-        )
-        scale = max(abs(h_lo), abs(h_hi), float(np.max(np.abs(np.linalg.eigvalsh(combined)))))
-        if tr.classify(margin, scale) == "violated":
-            ce = Counterexample(
-                kind="harmonic-sum",
-                dim=dim,
-                inputs={
-                    "xs": [HermitianMatrix(z, atol=np.inf) for z in zs],
-                    "coeffs": list(coeffs),
-                    "interval": (h_lo, h_hi),
-                },
-                lhs=HermitianMatrix(combined, atol=np.inf),
-                rhs=HermitianMatrix(h_hi * eye, atol=np.inf),
-                violation=margin,
-            )
-            return tr.verdict(ce)
-        # constructive expressibility: re-split the combined element
-        _, _, residual = _harmonic_decompose(combined, a1, b1, a2, b2)
-        if residual > tol.psd(scale) + max(0.0, -margin):
-            raise NumericalError(
-                f"harmonic decomposition residual {residual:.3e} is inconsistent "
-                f"with the interval margin {margin:.3e}"
-            )
-    return tr.verdict()
+        margin = min(_mineig(combined - h_lo * eye), _mineig(h_hi * eye - combined))
+        scale = max(abs(h_lo), abs(h_hi), _max_abs_eig(combined))
+        if margin >= -tol.psd(scale):
+            # constructive expressibility: re-split the combined element
+            _, _, residual = _harmonic_decompose(combined, a1, b1, a2, b2)
+            if residual > tol.psd(scale) + max(0.0, -margin):
+                raise NumericalError(
+                    f"harmonic decomposition residual {residual:.3e} is inconsistent "
+                    f"with the interval margin {margin:.3e}"
+                )
+        inputs = {"xs": zs, "coeffs": coeffs, "interval": (h_lo, h_hi)}
+        return margin, scale, inputs, combined, h_hi * eye
+
+    return _run_suite(tol, seed, _SALT_HARMONIC, samples, draw, kind="harmonic-sum")

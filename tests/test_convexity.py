@@ -3,11 +3,16 @@ import pytest
 
 from cstarlab import (
     CoefficientTuple,
+    DimensionMismatchError,
     HermitianMatrix,
     InputError,
+    NonPositiveError,
+    ScalarFunctionSpec,
+    SpectrumInterval,
     TestVerdict,
     embed_counterexample,
     epigraph_closure_test,
+    harmonic_sum_closure_test,
     interval_set_falsifier,
     jensen_test,
     log_epigraph_closure_test,
@@ -27,12 +32,69 @@ T15 = parse_function("t^1.5")
 T2 = parse_function("t^2")
 T4 = parse_function("t^4")
 TINV = parse_function("t^-1")
+POINT = ScalarFunctionSpec("point", SpectrumInterval(1.0, 1.0), lambda t: t)
+NONPOS = ScalarFunctionSpec("nonpos", SpectrumInterval(hi=0.0), lambda t: t * t)
 
 
 def recheck_ok(ce):
     result = recheck_payload(counterexample_to_payload(ce))
     assert result.ok, result
     return result
+
+
+ORDER_SUITES = {
+    "midpoint": lambda f, dim=2, m=2: midpoint_convexity_test(f, dim, 10, seed=1),
+    "jensen": lambda f, dim=2, m=2: jensen_test(f, "tuple", dim, m, 10, seed=1),
+    "log-midpoint": lambda f, dim=2, m=2: log_midpoint_test(f, dim, 10, seed=1),
+    "log-harmonic": lambda f, dim=2, m=2: log_harmonic_jensen_test(f, dim, m, 10, seed=1),
+    "epigraph": lambda f, dim=2, m=2: epigraph_closure_test(f, dim, m, 10, seed=1),
+    "log-epigraph": lambda f, dim=2, m=2: log_epigraph_closure_test(f, dim, m, 10, seed=1),
+}
+DIM_M_MSG = "dim and m must be at least 1"
+NO_POSITIVE_MSG = "domain (-inf, 0.0] has no positive part to sample"
+TOO_SMALL_MSG = "domain [1.0, 1.0] is too small to sample"
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: ORDER_SUITES["midpoint"](T2, dim=0), InputError, "dim must be at least 1"),
+        *[(lambda s=s: ORDER_SUITES[s](T2, dim=0), InputError, DIM_M_MSG)
+          for s in ("jensen", "log-harmonic", "epigraph", "log-epigraph")],
+        *[(lambda s=s: ORDER_SUITES[s](T2, m=0), InputError, DIM_M_MSG)
+          for s in ("jensen", "log-harmonic", "epigraph", "log-epigraph")],
+        (lambda: jensen_test(T2, "bogus", 2, 2, 10, seed=1), InputError,
+         "unknown jensen mode 'bogus'"),
+        (lambda: jensen_test(T2, "isometry", 2, 2, 10, seed=1), InputError,
+         "isometry mode requires m = 1"),
+        (lambda: jensen_test(POINT, "map-family", 2, 2, 10, seed=1), InputError, TOO_SMALL_MSG),
+        *[(lambda s=s: ORDER_SUITES[s](POINT), InputError, TOO_SMALL_MSG)
+          for s in ("midpoint", "jensen", "epigraph")],
+        *[(lambda s=s: ORDER_SUITES[s](NONPOS), InputError, NO_POSITIVE_MSG)
+          for s in ("log-midpoint", "log-harmonic", "log-epigraph")],
+        (lambda: sublevel_family_test([], 2, 2, 10, seed=1), InputError,
+         "the function family is empty"),
+        (lambda: sublevel_family_test([(T2, 4.0)], 0, 2, 10, seed=1), InputError, DIM_M_MSG),
+        (lambda: sublevel_family_test([(T2, 4.0)], 2, 0, 10, seed=1), InputError, DIM_M_MSG),
+        (lambda: sublevel_family_test([(POINT, 4.0)], 2, 2, 10, seed=1), InputError,
+         "joint domain is too small to sample"),
+        (lambda: sublevel_family_test([(T2, -1.0)], 2, 2, 10, seed=1), InputError,
+         "sublevel bounds are infeasible over the sampled window"),
+        (lambda: interval_set_falsifier(HermitianMatrix.diagonal([-1.0, 2.0]), 10, seed=1),
+         NonPositiveError, "A must be positive semidefinite (min eig -1.000e+00)"),
+        (lambda: harmonic_sum_closure_test(HermitianMatrix.diagonal([0.0, 1.0]),
+                                           HermitianMatrix.identity(2), 10, seed=1),
+         NonPositiveError, "T1 must be strictly positive (min eig 0.000e+00)"),
+        (lambda: harmonic_sum_closure_test(HermitianMatrix.identity(2),
+                                           HermitianMatrix.identity(3), 10, seed=1),
+         DimensionMismatchError, "dims 2 and 3 differ"),
+    ],
+)
+def test_suite_input_errors(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert type(err.value) is error
+    assert str(err.value) == message
 
 
 class TestMidpoint:
@@ -256,6 +318,7 @@ class TestCertificates:
             jensen_test(T4, "tuple", 2, 2, 1000, seed=42).counterexample,
             log_harmonic_jensen_test(T2, 2, 2, 100, seed=42).counterexample,
             epigraph_closure_test(T4, 2, 2, 500, seed=42).counterexample,
+            log_epigraph_closure_test(T1, 2, 2, 200, seed=42).counterexample,
             interval_set_falsifier(HermitianMatrix(np.diag([2.0, 1.0])), seed=1).counterexample,
         ]
         for ce in found:

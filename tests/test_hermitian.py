@@ -34,6 +34,20 @@ class TestConstruction:
         with pytest.raises(HermitianDefectError):
             HermitianMatrix([[1.0, 1.0], [0.5, 2.0]])
 
+    def test_accepts_rotated_large_scale(self):
+        # U diag(1e6, 2e6, 3e6) U* carries rounding defects of about 1e-10
+        rng = np.random.default_rng(5)
+        u, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+        a = (u * np.array([1e6, 2e6, 3e6])) @ u.conj().T
+        assert np.max(np.abs(a - a.conj().T)) > 1e-12
+        h = HermitianMatrix(a)
+        assert np.allclose(np.linalg.eigvalsh(h.array), [1e6, 2e6, 3e6])
+
+    def test_rejects_relative_defect_at_large_scale(self):
+        a = np.array([[1e6, 1e6], [1e6 + 1.0, 2e6]])
+        with pytest.raises(HermitianDefectError):
+            HermitianMatrix(a)
+
     def test_rejects_nonsquare(self):
         with pytest.raises(InputError):
             HermitianMatrix(np.zeros((2, 3)))
