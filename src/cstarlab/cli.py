@@ -23,7 +23,7 @@ from .errors import (
 )
 from .combinations import sample_tuple
 from .functions import parse_function
-from .hermitian import DEFAULT_TOL, ToleranceConfig, apply_function
+from .hermitian import DEFAULT_TOL, ToleranceConfig
 from .recheck import recheck_payload
 
 EXIT_PASS = 0
@@ -294,10 +294,8 @@ def cmd_lch_member(args) -> int:
     res = hull.lch_membership(T, X, tol)
     # witness and certificate refer to the reduced problem (T^-1, X^-1);
     # serialize against those matrices so payloads re-verify standalone
-    inv = parse_function("t^-1")
-    reduced = [apply_function(inv, T), apply_function(inv, X)]
     body = io.build_report(
-        _echo(args), None, tol, [io.feasibility_to_payload(res, reduced[0], reduced[1])]
+        _echo(args), None, tol, [io.feasibility_to_payload(res, *hull._lch_reduce(T, X))]
     )
     _emit(args, body, f"log-convex hull membership: {res.status}")
     return _hull_exit(res.status)

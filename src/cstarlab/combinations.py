@@ -155,9 +155,7 @@ class UnitalMapFamily:
         d = ms[0].dim
         if any(m.dim != d for m in ms):
             raise DimensionMismatchError("maps in a family must share one dim")
-        defect = _unitality_defect(ms)
-        if defect > tol.construction(1.0):
-            raise InputError(f"family is not unital: defect {defect:.3e}")
+        _require_unital(ms, tol)
         object.__setattr__(self, "maps", ms)
 
     @property
@@ -169,10 +167,11 @@ class UnitalMapFamily:
         return len(self.maps)
 
 
-def _unitality_defect(maps: Sequence[KrausMap]) -> float:
-    d = maps[0].dim
+def _require_unital(maps: Sequence[KrausMap], tol: ToleranceConfig) -> None:
     total = sum(m.unit_image() for m in maps)
-    return float(np.linalg.norm(total - np.eye(d), 2))
+    defect = float(np.linalg.norm(total - np.eye(maps[0].dim), 2))
+    if defect > tol.construction_tol:
+        raise InputError(f"family is not unital: defect {defect:.3e}")
 
 
 @dataclass(frozen=True)
@@ -188,7 +187,7 @@ def validate_tuple(t: CoefficientTuple, tol: ToleranceConfig = DEFAULT_TOL) -> T
     """Spectral-norm defect of sum C_i* C_i - I, compared to construction_tol."""
     s = sum(c.conj().T @ c for c in t.coeffs)
     defect = float(np.linalg.norm(s - np.eye(t.dim), 2))
-    return TupleValidation(ok=defect <= tol.construction(1.0), defect=defect)
+    return TupleValidation(ok=defect <= tol.construction_tol, defect=defect)
 
 
 def _sample_tuple_arrs(dim: int, m: int, rng: np.random.Generator) -> list[np.ndarray]:
@@ -261,11 +260,11 @@ def apply_combination(t: CoefficientTuple, xs):
         comps = []
         for j in range(k):
             arrs = [x.components[j].array for x in xs]
-            comps.append(HermitianMatrix(_combine_arr(t.coeffs, arrs), atol=np.inf))
+            comps.append(HermitianMatrix._wrap(_combine_arr(t.coeffs, arrs)))
         return OperatorTuple(comps)
     if any(x.dim != t.dim for x in xs):
         raise DimensionMismatchError("operand dim does not match tuple dim")
-    return HermitianMatrix(_combine_arr(t.coeffs, [x.array for x in xs]), atol=np.inf)
+    return HermitianMatrix._wrap(_combine_arr(t.coeffs, [x.array for x in xs]))
 
 
 def apply_log_combination(t: CoefficientTuple, xs: Sequence[HermitianMatrix]) -> HermitianMatrix:
@@ -278,7 +277,7 @@ def apply_log_combination(t: CoefficientTuple, xs: Sequence[HermitianMatrix]) ->
         raise DimensionMismatchError(f"expected {t.m} operands, got {len(xs)}")
     if any(x.dim != t.dim for x in xs):
         raise DimensionMismatchError("operand dim does not match tuple dim")
-    return HermitianMatrix(_log_combine_arr(t.coeffs, [x.array for x in xs]), atol=np.inf)
+    return HermitianMatrix._wrap(_log_combine_arr(t.coeffs, [x.array for x in xs]))
 
 
 def complete_contraction(C, tol: ToleranceConfig = DEFAULT_TOL) -> CoefficientTuple:
@@ -288,7 +287,7 @@ def complete_contraction(C, tol: ToleranceConfig = DEFAULT_TOL) -> CoefficientTu
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise InputError("expected a square matrix")
     top = float(np.linalg.norm(c, 2))
-    if top > 1.0 + tol.construction(1.0):
+    if top > 1.0 + tol.construction_tol:
         raise NonContractionError(f"largest singular value {top:.12f} exceeds 1")
     gap = np.eye(c.shape[0]) - c.conj().T @ c
     d = _sqrt_psd(_sym(gap))
@@ -308,9 +307,9 @@ def split_sum_witness(X: HermitianMatrix, Y: HermitianMatrix, tol: ToleranceConf
     if X.dim != Y.dim:
         raise DimensionMismatchError(f"dims {X.dim} and {Y.dim} differ")
     for name, M in (("X", X), ("Y", Y)):
-        lo = float(np.linalg.eigvalsh(M.array)[0])
-        if lo < -tol.psd(max(1.0, -lo)):
-            raise NonPositiveError(f"{name} must be positive semidefinite (min eig {lo:.3e})")
+        w = np.linalg.eigvalsh(M.array)
+        if w[0] < -tol.psd(float(np.max(np.abs(w)))):
+            raise NonPositiveError(f"{name} must be positive semidefinite (min eig {w[0]:.3e})")
     s = X.array + Y.array
     ws, us = _eigh(s)
     if ws[0] <= tol.psd(float(ws[-1])):
@@ -364,9 +363,7 @@ def positive_family_combination(
         raise DimensionMismatchError(f"expected {fam.m} operands, got {len(xs)}")
     if any(x.dim != fam.dim for x in xs):
         raise DimensionMismatchError("operand dim does not match family dim")
-    defect = _unitality_defect(fam.maps)
-    if defect > tol.construction(1.0):
-        raise InputError(f"family is not unital: defect {defect:.3e}")
+    _require_unital(fam.maps, tol)
     d = fam.dim
     value = np.zeros((d, d), dtype=np.complex128)
     coeffs = []
@@ -380,7 +377,7 @@ def positive_family_combination(
             coeffs.append(_sqrt_psd(_sym(phi.apply_arr(proj))))
             scalars.append(float(w[j]))
     return FamilyCombination(
-        value=HermitianMatrix(_sym(value), atol=np.inf),
+        value=HermitianMatrix._wrap(value),
         equivalent_tuple=CoefficientTuple(coeffs),
         scalars=tuple(scalars),
     )

@@ -187,10 +187,6 @@ def _retry_domain(tracker: _Tracker, build, cap: int = 10):
     raise NumericalError(f"domain violations persisted through {cap} resampling attempts")
 
 
-def _wrap(a: np.ndarray) -> HermitianMatrix:
-    return HermitianMatrix(a, atol=np.inf)
-
-
 def _run_suite(tol: ToleranceConfig, seed: int, salt: int, samples: int, draw, **fixed_ce_fields):
     """The sampling loop of every suite.
 
@@ -204,10 +200,11 @@ def _run_suite(tol: ToleranceConfig, seed: int, salt: int, samples: int, draw, *
     for idx in range(samples):
         margin, scale, inputs, lhs, rhs, *function = draw(_sample_rng(seed, salt, idx), idx, tr)
         if tr.classify(margin, scale) == "violated":
-            inputs = {k: list(map(_wrap, v)) if k in ("xs", "ys") else v for k, v in inputs.items()}
+            wrap = HermitianMatrix._wrap
+            inputs = {k: list(map(wrap, v)) if k in ("xs", "ys") else v for k, v in inputs.items()}
             if function:
                 fixed_ce_fields["function"] = function[0]
-            ce = Counterexample(dim=lhs.shape[0], inputs=inputs, lhs=_wrap(lhs), rhs=_wrap(rhs),
+            ce = Counterexample(dim=lhs.shape[0], inputs=inputs, lhs=wrap(lhs), rhs=wrap(rhs),
                                 violation=margin, **fixed_ce_fields)
             return tr.verdict(ce)
     return tr.verdict()
@@ -470,7 +467,7 @@ def interval_set_falsifier(
                 kind="interval-set",
                 dim=dim,
                 inputs={"xs": [A], "coeffs": [swap], "bound": A},
-                lhs=_wrap(combined),
+                lhs=HermitianMatrix._wrap(combined),
                 rhs=A,
                 violation=margin,
             )
@@ -575,7 +572,7 @@ def embed_counterexample(ce: Counterexample, f: ScalarFunctionSpec, scalar: floa
         return out
 
     xs = [grow(x.array, scalar) for x in ce.inputs["xs"]]
-    inputs = {"xs": [_wrap(x) for x in xs]}
+    inputs = {"xs": [HermitianMatrix._wrap(x) for x in xs]}
     if ce.kind == "midpoint":
         lhs, rhs = _midpoint_sides(f, xs)
     else:
@@ -591,7 +588,7 @@ def embed_counterexample(ce: Counterexample, f: ScalarFunctionSpec, scalar: floa
         function=ce.function,
         mode=ce.mode,
         inputs=inputs,
-        lhs=_wrap(lhs),
-        rhs=_wrap(rhs),
+        lhs=HermitianMatrix._wrap(lhs),
+        rhs=HermitianMatrix._wrap(rhs),
         violation=violation,
     )

@@ -172,8 +172,6 @@ def parse_function(label: str) -> ScalarFunctionSpec:
     cat = catalog()
     if label in cat:
         return cat[label]
-    if label == "t":
-        return power_function(1.0)
     if label.startswith("t^"):
         try:
             return power_function(float(label[2:]))

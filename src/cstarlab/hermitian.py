@@ -38,6 +38,7 @@ __all__ = [
 ]
 
 HERMITIAN_ATOL = 1e-12  # entrywise |M - M*| allowed, times max(1, max |M_jk|)
+SCALE_FLOOR = 1e-14  # spectral scales below this count as this in every band
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -71,28 +72,25 @@ def _sqrt_psd(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ToleranceConfig:
-    """Tolerances, interpreted relative to the spectral scale of the operand
-    with an absolute floor."""
+    """Tolerances relative to spectral scale: each band is tol * max(scale,
+    SCALE_FLOOR), so scaling all operands by c keeps every verdict while
+    c * scale >= SCALE_FLOOR. `construction_tol` bounds dimensionless defects."""
 
     construction_tol: float = 1e-12
     psd_tol: float = 1e-8
     solver_tol: float = 1e-9
-    abs_floor: float = 1e-14
 
     def __post_init__(self):
-        if min(self.construction_tol, self.psd_tol, self.solver_tol, self.abs_floor) <= 0:
+        if min(self.construction_tol, self.psd_tol, self.solver_tol) <= 0:
             raise InputError("tolerances must be strictly positive")
         if self.construction_tol > self.psd_tol:
             raise InputError("construction_tol must not exceed psd_tol")
 
-    def construction(self, scale: float = 1.0) -> float:
-        return max(self.construction_tol * scale, self.abs_floor)
+    def psd(self, scale: float) -> float:
+        return self.psd_tol * max(scale, SCALE_FLOOR)
 
-    def psd(self, scale: float = 1.0) -> float:
-        return max(self.psd_tol * scale, self.abs_floor)
-
-    def solver(self, scale: float = 1.0) -> float:
-        return max(self.solver_tol * scale, self.abs_floor)
+    def solver(self, scale: float) -> float:
+        return self.solver_tol * max(scale, SCALE_FLOOR)
 
 
 DEFAULT_TOL = ToleranceConfig()
@@ -101,15 +99,16 @@ DEFAULT_TOL = ToleranceConfig()
 @dataclass(frozen=True, eq=False)
 class HermitianMatrix:
     """An n x n complex matrix with enforced self-adjointness: entrywise
-    defects |M - M*| above `atol` * max(1, max |M_jk|) are rejected.
+    defects |M - M*| above 1e-12 * max(1, max |M_jk|) are rejected.
 
     The stored array is the exact Hermitian average of the input and is
-    read-only; instances are safe to share across threads.
+    read-only; instances are safe to share across threads. Arrays computed
+    inside the package are wrapped by `_wrap`, which skips the defect check.
     """
 
     entries: np.ndarray
 
-    def __init__(self, entries, atol: float = HERMITIAN_ATOL):
+    def __init__(self, entries):
         a = np.array(entries, dtype=np.complex128)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise InputError(f"expected a square matrix, got shape {a.shape}")
@@ -118,7 +117,7 @@ class HermitianMatrix:
         if not np.all(np.isfinite(a)):
             raise InputError("matrix entries must be finite")
         defect = np.abs(a - a.conj().T)
-        limit = atol * max(1.0, float(np.max(np.abs(a))))
+        limit = HERMITIAN_ATOL * max(1.0, float(np.max(np.abs(a))))
         if float(defect.max()) > limit:
             j, k = np.unravel_index(int(np.argmax(defect)), defect.shape)
             raise HermitianDefectError(
@@ -126,6 +125,15 @@ class HermitianMatrix:
                 f"({j},{k}) exceeds {limit:.3e}"
             )
         object.__setattr__(self, "entries", _freeze(_sym(a)))
+
+    @classmethod
+    def _wrap(cls, a: np.ndarray) -> "HermitianMatrix":
+        """`__init__` for square arrays the package computed: no defect check."""
+        if not np.all(np.isfinite(a)):
+            raise InputError("matrix entries must be finite")
+        h = object.__new__(cls)
+        object.__setattr__(h, "entries", _freeze(_sym(np.asarray(a, np.complex128))))
+        return h
 
     @property
     def dim(self) -> int:
@@ -166,10 +174,6 @@ class SpectralDecomposition:
     @property
     def dim(self) -> int:
         return self.eigenvalues.shape[0]
-
-    def reconstruct(self) -> np.ndarray:
-        u = self.unitary
-        return _sym((u * self.eigenvalues) @ u.conj().T)
 
     def projector(self, i: int) -> np.ndarray:
         """Rank-one spectral projector onto the i-th eigenvector."""
@@ -269,7 +273,7 @@ def apply_function(f, H: HermitianMatrix) -> HermitianMatrix:
     Every eigenvalue must lie in f's domain interval, with open endpoints
     excluded strictly, and f must be finite on the spectrum.
     """
-    return HermitianMatrix(_apply_arr(f, H.array), atol=np.inf)
+    return HermitianMatrix._wrap(_apply_arr(f, H.array))
 
 
 def _require_pd(tol: ToleranceConfig, **named: HermitianMatrix) -> None:
@@ -300,7 +304,7 @@ def geometric_mean(
     if A.dim != B.dim:
         raise DimensionMismatchError(f"dims {A.dim} and {B.dim} differ")
     _require_pd(tol, A=A, B=B)
-    return HermitianMatrix(_geometric_mean_arr(A.array, B.array), atol=np.inf)
+    return HermitianMatrix._wrap(_geometric_mean_arr(A.array, B.array))
 
 
 def _haar_columns(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
@@ -350,7 +354,7 @@ def sample_hermitian(
     if lo + pad > hi - pad:
         pad = (hi - lo) / 4.0
     rng = _seeded_rng(rng_seed)
-    return HermitianMatrix(_rand_hermitian_arr(dim, lo + pad, hi - pad, rng), atol=np.inf)
+    return HermitianMatrix._wrap(_rand_hermitian_arr(dim, lo + pad, hi - pad, rng))
 
 
 def _seeded_rng(seed) -> np.random.Generator:

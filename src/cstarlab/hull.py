@@ -8,7 +8,8 @@ escape beyond the psd band yields a separating certificate (an eigenvector
 of X whose eigenvalue escapes [lam_1, lam_n]); otherwise the two extreme
 blocks E_1 = (lam_n I - X)/gap and E_n = (X - lam_1 I)/gap form a witness,
 which is validated before `member` is returned and yields an honest
-`boundary` verdict when it fails. The log-convex hull reduces to the same
+`boundary` verdict when it fails. Every band follows the `ToleranceConfig`
+rule at the spectral scale of T and X. The log-convex hull reduces to the same
 decision through inversion.
 """
 
@@ -31,6 +32,7 @@ from .convexity import TestVerdict, _mineig, _run_suite
 from .functions import ScalarFunctionSpec
 from .hermitian import (
     DEFAULT_TOL,
+    SCALE_FLOOR,
     HermitianMatrix,
     ToleranceConfig,
     _eigh,
@@ -85,17 +87,17 @@ class HullWitness:
             raise InputError("one block per eigenvalue is required")
 
     def validate(self, X: HermitianMatrix) -> WitnessCheck:
-        """Check ||sum lam_i E_i - X|| <= 1e-8*scale, with scale the spectral
-        scale of the eigenvalues and X, and ||sum E_i - I|| <= 1e-8 and
-        E_i >= -1e-10 (spectral norms). The blocks sum to I, so their sum
-        defect and eigenvalues are dimensionless and keep absolute bounds."""
+        """Check ||sum lam_i E_i - X|| <= DEFAULT_TOL.psd(scale) at the spectral
+        scale of the eigenvalues and X (whatever --tol says), ||sum E_i - I|| <=
+        1e-8 and E_i >= -1e-10 (spectral norms). The blocks sum to I, so their
+        sum defect and eigenvalues are dimensionless and keep absolute bounds."""
         E = np.array([block.array for block in self.blocks])
         min_eig = float(np.min(np.linalg.eigvalsh(E)))
         sum_defect = float(np.linalg.norm(E.sum(axis=0) - np.eye(X.dim), 2))
         moment = (self.eigenvalues[:, None, None] * E).sum(axis=0)
         moment_defect = float(np.linalg.norm(moment - X.array, 2))
-        scale = _scale_of(self.eigenvalues, X.array)
-        valid = min_eig >= -1e-10 and sum_defect <= 1e-8 and moment_defect <= 1e-8 * scale
+        band = DEFAULT_TOL.psd(_scale_of(self.eigenvalues, np.linalg.eigvalsh(X.array)))
+        valid = min_eig >= -1e-10 and sum_defect <= 1e-8 and moment_defect <= band
         return WitnessCheck(valid, min_eig, sum_defect, moment_defect)
 
 
@@ -143,11 +145,8 @@ class FeasibilityResult:
             raise InputError("non-member status requires a certificate")
 
 
-def _scale_of(lam: np.ndarray, x: np.ndarray) -> float:
-    # hull bands are the unit-scale tolerance times this scale: the floor sits
-    # on the scale, not on the band, so a verdict does not change when T and
-    # X are scaled together
-    return max(float(np.max(np.abs(lam))), float(np.max(np.abs(np.linalg.eigvalsh(x)))), 1e-14)
+def _scale_of(lam: np.ndarray, w: np.ndarray) -> float:
+    return max(float(np.max(np.abs(lam))), float(np.max(np.abs(w))))
 
 
 def spectral_interval_oracle(
@@ -166,8 +165,7 @@ def spectral_interval_oracle(
     lam = np.linalg.eigvalsh(T.array)
     w = np.linalg.eigvalsh(X.array)
     margin = float(min(np.min(w) - lam[0], lam[-1] - np.max(w)))
-    scale = _scale_of(lam, X.array)
-    return OracleResult(inside=margin >= -tol.psd(1.0) * scale, margin=margin)
+    return OracleResult(inside=margin >= -tol.psd(_scale_of(lam, w)), margin=margin)
 
 
 def _certificate(x: np.ndarray, lam_lo: float, lam_hi: float) -> HullCertificate:
@@ -185,7 +183,7 @@ def _certificate(x: np.ndarray, lam_lo: float, lam_hi: float) -> HullCertificate
 
 def _closed_form(T: HermitianMatrix, X: HermitianMatrix, tol: ToleranceConfig):
     """(lam, scale, degenerate, escape, witness), shared by `hull_membership`
-    and `two_point_witness`. For a degenerate T (gap <= 1e-9*scale) the hull
+    and `two_point_witness`. For a degenerate T (gap <= DEFAULT_TOL.solver) the hull
     is {lam I}, escape is the distance of X to it and the witness E_1 = I;
     otherwise escape is the distance by which the spectrum of X leaves
     [lam_min, lam_max] (negative inside) and the witness the two-point one.
@@ -195,24 +193,24 @@ def _closed_form(T: HermitianMatrix, X: HermitianMatrix, tol: ToleranceConfig):
         raise DimensionMismatchError(f"dims {T.dim} and {X.dim} differ")
     lam = np.linalg.eigvalsh(T.array)
     x = X.array
+    w = np.linalg.eigvalsh(x)
     dim = T.dim
-    scale = _scale_of(lam, x)
+    scale = _scale_of(lam, w)
     eye = np.eye(dim, dtype=np.complex128)
     stack = np.zeros((lam.shape[0], dim, dim), np.complex128)
     gap = float(lam[-1] - lam[0])
-    degenerate = gap <= 1e-9 * scale
+    degenerate = gap <= DEFAULT_TOL.solver(scale)
     if degenerate:
         center = float(np.mean(lam))
         escape = float(np.max(np.abs(np.linalg.eigvalsh(x - center * eye))))
         stack[0] = eye
     else:
-        w = np.linalg.eigvalsh(x)
         escape = float(max(lam[0] - w[0], w[-1] - lam[-1]))
         stack[0] = (lam[-1] * eye - x) / gap
         stack[-1] = (x - lam[0] * eye) / gap
-    if escape > tol.psd(1.0) * scale:
+    if escape > tol.psd(scale):
         return lam, scale, degenerate, escape, None
-    blocks = [HermitianMatrix(e, atol=np.inf) for e in stack]
+    blocks = [HermitianMatrix._wrap(e) for e in stack]
     return lam, scale, degenerate, escape, HullWitness(eigenvalues=lam, blocks=blocks)
 
 
@@ -236,7 +234,7 @@ def hull_membership(
             certificate=_certificate(X.array, lam[0], lam[-1]),
         )
     if degenerate:
-        valid = escape <= tol.solver(1.0) * scale
+        valid = escape <= tol.solver(scale)
         residual = escape
     else:
         check = witness.validate(X)
@@ -289,7 +287,7 @@ def witness_to_tuple(T: HermitianMatrix, witness: HullWitness) -> CoefficientTup
     lam, u = _eigh(T.array)
     if lam.shape[0] != witness.eigenvalues.shape[0]:
         raise InputError("witness length does not match the spectrum of T")
-    scale = max(float(np.max(np.abs(lam))), 1e-14)
+    scale = max(float(np.max(np.abs(lam))), SCALE_FLOOR)
     coeffs = []
     for i, block in enumerate(witness.blocks):
         w, v = _eigh(block.array)
@@ -312,9 +310,12 @@ def lch_membership(
     if T.dim != X.dim:
         raise DimensionMismatchError(f"dims {T.dim} and {X.dim} differ")
     _require_pd(tol, T=T, X=X)
-    t_inv = HermitianMatrix(_inv_pd_arr(T.array), atol=np.inf)
-    x_inv = HermitianMatrix(_inv_pd_arr(X.array), atol=np.inf)
-    return hull_membership(t_inv, x_inv, tol)
+    return hull_membership(*_lch_reduce(T, X), tol)
+
+
+def _lch_reduce(T: HermitianMatrix, X: HermitianMatrix):
+    """(T^{-1}, X^{-1}): X lies in LCH(T) iff X^{-1} lies in CH(T^{-1})."""
+    return tuple(HermitianMatrix._wrap(_inv_pd_arr(M.array)) for M in (T, X))
 
 
 @dataclass(frozen=True, eq=False)

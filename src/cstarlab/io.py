@@ -16,7 +16,7 @@ import numpy as np
 from .errors import InputError
 from .combinations import UnitalMapFamily
 from .convexity import EVIDENCE_NOTE, Counterexample, TestVerdict
-from .hermitian import HermitianMatrix, ToleranceConfig
+from .hermitian import SCALE_FLOOR, HermitianMatrix, ToleranceConfig
 from .hull import FeasibilityResult, HullCertificate, HullWitness
 
 __all__ = [
@@ -51,8 +51,12 @@ def _jsonable(obj):
     return obj
 
 
+def _dumps(jsonable) -> str:
+    return json.dumps(jsonable, sort_keys=True, separators=(",", ":")) + "\n"
+
+
 def canonical_dumps(obj) -> str:
-    return json.dumps(_jsonable(obj), sort_keys=True, separators=(",", ":")) + "\n"
+    return _dumps(_jsonable(obj))
 
 
 def report_body_bytes(report: dict) -> bytes:
@@ -203,17 +207,17 @@ def build_report(command: Sequence[str], seed, tol: ToleranceConfig, results: li
             "construction_tol": tol.construction_tol,
             "psd_tol": tol.psd_tol,
             "solver_tol": tol.solver_tol,
-            "abs_floor": tol.abs_floor,
+            "abs_floor": SCALE_FLOOR,
         },
         "results": results,
     }
 
 
 def write_report(path, body: dict, meta: dict) -> dict:
-    report = {"body": _jsonable(body), "meta": _jsonable(meta)}
+    report = _jsonable({"body": body, "meta": meta})
     if path is not None:
         with open(path, "w") as fh:
-            fh.write(canonical_dumps(report))
+            fh.write(_dumps(report))
     return report
 
 

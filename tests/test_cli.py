@@ -155,6 +155,23 @@ class TestHullCommands:
         )
         assert main(["hull", "member", "--t", diag13, "--x", outside]) == 1
 
+    def test_tol_flag_widens_psd_band(self, tmp_path):
+        # lam_max(X) exceeds lam_max(T) = 4 by 1.2e-6: outside the default
+        # band of 4e-8, inside the band of 4e-6 that --tol 1e-6 sets, where
+        # the witness fails validation and the verdict is a boundary tie
+        def diag(values):
+            return {"dim": 3, "entries": [[[v if j == k else 0, 0] for k in range(3)]
+                                          for j, v in enumerate(values)]}
+
+        t = write_json(tmp_path / "T.json", diag([1.0, 2.0, 4.0]))
+        x = write_json(tmp_path / "X.json", diag([1.5, 2.0, 4.0 * (1 + 3e-7)]))
+        out = tmp_path / "r.json"
+        assert main(["hull", "member", "--t", t, "--x", x]) == 1
+        assert main(["hull", "member", "--t", t, "--x", x, "--tol", "1e-6", "--out", str(out)]) == 3
+        assert load_report(out)["body"]["tolerances"] == {
+            "abs_floor": 1e-14, "construction_tol": 1e-12, "psd_tol": 1e-6, "solver_tol": 1e-9,
+        }
+
     def test_witness_blocks_written(self, tmp_path, diag13, two_eye):
         wpath = tmp_path / "w.json"
         assert main(["hull", "witness", "--t", diag13, "--x", two_eye, "--out", str(wpath)]) == 0

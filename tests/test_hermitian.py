@@ -242,7 +242,8 @@ class TestTolerances:
     def test_relative_with_floor(self):
         tol = ToleranceConfig()
         assert tol.psd(1.0) == 1e-8
-        assert tol.psd(0.0) == 1e-14
+        assert tol.psd(0.0) == 1e-22
+        assert tol.psd(1e-12) == 1e-20
         assert tol.psd(100.0) == 1e-6
 
     def test_invalid_config(self):
