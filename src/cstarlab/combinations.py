@@ -25,6 +25,7 @@ from .hermitian import (
     HermitianMatrix,
     ToleranceConfig,
     _eigh,
+    _from_eig,
     _haar_columns,
     _seeded_rng,
     _sqrt_psd,
@@ -155,7 +156,7 @@ class UnitalMapFamily:
         d = ms[0].dim
         if any(m.dim != d for m in ms):
             raise DimensionMismatchError("maps in a family must share one dim")
-        _require_unital(ms, tol)
+        _require_unital(sum(m.unit_image() for m in ms), tol)
         object.__setattr__(self, "maps", ms)
 
     @property
@@ -167,11 +168,13 @@ class UnitalMapFamily:
         return len(self.maps)
 
 
-def _require_unital(maps: Sequence[KrausMap], tol: ToleranceConfig) -> None:
-    total = sum(m.unit_image() for m in maps)
-    defect = float(np.linalg.norm(total - np.eye(maps[0].dim), 2))
-    if defect > tol.construction_tol:
-        raise InputError(f"family is not unital: defect {defect:.3e}")
+def _require_unital(units: np.ndarray, tol: ToleranceConfig) -> None:
+    """Raise unless each unit image sum_i Phi_i(I) of the stack is I within
+    construction_tol (spectral norm)."""
+    defects = np.linalg.norm(units - np.eye(units.shape[-1]), 2, axis=(-2, -1))
+    bad = defects > tol.construction_tol
+    if np.any(bad):
+        raise InputError(f"family is not unital: defect {defects[bad][0]:.3e}")
 
 
 @dataclass(frozen=True)
@@ -190,11 +193,12 @@ def validate_tuple(t: CoefficientTuple, tol: ToleranceConfig = DEFAULT_TOL) -> T
     return TupleValidation(ok=defect <= tol.construction_tol, defect=defect)
 
 
-def _sample_tuple_arrs(dim: int, m: int, rng: np.random.Generator) -> list[np.ndarray]:
+def _sample_tuple_arrs(dim: int, m: int, rngs) -> list[np.ndarray]:
+    """One coefficient tuple per generator, as m stacks of (dim x dim) blocks."""
     # Haar isometry of shape (m*dim) x dim, sliced into m square blocks;
     # the stacked isometry gives sum C_i* C_i = I exactly
-    q = _haar_columns(m * dim, dim, rng)
-    return [q[i * dim : (i + 1) * dim, :] for i in range(m)]
+    q = _haar_columns(m * dim, dim, rngs)
+    return [q[..., i * dim : (i + 1) * dim, :] for i in range(m)]
 
 
 def sample_tuple(dim: int, m: int, rng_seed) -> CoefficientTuple:
@@ -203,7 +207,7 @@ def sample_tuple(dim: int, m: int, rng_seed) -> CoefficientTuple:
     if dim < 1 or m < 1:
         raise InputError("dim and m must be at least 1")
     rng = _seeded_rng(rng_seed)
-    return CoefficientTuple(_sample_tuple_arrs(dim, m, rng))
+    return CoefficientTuple([c[0] for c in _sample_tuple_arrs(dim, m, [rng])])
 
 
 def sample_map_family(
@@ -218,28 +222,94 @@ def sample_map_family(
     if dim < 1 or m < 1:
         raise InputError("dim and m must be at least 1")
     rng = _seeded_rng(rng_seed)
-    sizes = [int(rng.integers(1, max_kraus + 1)) for _ in range(m)]
-    blocks = _sample_tuple_arrs(dim, sum(sizes), rng)
-    maps = []
-    at = 0
-    for size in sizes:
-        maps.append(KrausMap(blocks[at : at + size], transpose=bool(rng.random() < transpose_prob)))
-        at += size
-    return UnitalMapFamily(maps)
+    return _family_at(_sample_family_arrs(dim, m, [rng], max_kraus, transpose_prob), 0)
+
+
+def _sample_family_arrs(dim: int, m: int, rngs, max_kraus: int = 3, transpose_prob: float = 0.5):
+    """One `sample_map_family` draw per generator, as arrays: `kraus[i, k]`
+    stacks Kraus operator k of map i over the samples (zero past a sample's
+    count), `sizes[j, i]` counts the operators of map i in sample j, and
+    `flips[j, i]` says whether that map transposes. Each generator draws the
+    sizes, then its isometry (the samples are stacked by total size), then
+    the flags. Raises as `UnitalMapFamily` does for a family that is not
+    unital."""
+    n = len(rngs)
+    sizes = np.array([[int(rng.integers(1, max_kraus + 1)) for _ in range(m)] for rng in rngs])
+    totals = sizes.sum(axis=1)
+    kraus = np.zeros((m, max_kraus, n, dim, dim), dtype=np.complex128)
+    for total in dict.fromkeys(totals.tolist()):
+        group = np.flatnonzero(totals == total)
+        blocks = _sample_tuple_arrs(dim, total, [rngs[j] for j in group])
+        for pos, j in enumerate(group):
+            at = 0
+            for i, size in enumerate(sizes[j].tolist()):
+                for k in range(size):
+                    kraus[i, k, j] = blocks[at + k][pos]
+                at += size
+    flips = np.array([[rng.random() < transpose_prob for _ in range(m)] for rng in rngs])
+    _require_unital(_kraus_sums(kraus, sizes, lambda i, a, sel: a.conj().mT @ a), DEFAULT_TOL)
+    return kraus, sizes, flips
+
+
+def _family_at(fams, j: int) -> UnitalMapFamily:
+    """Sample j of `_sample_family_arrs` as a UnitalMapFamily."""
+    kraus, sizes, flips = fams
+    return UnitalMapFamily([KrausMap(kraus[i, :size, j], transpose=bool(flips[j, i]))
+                            for i, size in enumerate(sizes[j].tolist())])
+
+
+def _kraus_sums(kraus, sizes, term):
+    """sum_i sum_k term(i, A_ik, sel) per sample, summed in the order of
+    `sum(sum(... for A in map.kraus) for map in maps)`; `term` gets the
+    stacked Kraus operators of the samples `sel` that have operator k of map
+    i, and returns their stacked terms."""
+    total = 0
+    for i in range(kraus.shape[0]):
+        part = None
+        for k in range(kraus.shape[1]):
+            sel = np.flatnonzero(sizes[:, i] > k)
+            if not sel.size:
+                break
+            t = term(i, kraus[i, k, sel], sel)
+            if part is None:
+                part = 0 + t  # every map has an operator 0
+            else:
+                part[sel] = part[sel] + t
+        total = total + part
+    return total
+
+
+def _apply_families(fams, xs) -> np.ndarray:
+    """sum_i Phi_i(X_i) for each sample, with that sample's own family from
+    `_sample_family_arrs`; each map computes as `KrausMap.apply_arr`."""
+    kraus, sizes, flips = fams
+
+    def term(i, a, sel):
+        out = np.empty(a.shape, dtype=np.complex128)
+        for flipped in (False, True):
+            mask = flips[sel, i] == flipped
+            if mask.any():
+                y = xs[i][sel[mask]]
+                out[mask] = a[mask].conj().mT @ (y.mT if flipped else y) @ a[mask]
+        return out
+
+    return _kraus_sums(kraus, sizes, term)
 
 
 def _combine_arr(coeffs: Sequence[np.ndarray], xs: Sequence[np.ndarray]) -> np.ndarray:
-    acc = coeffs[0].conj().T @ xs[0] @ coeffs[0]
+    acc = coeffs[0].conj().mT @ xs[0] @ coeffs[0]
     for c, x in zip(coeffs[1:], xs[1:]):
-        acc += c.conj().T @ x @ c
+        acc += c.conj().mT @ x @ c
     return _sym(acc)
 
 
 def _inv_pd_arr(a: np.ndarray, what: str = "operand") -> np.ndarray:
     w, u = _eigh(a)
-    if w[0] <= 0:
-        raise NonPositiveError(f"{what} is not strictly positive (min eigenvalue {w[0]:.3e})")
-    return _sym((u * (1.0 / w)) @ u.conj().T)
+    low = w[..., 0]
+    if np.any(low <= 0):
+        raise NonPositiveError(
+            f"{what} is not strictly positive (min eigenvalue {low[low <= 0][0]:.3e})")
+    return _from_eig(u, 1.0 / w)
 
 
 def _log_combine_arr(coeffs: Sequence[np.ndarray], xs: Sequence[np.ndarray]) -> np.ndarray:
@@ -363,7 +433,7 @@ def positive_family_combination(
         raise DimensionMismatchError(f"expected {fam.m} operands, got {len(xs)}")
     if any(x.dim != fam.dim for x in xs):
         raise DimensionMismatchError("operand dim does not match family dim")
-    _require_unital(fam.maps, tol)
+    _require_unital(sum(m.unit_image() for m in fam.maps), tol)
     d = fam.dim
     value = np.zeros((d, d), dtype=np.complex128)
     coeffs = []

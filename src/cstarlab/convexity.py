@@ -13,6 +13,15 @@ All suites share one sampling loop, `_run_suite`, which owns the margin
 tracker, the per-sample generators, the stop at the first violation and
 the counterexample; a suite supplies only its `draw`. The six Loewner-order
 suites add the escalating window and lambda_min(rhs - lhs) via `_order_suite`.
+
+The loop evaluates samples in chunks of 1, 2, 4, ... up to `_CHUNK_CAP`
+consecutive indices. Within a chunk each sample still makes its own draws
+from its own generator, in the same order as when it runs alone; the
+linear algebra (QR, eigh, functional calculus, inverses, combinations) then
+runs once over the stacked (n, d, d) arrays, which numpy computes matrix by
+matrix exactly as for one matrix. A verdict is therefore byte-identical for
+every chunk schedule: same `samples_run`, margins, boundary count,
+resamples, counterexample and errors as a one-sample-at-a-time run.
 """
 
 from __future__ import annotations
@@ -25,10 +34,12 @@ import numpy as np
 
 from .errors import DomainError, InputError, NonPositiveError, NumericalError
 from .combinations import (
+    _apply_families,
     _combine_arr,
+    _family_at,
     _inv_pd_arr,
+    _sample_family_arrs,
     _sample_tuple_arrs,
-    sample_map_family,
 )
 from .functions import ScalarFunctionSpec
 from .hermitian import (
@@ -38,11 +49,14 @@ from .hermitian import (
     ToleranceConfig,
     _apply_arr,
     _eigh,
+    _from_eig,
     _geometric_mean_arr,
+    _ginibre,
+    _haar_columns,
     _max_abs_eig,
+    _mineig,
     _rand_hermitian_arr,
     _sym,
-    haar_unitary,
 )
 
 __all__ = [
@@ -63,6 +77,10 @@ __all__ = [
 EVIDENCE_NOTE = "no-violation-found is sampling evidence, not a proof"
 
 SPREADS = (1.0, 4.0, 16.0)
+
+# the largest chunk of samples evaluated as one stack; small enough that the
+# stacks stay a few hundred kilobytes
+_CHUNK_CAP = 64
 
 # per-suite salts for deriving sample seeds
 _SALT_MIDPOINT = 1
@@ -142,10 +160,6 @@ def _window(domain: SpectrumInterval, spread: float, positive: bool = False):
     return lo_f + pad, hi_f - pad
 
 
-def _mineig(a: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(a)[0])
-
-
 class _Tracker:
     """Margin bookkeeping shared by all suites."""
 
@@ -177,8 +191,14 @@ class _Tracker:
         )
 
 
-def _retry_domain(tracker: _Tracker, build, cap: int = 10):
-    """Run `build` and retry on domain violations, counting resamples."""
+def _retry_domain(tracker: _Tracker | None, build, cap: int = 10):
+    """Run `build` and retry on domain violations, counting resamples.
+
+    A chunk of several samples passes no tracker and is not retried: its
+    error sends every sample of the chunk back through a run of its own.
+    """
+    if tracker is None:
+        return build()
     for _ in range(cap):
         try:
             return build()
@@ -190,39 +210,114 @@ def _retry_domain(tracker: _Tracker, build, cap: int = 10):
 def _run_suite(tol: ToleranceConfig, seed: int, salt: int, samples: int, draw, **fixed_ce_fields):
     """The sampling loop of every suite.
 
-    `draw(rng, idx, tracker)` returns `(margin, scale, inputs, lhs, rhs[,
-    function])` on raw arrays. The first sample whose margin falls below
-    the psd band at `scale` ends the loop; only then are `inputs["xs"]`,
-    `inputs["ys"]`, lhs and rhs wrapped into the counterexample, which
-    `fixed_ce_fields` (kind, function, mode) complete.
+    `draw(rngs, idxs, tracker)` evaluates the samples `idxs` (a range), one
+    generator each, as one stack and returns `(margins, scales, inputs, lhs,
+    rhs[, functions])`: margins and scales of shape (n,), lhs and rhs of
+    shape (n, d, d), `inputs` keyed as in `Counterexample.inputs` but with
+    per-sample values stacked (see `_first`), and per-sample function labels
+    for suites whose counterexample names one.
+
+    Chunks of 1, 2, 4, ... up to `_CHUNK_CAP` samples are drawn as one
+    stack, without a tracker. Their margins are walked in index order and
+    the walk stops before the first one below the psd band at its scale, so
+    later samples of the chunk count nowhere. That sample, every sample of
+    a chunk of one, and every sample of a chunk whose stacked draw raised
+    then run alone, with the tracker for domain retries: the violation
+    builds the counterexample from that run, and errors surface at the
+    sample and with the message of a one-at-a-time loop. `fixed_ce_fields`
+    (kind, function, mode) complete the counterexample.
     """
     tr = _Tracker(tol)
-    for idx in range(samples):
-        margin, scale, inputs, lhs, rhs, *function = draw(_sample_rng(seed, salt, idx), idx, tr)
-        if tr.classify(margin, scale) == "violated":
-            wrap = HermitianMatrix._wrap
-            inputs = {k: list(map(wrap, v)) if k in ("xs", "ys") else v for k, v in inputs.items()}
-            if function:
-                fixed_ce_fields["function"] = function[0]
-            ce = Counterexample(dim=lhs.shape[0], inputs=inputs, lhs=wrap(lhs), rhs=wrap(rhs),
-                                violation=margin, **fixed_ce_fields)
-            return tr.verdict(ce)
+    idx, size = 0, 1
+    while idx < samples:
+        stop = min(idx + size, samples)
+        size = min(2 * size, _CHUNK_CAP)
+        if stop - idx > 1:
+            try:
+                margins, scales = draw([_sample_rng(seed, salt, i) for i in range(idx, stop)],
+                                       range(idx, stop), None)[:2]
+                walk = zip(margins.tolist(), scales.tolist())
+            except Exception:
+                # whatever raised, user-supplied evaluators included, raises
+                # again from its own sample when the chunk runs alone below
+                walk = ()
+            for margin, scale in walk:
+                if margin < -tol.psd(scale):
+                    break
+                tr.classify(margin, scale)
+                idx += 1
+        for alone in range(idx, stop):
+            margins, scales, inputs, lhs, rhs, *functions = draw(
+                [_sample_rng(seed, salt, alone)], range(alone, alone + 1), tr)
+            margin = float(margins[0])
+            if tr.classify(margin, float(scales[0])) == "violated":
+                if functions:
+                    fixed_ce_fields["function"] = functions[0][0]
+                wrap = HermitianMatrix._wrap
+                ce = Counterexample(dim=lhs.shape[-1], inputs=_first(inputs), lhs=wrap(lhs[0]),
+                                    rhs=wrap(rhs[0]), violation=margin, **fixed_ce_fields)
+                return tr.verdict(ce)
+        idx = stop
     return tr.verdict()
+
+
+def _first(inputs: dict) -> dict:
+    """The counterexample inputs of the first sample of a stack: the lists
+    `xs`, `ys` and `coeffs` hold one stack per operand, `maps` the families
+    of `_sample_family_arrs`, `bound_value` one entry per sample, and other
+    keys a suite-wide value."""
+    out = {}
+    for key, value in inputs.items():
+        if key in ("xs", "ys"):
+            out[key] = [HermitianMatrix._wrap(x[0]) for x in value]
+        elif key == "coeffs":
+            out[key] = [c[0] for c in value]
+        elif key == "maps":
+            out[key] = _family_at(value, 0)
+        elif key == "bound_value":
+            out[key] = value[0]
+        else:
+            out[key] = value
+    return out
+
+
+def _by_key(keys, rngs, evaluate):
+    """Stack samples that differ in a discrete draw (such as the length of
+    their coefficient tuple): `evaluate(key, rngs)` runs once per distinct
+    key on that key's samples, and margins and scales come back in sample
+    order. A stack of one returns all that `evaluate` returns."""
+    if len(rngs) == 1:
+        return evaluate(keys[0], rngs)
+    keys = np.asarray(keys)
+    margins, scales = np.empty(len(rngs)), np.empty(len(rngs))
+    for key in dict.fromkeys(keys.tolist()):
+        sel = np.flatnonzero(keys == key)
+        margins[sel], scales[sel] = evaluate(key, [rngs[i] for i in sel])[:2]
+    return margins, scales
+
+
+def _min(p, q):
+    """Python's min(p, q) elementwise, -0.0 included (np.minimum(0.0, -0.0)
+    is -0.0, min(0.0, -0.0) is 0.0): q only where q < p."""
+    return np.where(q < p, q, p)
 
 
 def _order_suite(f, tol, seed, salt, samples, evaluate, positive=False, **fixed_ce_fields):
     """A suite checking lhs <= rhs in the Loewner order, with eigenvalues
     drawn from the escalating window of f's domain (its positive part when
-    `positive`); `evaluate(rng, lo, hi, tracker)` returns (inputs, lhs, rhs)."""
+    `positive`); `evaluate(rngs, lo, hi, tracker)` returns (inputs, lhs, rhs)
+    for a stack of samples, `lo` and `hi` holding each sample's window."""
 
-    def draw(rng, idx, tracker):
-        lo, hi = _window(f.domain, _round_spread(idx, samples), positive)
-        if positive and (lo >= hi or hi <= 0):
-            raise InputError(f"domain {f.domain} has no positive part to sample")
-        if lo >= hi:
-            raise InputError(f"domain {f.domain} is too small to sample")
-        inputs, lhs, rhs = evaluate(rng, lo, hi, tracker)
-        scale = max(_max_abs_eig(lhs), _max_abs_eig(rhs))
+    def draw(rngs, idxs, tracker):
+        windows = [_window(f.domain, _round_spread(idx, samples), positive) for idx in idxs]
+        for lo, hi in windows:
+            if positive and (lo >= hi or hi <= 0):
+                raise InputError(f"domain {f.domain} has no positive part to sample")
+            if lo >= hi:
+                raise InputError(f"domain {f.domain} is too small to sample")
+        lo, hi = zip(*windows)
+        inputs, lhs, rhs = evaluate(rngs, lo, hi, tracker)
+        scale = np.maximum(_max_abs_eig(lhs), _max_abs_eig(rhs))
         return _mineig(rhs - lhs), scale, inputs, lhs, rhs
 
     return _run_suite(tol, seed, salt, samples, draw, function=f.label, **fixed_ce_fields)
@@ -252,8 +347,8 @@ def midpoint_convexity_test(
     if dim < 1:
         raise InputError("dim must be at least 1")
 
-    def evaluate(rng, lo, hi, tracker):
-        xs = [_rand_hermitian_arr(dim, lo, hi, rng) for _ in range(2)]
+    def evaluate(rngs, lo, hi, tracker):
+        xs = [_rand_hermitian_arr(dim, lo, hi, rngs) for _ in range(2)]
         return {"xs": xs}, *_midpoint_sides(f, xs)
 
     return _order_suite(f, tol, seed, _SALT_MIDPOINT, samples, evaluate, kind="midpoint")
@@ -282,17 +377,17 @@ def jensen_test(
     if dim < 1 or m < 1:
         raise InputError("dim and m must be at least 1")
 
-    def evaluate(rng, lo, hi, tracker):
-        fam = sample_map_family(dim, m, rng) if mode == "map-family" else None
-        coeffs = _sample_tuple_arrs(dim, m, rng) if fam is None else None
+    def evaluate(rngs, lo, hi, tracker):
+        fams = _sample_family_arrs(dim, m, rngs) if mode == "map-family" else None
+        coeffs = _sample_tuple_arrs(dim, m, rngs) if fams is None else None
 
         def build():
-            xs = [_rand_hermitian_arr(dim, lo, hi, rng) for _ in range(m)]
-            if fam is None:
+            xs = [_rand_hermitian_arr(dim, lo, hi, rngs) for _ in range(m)]
+            if fams is None:
                 return {"xs": xs, "coeffs": coeffs}, *_jensen_sides(f, coeffs, xs)
-            lhs = _apply_arr(f, _sym(sum(p.apply_arr(x) for p, x in zip(fam.maps, xs))))
-            rhs = _sym(sum(p.apply_arr(_apply_arr(f, x)) for p, x in zip(fam.maps, xs)))
-            return {"xs": xs, "maps": fam}, lhs, rhs
+            lhs = _apply_arr(f, _sym(_apply_families(fams, xs)))
+            rhs = _sym(_apply_families(fams, [_apply_arr(f, x) for x in xs]))
+            return {"xs": xs, "maps": fams}, lhs, rhs
 
         return _retry_domain(tracker, build)
 
@@ -312,8 +407,8 @@ def log_midpoint_test(
     if dim < 1:
         raise InputError("dim must be at least 1")
 
-    def evaluate(rng, lo, hi, tracker):
-        x, y = (_rand_hermitian_arr(dim, lo, hi, rng) for _ in range(2))
+    def evaluate(rngs, lo, hi, tracker):
+        x, y = (_rand_hermitian_arr(dim, lo, hi, rngs) for _ in range(2))
         lhs = _apply_arr(f, (x + y) / 2.0, positive=True)
         rhs = _geometric_mean_arr(_apply_arr(f, x, positive=True), _apply_arr(f, y, positive=True))
         return {"xs": [x, y]}, lhs, rhs
@@ -338,9 +433,9 @@ def log_harmonic_jensen_test(
     if dim < 1 or m < 1:
         raise InputError("dim and m must be at least 1")
 
-    def evaluate(rng, lo, hi, tracker):
-        coeffs = _sample_tuple_arrs(dim, m, rng)
-        xs = [_rand_hermitian_arr(dim, lo, hi, rng) for _ in range(m)]
+    def evaluate(rngs, lo, hi, tracker):
+        coeffs = _sample_tuple_arrs(dim, m, rngs)
+        xs = [_rand_hermitian_arr(dim, lo, hi, rngs) for _ in range(m)]
         lhs = _apply_arr(f, _combine_arr(coeffs, xs))
         inner = _combine_arr(coeffs, [_inv_pd_arr(_apply_arr(f, x, positive=True)) for x in xs])
         return {"xs": xs, "coeffs": coeffs}, lhs, _inv_pd_arr(inner)
@@ -371,12 +466,12 @@ def epigraph_closure_test(
     if dim < 1 or m < 1:
         raise InputError("dim and m must be at least 1")
 
-    def evaluate(rng, lo, hi, tracker):
-        coeffs = _sample_tuple_arrs(dim, m, rng)
+    def evaluate(rngs, lo, hi, tracker):
+        coeffs = _sample_tuple_arrs(dim, m, rngs)
 
         def build():
-            xs = [_rand_hermitian_arr(dim, lo, hi, rng) for _ in range(m)]
-            ys = [fx + _psd_noise(fx, dim, noise_scale, rng) for fx in (_apply_arr(f, x) for x in xs)]
+            xs = [_rand_hermitian_arr(dim, lo, hi, rngs) for _ in range(m)]
+            ys = [fx + _psd_noise(fx, dim, noise_scale, rngs) for fx in (_apply_arr(f, x) for x in xs)]
             lhs = _apply_arr(f, _combine_arr(coeffs, xs))
             return {"xs": xs, "ys": ys, "coeffs": coeffs}, lhs, _combine_arr(coeffs, ys)
 
@@ -385,15 +480,17 @@ def epigraph_closure_test(
     return _order_suite(f, tol, seed, _SALT_EPIGRAPH, samples, evaluate, kind="epigraph")
 
 
-def _psd_noise(ref: np.ndarray, dim: int, noise_scale: float, rng) -> np.ndarray:
+def _psd_noise(ref: np.ndarray, dim: int, noise_scale: float, rngs) -> np.ndarray:
+    """G G*, one Ginibre G per generator, scaled to `noise_scale` times the
+    norm of the matching `ref`; zero where G G* vanishes."""
     if noise_scale <= 0.0:
-        return np.zeros((dim, dim), dtype=np.complex128)
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    n = g @ g.conj().T
+        return np.zeros((len(rngs), dim, dim), dtype=np.complex128)
+    g = _ginibre(dim, dim, rngs)
+    n = g @ g.conj().mT
     top = _max_abs_eig(n)
-    if top == 0.0:
-        return np.zeros((dim, dim), dtype=np.complex128)
-    return n * (noise_scale * _max_abs_eig(ref) / top)
+    flat = top == 0.0
+    factor = noise_scale * _max_abs_eig(ref) / np.where(flat, 1.0, top)
+    return np.where(flat[:, None, None], 0.0, n * factor[:, None, None])
 
 
 def log_epigraph_closure_test(
@@ -411,13 +508,13 @@ def log_epigraph_closure_test(
     if dim < 1 or m < 1:
         raise InputError("dim and m must be at least 1")
 
-    def evaluate(rng, lo, hi, tracker):
-        coeffs = _sample_tuple_arrs(dim, m, rng)
+    def evaluate(rngs, lo, hi, tracker):
+        coeffs = _sample_tuple_arrs(dim, m, rngs)
 
         def build():
-            xs = [_rand_hermitian_arr(dim, lo, hi, rng) for _ in range(m)]
+            xs = [_rand_hermitian_arr(dim, lo, hi, rngs) for _ in range(m)]
             fs = [_apply_arr(f, _inv_pd_arr(x), positive=True) for x in xs]
-            ys = [fx + _psd_noise(fx, dim, noise_scale, rng) for fx in fs]
+            ys = [fx + _psd_noise(fx, dim, noise_scale, rngs) for fx in fs]
             xc = _inv_pd_arr(_combine_arr(coeffs, [_inv_pd_arr(x) for x in xs]))
             yc = _inv_pd_arr(_combine_arr(coeffs, [_inv_pd_arr(y) for y in ys]))
             lhs = _apply_arr(f, _inv_pd_arr(xc), positive=True)
@@ -452,8 +549,8 @@ def interval_set_falsifier(
     if w[0] < -tol.psd(scale):
         raise NonPositiveError(f"A must be positive semidefinite (min eig {w[0]:.3e})")
 
-    def membership_margin(x: np.ndarray) -> float:
-        return min(_mineig(x), _mineig(a - x))
+    def membership_margin(x: np.ndarray):
+        return _min(_mineig(x), _mineig(a - x))
 
     # deterministic swap certificate
     if w[-1] - w[0] > 10.0 * tol.psd(scale):
@@ -461,7 +558,7 @@ def interval_set_falsifier(
         perm[:, [0, dim - 1]] = perm[:, [dim - 1, 0]]
         swap = u @ perm @ u.conj().T
         combined = _sym(swap.conj().T @ a @ swap)
-        margin = membership_margin(combined)
+        margin = float(membership_margin(combined))
         if margin < -tol.psd(scale):
             ce = Counterexample(
                 kind="interval-set",
@@ -473,16 +570,19 @@ def interval_set_falsifier(
             )
             return TestVerdict("violated", samples_run=0, worst_margin=margin, counterexample=ce)
 
-    sqrt_a = _sym((u * np.sqrt(np.clip(w, 0.0, None))) @ u.conj().T)
+    sqrt_a = _from_eig(u, np.sqrt(np.clip(w, 0.0, None)))
 
-    def draw(rng, idx, tracker):
-        m = int(rng.integers(1, 5))
-        coeffs = _sample_tuple_arrs(dim, m, rng)
+    def evaluate(m, rngs):
+        coeffs = _sample_tuple_arrs(dim, m, rngs)
         # sqrt(A) W sqrt(A) with W in [0, I] is a member of [0, A]
-        xs = [_sym(sqrt_a @ _rand_hermitian_arr(dim, 0.0, 1.0, rng) @ sqrt_a) for _ in range(m)]
+        xs = [_sym(sqrt_a @ _rand_hermitian_arr(dim, 0.0, 1.0, rngs) @ sqrt_a) for _ in range(m)]
         combined = _combine_arr(coeffs, xs)
         inputs = {"xs": xs, "coeffs": coeffs, "bound": A}
-        return membership_margin(combined), max(scale, _max_abs_eig(combined)), inputs, combined, a
+        scales = np.maximum(scale, _max_abs_eig(combined))
+        return membership_margin(combined), scales, inputs, combined, np.broadcast_to(a, combined.shape)
+
+    def draw(rngs, idxs, tracker):
+        return _by_key([int(rng.integers(1, 5)) for rng in rngs], rngs, evaluate)
 
     return _run_suite(tol, seed, _SALT_INTERVAL, samples, draw, kind="interval-set")
 
@@ -516,7 +616,7 @@ def sublevel_family_test(
     def feasible(t: float) -> bool:
         return all(float(f.evaluator(np.array([t]))[0]) <= bound for f, bound in family)
 
-    def draw_member(rng, lo, hi):
+    def draw_eigs(rng, lo, hi):
         eigs = []
         rejects = 0
         while len(eigs) < dim:
@@ -527,24 +627,31 @@ def sublevel_family_test(
                 rejects += 1
                 if rejects > 200 * dim:
                     raise InputError("sublevel bounds are infeasible over the sampled window")
-        u_basis = haar_unitary(dim, rng)
-        return _sym((u_basis * np.array(eigs)) @ u_basis.conj().T)
+        return eigs
 
-    def draw(rng, idx, tracker):
-        lo, hi = _window(joint, _round_spread(idx, samples))
-        if lo >= hi:
+    def draw_members(rngs, windows):
+        eigs = [draw_eigs(rng, lo, hi) for rng, (lo, hi) in zip(rngs, windows)]
+        return _from_eig(_haar_columns(dim, dim, rngs), np.array(eigs))
+
+    bounds = np.array([float(b) for _, b in family])
+
+    def draw(rngs, idxs, tracker):
+        windows = [_window(joint, _round_spread(idx, samples)) for idx in idxs]
+        if any(lo >= hi for lo, hi in windows):
             raise InputError("joint domain is too small to sample")
-        coeffs = _sample_tuple_arrs(dim, m, rng)
-        xs = [draw_member(rng, lo, hi) for _ in range(m)]
+        coeffs = _sample_tuple_arrs(dim, m, rngs)
+        xs = [draw_members(rngs, windows) for _ in range(m)]
         combined = _combine_arr(coeffs, xs)
-        fxs = [_apply_arr(f, combined) for f, _ in family]
-        margins = [float(b - np.linalg.eigvalsh(fx)[-1]) for fx, (_, b) in zip(fxs, family)]
-        worst = margins.index(min(margins))
-        (f_bad, bound_bad), fx_bad = family[worst], fxs[worst]
-        scale = max(abs(bound_bad), _max_abs_eig(fx_bad))
-        inputs = {"xs": xs, "coeffs": coeffs, "bound_value": float(bound_bad)}
-        rhs = bound_bad * np.eye(dim, dtype=np.complex128)
-        return margins[worst], scale, inputs, fx_bad, rhs, f_bad.label
+        fxs = np.stack([_apply_arr(f, combined) for f, _ in family])
+        margins = bounds[:, None] - np.linalg.eigvalsh(fxs)[..., -1]
+        worst = np.argmin(margins, axis=0)
+        each = np.arange(len(rngs))
+        fx_bad, bound_bad = fxs[worst, each], bounds[worst]
+        scale = np.maximum(np.abs(bound_bad), _max_abs_eig(fx_bad))
+        inputs = {"xs": xs, "coeffs": coeffs, "bound_value": bound_bad}
+        rhs = bound_bad[:, None, None] * np.eye(dim, dtype=np.complex128)
+        labels = [family[i][0].label for i in worst]
+        return margins[worst, each], scale, inputs, fx_bad, rhs, labels
 
     return _run_suite(tol, seed, _SALT_SUBLEVEL, samples, draw, kind="sublevel")
 
@@ -579,7 +686,7 @@ def embed_counterexample(ce: Counterexample, f: ScalarFunctionSpec, scalar: floa
         coeffs = [grow(c, 1.0 if i == 0 else 0.0) for i, c in enumerate(ce.inputs["coeffs"])]
         inputs["coeffs"] = coeffs
         lhs, rhs = _jensen_sides(f, coeffs, xs)
-    violation = _mineig(rhs - lhs)
+    violation = float(_mineig(rhs - lhs))
     if not violation < 0:
         raise NumericalError("embedded instance no longer violates the inequality")
     return Counterexample(

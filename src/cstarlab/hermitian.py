@@ -2,7 +2,10 @@
 functional calculus, the matrix geometric mean, and seeded sampling.
 
 All matrices are dense complex n x n arrays. Every operation is a pure
-function of its inputs; returned arrays are marked read-only.
+function of its inputs; returned arrays are marked read-only. The private
+array helpers (`_sym`, `_apply_arr`, `_haar_columns`, ...) also take stacks
+of matrices, shape (..., n, n), and act on each matrix of the stack exactly
+as on that matrix alone; a stack of one is the single-matrix case.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 def _sym(a: np.ndarray) -> np.ndarray:
     """Average a with its adjoint; suppresses floating-point drift."""
-    return (a + a.conj().T) / 2.0
+    return (a + a.conj().mT) / 2.0
 
 
 def _eigh(a: np.ndarray):
@@ -60,14 +63,25 @@ def _eigh(a: np.ndarray):
     return w, u
 
 
-def _max_abs_eig(a: np.ndarray) -> float:
-    return float(np.max(np.abs(np.linalg.eigvalsh(a)))) if a.size else 0.0
+def _max_abs_eig(a: np.ndarray):
+    """Largest absolute eigenvalue of each matrix of the stack."""
+    return np.max(np.abs(np.linalg.eigvalsh(a)), axis=-1)
+
+
+def _mineig(a: np.ndarray):
+    """Smallest eigenvalue of each matrix of the stack."""
+    return np.linalg.eigvalsh(a)[..., 0]
+
+
+def _from_eig(u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """U diag(w) U*, made exactly Hermitian, for stacks of (U, w)."""
+    return _sym((u * w[..., None, :]) @ u.conj().mT)
 
 
 def _sqrt_psd(a: np.ndarray) -> np.ndarray:
     """Square root of a PSD array; small negative eigenvalues are clipped."""
     w, u = _eigh(a)
-    return _sym((u * np.sqrt(np.clip(w, 0.0, None))) @ u.conj().T)
+    return _from_eig(u, np.sqrt(np.clip(w, 0.0, None)))
 
 
 @dataclass(frozen=True)
@@ -248,23 +262,27 @@ def loewner_leq(
     if A.dim != B.dim:
         raise DimensionMismatchError(f"dims {A.dim} and {B.dim} differ")
     margin = float(np.linalg.eigvalsh(B.array - A.array)[0])
-    scale = max(_max_abs_eig(A.array), _max_abs_eig(B.array))
+    scale = float(max(_max_abs_eig(A.array), _max_abs_eig(B.array)))
     return LoewnerResult(holds=margin >= -tol.psd(scale), margin=margin)
 
 
 def _apply_arr(f, a: np.ndarray, positive: bool = False) -> np.ndarray:
     """Functional calculus on a raw array; with `positive`, f must be
-    strictly positive on the spectrum."""
+    strictly positive on the spectrum. Every eigenvalue must lie in f's
+    domain; the first one that does not (in stack order, ascending within a
+    matrix) is named by the DomainError."""
     w, u = _eigh(a)
-    for lam in w:
-        if not f.domain.contains(float(lam)):
-            raise DomainError(float(lam), str(f.domain), f.label)
+    dom = f.domain
+    outside = (w <= dom.lo if dom.open_lo else w < dom.lo) | (
+        w >= dom.hi if dom.open_hi else w > dom.hi)
+    if outside.any():
+        raise DomainError(float(w[outside][0]), str(dom), f.label)
     fw = np.asarray(f.evaluator(w), dtype=float)
     if not np.all(np.isfinite(fw)):
         raise NumericalError(f"{f.label} produced non-finite values")
     if positive and np.any(fw <= 0.0):
         raise NonPositiveError(f"{f.label} is not positive on the sampled spectrum")
-    return _sym((u * fw) @ u.conj().T)
+    return _from_eig(u, fw)
 
 
 def apply_function(f, H: HermitianMatrix) -> HermitianMatrix:
@@ -287,8 +305,9 @@ def _require_pd(tol: ToleranceConfig, **named: HermitianMatrix) -> None:
 
 def _geometric_mean_arr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     wa, ua = _eigh(a)
-    rs = (ua * np.sqrt(wa)) @ ua.conj().T
-    irs = (ua * (1.0 / np.sqrt(wa))) @ ua.conj().T
+    uh = ua.conj().mT
+    rs = (ua * np.sqrt(wa)[..., None, :]) @ uh
+    irs = (ua * (1.0 / np.sqrt(wa))[..., None, :]) @ uh
     mid = _sqrt_psd(_sym(irs @ b @ irs))
     return _sym(rs @ mid @ rs)
 
@@ -307,19 +326,26 @@ def geometric_mean(
     return HermitianMatrix._wrap(_geometric_mean_arr(A.array, B.array))
 
 
-def _haar_columns(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed orthonormal columns: QR of a complex Ginibre
-    matrix, with the phases of diag(R) moved into Q."""
-    g = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
-    q, r = np.linalg.qr(g)
-    d = np.diag(r).copy()
+def _ginibre(rows: int, cols: int, rngs) -> np.ndarray:
+    """One complex Ginibre (rows x cols) matrix from each generator, stacked;
+    each generator draws the real parts, then the imaginary parts."""
+    parts = np.array([rng.standard_normal((2, rows, cols)) for rng in rngs])
+    return parts[:, 0] + 1j * parts[:, 1]
+
+
+def _haar_columns(rows: int, cols: int, rngs) -> np.ndarray:
+    """Haar-distributed orthonormal columns, one (rows x cols) matrix per
+    generator: QR of a complex Ginibre matrix, with the phases of diag(R)
+    moved into Q."""
+    q, r = np.linalg.qr(_ginibre(rows, cols, rngs))
+    d = np.diagonal(r, axis1=-2, axis2=-1).copy()
     d[d == 0] = 1.0  # measure-zero guard
-    return q * (d / np.abs(d))
+    return q * (d / np.abs(d))[..., None, :]
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Ginibre matrix."""
-    return _haar_columns(dim, dim, rng)
+    return _haar_columns(dim, dim, [rng])[0]
 
 
 def sample_hermitian(
@@ -354,7 +380,7 @@ def sample_hermitian(
     if lo + pad > hi - pad:
         pad = (hi - lo) / 4.0
     rng = _seeded_rng(rng_seed)
-    return HermitianMatrix._wrap(_rand_hermitian_arr(dim, lo + pad, hi - pad, rng))
+    return HermitianMatrix._wrap(_rand_hermitian_arr(dim, lo + pad, hi - pad, [rng])[0])
 
 
 def _seeded_rng(seed) -> np.random.Generator:
@@ -364,8 +390,12 @@ def _seeded_rng(seed) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed))
 
 
-def _rand_hermitian_arr(dim: int, lo: float, hi: float, rng: np.random.Generator) -> np.ndarray:
-    """Internal sampler on raw arrays; eigenvalues uniform in [lo, hi]."""
-    u = haar_unitary(dim, rng)
-    w = rng.uniform(lo, hi, size=dim)
-    return _sym((u * w) @ u.conj().T)
+def _rand_hermitian_arr(dim: int, lo, hi, rngs) -> np.ndarray:
+    """Internal sampler on raw arrays, one matrix per generator: a Haar
+    eigenbasis, then eigenvalues uniform in [lo, hi]. `lo` and `hi` are
+    numbers or sequences with one entry per generator."""
+    u = _haar_columns(dim, dim, rngs)
+    if np.isscalar(lo):
+        lo, hi = [lo] * len(rngs), [hi] * len(rngs)
+    w = np.array([rng.uniform(a, b, size=dim) for rng, a, b in zip(rngs, lo, hi)])
+    return _from_eig(u, w)

@@ -28,7 +28,7 @@ from .combinations import (
     apply_combination,
     validate_tuple,
 )
-from .convexity import TestVerdict, _mineig, _run_suite
+from .convexity import TestVerdict, _by_key, _min, _run_suite
 from .functions import ScalarFunctionSpec
 from .hermitian import (
     DEFAULT_TOL,
@@ -36,10 +36,11 @@ from .hermitian import (
     HermitianMatrix,
     ToleranceConfig,
     _eigh,
+    _from_eig,
     _max_abs_eig,
+    _mineig,
     _rand_hermitian_arr,
     _require_pd,
-    _sym,
     apply_function,
 )
 
@@ -347,40 +348,31 @@ def hull_of_function(T: HermitianMatrix, f: ScalarFunctionSpec) -> FunctionHull:
 # --- harmonic sums of log-convex hulls --------------------------------------
 
 
-def _parallel_sum(x: float, y: float) -> float:
+def _parallel_sum(x, y):
     return 1.0 / (1.0 / x + 1.0 / y)
 
 
 def _harmonic_decompose(z_arr: np.ndarray, a1, b1, a2, b2):
     """Split Z = (X^{-1} + Y^{-1})^{-1} with spectrum(X) in [a1, b1] and
     spectrum(Y) in [a2, b2], by bisecting the monotone diagonal path of the
-    parallel sum for each eigenvalue of Z. Returns (X, Y, residual)."""
+    parallel sum for each eigenvalue of Z. Returns (X, Y, residual); on a
+    stack of Z, stacks of X and Y and one residual per matrix."""
     w, u = _eigh(z_arr)
     lo = _parallel_sum(a1, a2)
     hi = _parallel_sum(b1, b2)
-    xs = np.empty_like(w)
-    ys = np.empty_like(w)
     if hi - lo <= 0.0:
-        xs[:] = a1
-        ys[:] = a2
+        xs, ys = np.full_like(w, a1), np.full_like(w, a2)
     else:
-        for j, z in enumerate(w):
-            target = min(max(float(z), lo), hi)
-            t_lo, t_hi = 0.0, 1.0
-            for _ in range(80):
-                t = (t_lo + t_hi) / 2.0
-                if _parallel_sum(a1 + t * (b1 - a1), a2 + t * (b2 - a2)) < target:
-                    t_lo = t
-                else:
-                    t_hi = t
+        target = np.clip(w, lo, hi)
+        t_lo, t_hi = np.zeros_like(w), np.ones_like(w)
+        for _ in range(80):
             t = (t_lo + t_hi) / 2.0
-            xs[j] = a1 + t * (b1 - a1)
-            ys[j] = a2 + t * (b2 - a2)
-    rebuilt = np.array([_parallel_sum(xv, yv) for xv, yv in zip(xs, ys)])
-    residual = float(np.max(np.abs(rebuilt - w)))
-    X = _sym((u * xs) @ u.conj().T)
-    Y = _sym((u * ys) @ u.conj().T)
-    return X, Y, residual
+            below = _parallel_sum(a1 + t * (b1 - a1), a2 + t * (b2 - a2)) < target
+            t_lo, t_hi = np.where(below, t, t_lo), np.where(below, t_hi, t)
+        t = (t_lo + t_hi) / 2.0
+        xs, ys = a1 + t * (b1 - a1), a2 + t * (b2 - a2)
+    residual = np.max(np.abs(_parallel_sum(xs, ys) - w), axis=-1)
+    return _from_eig(u, xs), _from_eig(u, ys), residual
 
 
 def harmonic_sum_closure_test(
@@ -411,23 +403,29 @@ def harmonic_sum_closure_test(
     h_hi = _parallel_sum(b1, b2)
     eye = np.eye(dim, dtype=np.complex128)
 
-    def draw(rng, idx, tracker):
-        m = int(rng.integers(1, 4))
-        coeffs = _sample_tuple_arrs(dim, m, rng)
-        zs = [_inv_pd_arr(_inv_pd_arr(_rand_hermitian_arr(dim, a1, b1, rng))
-                          + _inv_pd_arr(_rand_hermitian_arr(dim, a2, b2, rng))) for _ in range(m)]
+    def evaluate(m, rngs):
+        coeffs = _sample_tuple_arrs(dim, m, rngs)
+        zs = [_inv_pd_arr(_inv_pd_arr(_rand_hermitian_arr(dim, a1, b1, rngs))
+                          + _inv_pd_arr(_rand_hermitian_arr(dim, a2, b2, rngs))) for _ in range(m)]
         combined = _log_combine_arr(coeffs, zs)
-        margin = min(_mineig(combined - h_lo * eye), _mineig(h_hi * eye - combined))
-        scale = max(abs(h_lo), abs(h_hi), _max_abs_eig(combined))
-        if margin >= -tol.psd(scale):
-            # constructive expressibility: re-split the combined element
-            _, _, residual = _harmonic_decompose(combined, a1, b1, a2, b2)
-            if residual > tol.psd(scale) + max(0.0, -margin):
+        margins = _min(_mineig(combined - h_lo * eye), _mineig(h_hi * eye - combined))
+        scales = np.maximum(max(abs(h_lo), abs(h_hi)), _max_abs_eig(combined))
+        bands = np.array([tol.psd(scale) for scale in scales.tolist()])
+        inside = margins >= -bands
+        if inside.any():
+            # constructive expressibility: re-split each combined element inside
+            _, _, residual = _harmonic_decompose(combined[inside], a1, b1, a2, b2)
+            margin, band = margins[inside], bands[inside]
+            bad = residual > band + np.maximum(0.0, -margin)
+            if bad.any():
                 raise NumericalError(
-                    f"harmonic decomposition residual {residual:.3e} is inconsistent "
-                    f"with the interval margin {margin:.3e}"
+                    f"harmonic decomposition residual {residual[bad][0]:.3e} is inconsistent "
+                    f"with the interval margin {margin[bad][0]:.3e}"
                 )
         inputs = {"xs": zs, "coeffs": coeffs, "interval": (h_lo, h_hi)}
-        return margin, scale, inputs, combined, h_hi * eye
+        return margins, scales, inputs, combined, np.broadcast_to(h_hi * eye, combined.shape)
+
+    def draw(rngs, idxs, tracker):
+        return _by_key([int(rng.integers(1, 4)) for rng in rngs], rngs, evaluate)
 
     return _run_suite(tol, seed, _SALT_HARMONIC, samples, draw, kind="harmonic-sum")

@@ -23,7 +23,9 @@ from cstarlab import (
     recheck_payload,
     sublevel_family_test,
 )
-from cstarlab.io import counterexample_to_payload
+from cstarlab import convexity
+from cstarlab.errors import CstarlabError
+from cstarlab.io import canonical_dumps, counterexample_to_payload, verdict_to_payload
 
 from conftest import specnorm
 
@@ -364,3 +366,104 @@ class TestLiteratureClassifications:
         # dims up to 4 at full budget
         assert not midpoint_convexity_test(f, dim, 150, seed=12).violated
         assert not jensen_test(f, "tuple", dim, 2, 150, seed=12).violated
+
+
+# The sampling engine evaluates chunks of 1, 2, 4, ... 64 samples as one
+# stack; with the cap at 1 every sample runs alone. Verdict bytes must not
+# depend on it. Chunks start at indices 0, 1, 3, 7, 15, 31, 63, 127, 191, 255,
+# and the seeds below were found by search to put the first violation (or
+# error) where the comment says.
+CUT = ScalarFunctionSpec(
+    "cut", SpectrumInterval(0.0, open_lo=True), lambda t: np.where(t > 0.03, 1.0 / t, -1.0)
+)
+WELL = parse_function("poly:1,0,-2,0,1")
+N = 300
+CHUNKING_CASES = {
+    # clean runs of all nine suites walk every chunk size
+    "midpoint clean": (lambda: midpoint_convexity_test(T2, 3, N, seed=1), "clean"),
+    "jensen isometry clean": (lambda: jensen_test(T2, "isometry", 2, 1, N, seed=1), "clean"),
+    "jensen tuple clean": (lambda: jensen_test(T15, "tuple", 3, 3, N, seed=1), "clean"),
+    "jensen map-family clean": (lambda: jensen_test(T2, "map-family", 3, 2, N, seed=1), "clean"),
+    "log-midpoint clean": (lambda: log_midpoint_test(TINV, 3, N, seed=1), "clean"),
+    "log-harmonic clean": (lambda: log_harmonic_jensen_test(TINV, 2, 3, N, seed=1), "clean"),
+    "epigraph clean": (lambda: epigraph_closure_test(T2, 2, 2, N, seed=1), "clean"),
+    "log-epigraph clean": (
+        lambda: log_epigraph_closure_test(TINV, 3, 2, N, seed=1, noise_scale=0.0), "clean"),
+    "interval-set clean": (
+        lambda: interval_set_falsifier(HermitianMatrix(2.0 * np.eye(3)), N, seed=1), "clean"),
+    "sublevel clean": (
+        lambda: sublevel_family_test([(T2, 4.0), (TINV, 3.0)], 2, 2, N, seed=1), "clean"),
+    "harmonic-sum clean": (
+        lambda: harmonic_sum_closure_test(HermitianMatrix.diagonal([1.0, 3.0]),
+                                          HermitianMatrix.diagonal([0.5, 2.0]), N, seed=1),
+        "clean"),
+    # first violations on both sides of the chunk boundaries at 7 and 15
+    "midpoint last of [3, 7)": (lambda: midpoint_convexity_test(T4, 2, N, seed=41), 7),
+    "midpoint first of [7, 15)": (lambda: midpoint_convexity_test(T4, 2, N, seed=13), 8),
+    "jensen last of [7, 15)": (lambda: jensen_test(T4, "tuple", 2, 2, N, seed=28), 15),
+    "jensen first of [15, 31)": (lambda: jensen_test(T4, "tuple", 2, 2, N, seed=8), 16),
+    "epigraph first of [15, 31)": (lambda: epigraph_closure_test(T4, 2, 2, N, seed=56), 16),
+    "log-epigraph first of [1, 3)": (
+        lambda: log_epigraph_closure_test(parse_function("t^0.5"), 2, 2, N, seed=0), 2),
+    "log-epigraph last of [1, 3)": (
+        lambda: log_epigraph_closure_test(parse_function("t^0.5"), 2, 2, N, seed=16), 3),
+    # deep inside full-size chunks
+    "map-family last of [63, 127)": (lambda: jensen_test(T4, "map-family", 2, 2, N, seed=21), 127),
+    "map-family inside [191, 255)": (lambda: jensen_test(T4, "map-family", 2, 2, N, seed=0), 248),
+    "log-midpoint at 0": (lambda: log_midpoint_test(T2, 2, N, seed=0), 1),
+    "log-harmonic at 0": (lambda: log_harmonic_jensen_test(T2, 2, 2, N, seed=0), 1),
+    "sublevel inside [3, 7)": (lambda: sublevel_family_test([(WELL, 0.9)], 2, 2, N, seed=23), 7),
+    "interval-set swap certificate": (
+        lambda: interval_set_falsifier(HermitianMatrix.diagonal([0.5, 1.0, 4.0]), N, seed=1), 0),
+    # a positive-valued suite meets a non-positive value after clean samples,
+    # at index 10 inside [7, 15) and at index 63, the first of [63, 127)
+    "log-midpoint non-positive at 10": (lambda: log_midpoint_test(CUT, 2, N, seed=0), (NonPositiveError, 10)),
+    "log-midpoint non-positive at 63": (lambda: log_midpoint_test(CUT, 2, N, seed=15), (NonPositiveError, 63)),
+    "log-harmonic non-positive at 10": (
+        lambda: log_harmonic_jensen_test(CUT, 2, 2, N, seed=4), (NonPositiveError, 10)),
+    # the InputError window paths, at the first sample
+    "midpoint window too small": (lambda: midpoint_convexity_test(POINT, 2, N, seed=1), (InputError, 0)),
+    "epigraph window too small": (lambda: epigraph_closure_test(POINT, 2, 2, N, seed=1), (InputError, 0)),
+    "log-epigraph no positive part": (
+        lambda: log_epigraph_closure_test(NONPOS, 2, 2, N, seed=1), (InputError, 0)),
+    "sublevel joint domain too small": (
+        lambda: sublevel_family_test([(POINT, 4.0)], 2, 2, N, seed=1), (InputError, 0)),
+    "sublevel infeasible": (lambda: sublevel_family_test([(T2, -1.0)], 2, 2, N, seed=1), (InputError, 0)),
+}
+
+
+def _outcome(call):
+    """(body bytes or (error type, message), samples drawn, verdict) of one call."""
+    drawn = [0]
+    sample_rng = convexity._sample_rng
+
+    def counting(*args):
+        drawn[0] += 1
+        return sample_rng(*args)
+
+    convexity._sample_rng = counting
+    try:
+        verdict = call()
+    except CstarlabError as exc:
+        return (type(exc), str(exc)), drawn[0], None
+    finally:
+        convexity._sample_rng = sample_rng
+    return canonical_dumps(verdict_to_payload(verdict)).encode(), drawn[0], verdict
+
+
+@pytest.mark.parametrize("name", CHUNKING_CASES)
+def test_verdict_bytes_do_not_depend_on_chunking(name, monkeypatch):
+    call, expected = CHUNKING_CASES[name]
+    body, drawn, verdict = _outcome(call)
+    if expected == "clean":
+        assert verdict.status == "no-violation-found" and verdict.samples_run == N
+        assert drawn == N  # every chunk was evaluated stacked, none re-ran alone
+    elif isinstance(expected, int):
+        assert verdict.violated and verdict.samples_run == expected
+    else:
+        assert body[0] is expected[0]
+    monkeypatch.setattr(convexity, "_CHUNK_CAP", 1)
+    alone, drawn_alone, _ = _outcome(call)
+    assert alone == body
+    # one sample at a time draws up to the sample that ends the run
+    assert drawn_alone == (expected[1] + 1 if isinstance(expected, tuple) else verdict.samples_run)

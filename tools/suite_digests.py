@@ -5,7 +5,10 @@ canonical JSON of `verdict_to_payload(verdict)` (or of the raised error's
 type and message). The last lines give the call, violation and error counts
 and a combined digest over all lines. The grid covers all nine suites,
 including `sublevel_family_test` and `harmonic_sum_closure_test`, which no
-CLI command reaches, plus `embed_counterexample`.
+CLI command reaches, plus `embed_counterexample`, at a budget of 30 samples.
+A second grid reruns a subset of it at 300 samples (lines named `n300 ...`),
+so that clean runs walk the sampling engine's largest chunks and violations
+fall far from the first sample.
 
 Two source trees produce byte-identical verdicts iff their outputs match:
 
@@ -42,6 +45,8 @@ from cstarlab.io import canonical_dumps, counterexample_to_payload, verdict_to_p
 
 SEED = 7
 SAMPLES = 30
+LONG_SAMPLES = 300
+LONG_LABELS = ("t", "t^1.5", "t^2", "t^-0.5", "t^-1", "t^0.5", "t^3")
 LABELS = (
     "t", "t^0.5", "t^1.5", "t^2", "t^3", "t^4", "t^-0.5", "t^-1",
     "const:2.0", "poly:1,0,1", "poly:0,0,0,1", "poly:0,-1,0,0,1",
@@ -65,30 +70,36 @@ def _rotated(values, seed: int) -> HermitianMatrix:
     return HermitianMatrix((a + a.T) / 2.0)
 
 
+def _function_calls(fns, dims, ms, noises, samples, prefix=""):
+    """(name, thunk) for the six function suites over a grid of shapes."""
+    n = samples
+    for f in fns:
+        for dim in dims:
+            yield f"{prefix}midpoint {f.label} d{dim}", lambda f=f, d=dim: midpoint_convexity_test(
+                f, d, n, seed=SEED)
+            yield f"{prefix}log-midpoint {f.label} d{dim}", lambda f=f, d=dim: log_midpoint_test(
+                f, d, n, seed=SEED)
+            yield f"{prefix}jensen isometry {f.label} d{dim}", lambda f=f, d=dim: jensen_test(
+                f, "isometry", d, 1, n, seed=SEED)
+            for m in ms:
+                for mode in ("tuple", "map-family"):
+                    yield f"{prefix}jensen {mode} {f.label} d{dim} m{m}", (
+                        lambda f=f, d=dim, m=m, mode=mode: jensen_test(f, mode, d, m, n, seed=SEED))
+                yield f"{prefix}log-harmonic {f.label} d{dim} m{m}", (
+                    lambda f=f, d=dim, m=m: log_harmonic_jensen_test(f, d, m, n, seed=SEED))
+                for noise in noises:
+                    yield f"{prefix}epigraph {f.label} d{dim} m{m} n{noise}", (
+                        lambda f=f, d=dim, m=m, z=noise: epigraph_closure_test(
+                            f, d, m, n, seed=SEED, noise_scale=z))
+                    yield f"{prefix}log-epigraph {f.label} d{dim} m{m} n{noise}", (
+                        lambda f=f, d=dim, m=m, z=noise: log_epigraph_closure_test(
+                            f, d, m, n, seed=SEED, noise_scale=z))
+
+
 def grid():
     """Yield (name, thunk) for every call of the grid."""
     fns = [parse_function(label) for label in LABELS] + [POINT, NEGATIVE]
-    for f in fns:
-        for dim in DIMS:
-            yield f"midpoint {f.label} d{dim}", lambda f=f, d=dim: midpoint_convexity_test(
-                f, d, SAMPLES, seed=SEED)
-            yield f"log-midpoint {f.label} d{dim}", lambda f=f, d=dim: log_midpoint_test(
-                f, d, SAMPLES, seed=SEED)
-            yield f"jensen isometry {f.label} d{dim}", lambda f=f, d=dim: jensen_test(
-                f, "isometry", d, 1, SAMPLES, seed=SEED)
-            for m in MS:
-                for mode in ("tuple", "map-family"):
-                    yield f"jensen {mode} {f.label} d{dim} m{m}", (
-                        lambda f=f, d=dim, m=m, mode=mode: jensen_test(f, mode, d, m, SAMPLES, seed=SEED))
-                yield f"log-harmonic {f.label} d{dim} m{m}", (
-                    lambda f=f, d=dim, m=m: log_harmonic_jensen_test(f, d, m, SAMPLES, seed=SEED))
-                for noise in NOISES:
-                    yield f"epigraph {f.label} d{dim} m{m} n{noise}", (
-                        lambda f=f, d=dim, m=m, n=noise: epigraph_closure_test(
-                            f, d, m, SAMPLES, seed=SEED, noise_scale=n))
-                    yield f"log-epigraph {f.label} d{dim} m{m} n{noise}", (
-                        lambda f=f, d=dim, m=m, n=noise: log_epigraph_closure_test(
-                            f, d, m, SAMPLES, seed=SEED, noise_scale=n))
+    yield from _function_calls(fns, DIMS, MS, NOISES, SAMPLES)
     t2 = parse_function("t^2")
     for name, thunk in (
         ("midpoint d0", lambda: midpoint_convexity_test(t2, 0, SAMPLES, seed=SEED)),
@@ -150,6 +161,27 @@ def grid():
                 lambda d=dim, s=scalar: _embedded(jensen_test(t4, "tuple", d, 2, 1000, seed=42), t4, s))
 
 
+def long_grid():
+    """Yield (name, thunk) for the subset of the grid run at LONG_SAMPLES."""
+    fns = [parse_function(label) for label in LONG_LABELS]
+    yield from _function_calls(fns, (2, 3), (2, 3), (0.1,), LONG_SAMPLES, "n300 ")
+    bounds = {"diag21": _diag(2.0, 1.0), "eye3": _diag(1.5, 1.5, 1.5),
+              "rot3": _rotated([0.5, 1.0, 4.0], 3)}
+    for name, a in bounds.items():
+        yield f"n300 interval-set {name}", lambda a=a: interval_set_falsifier(
+            a, LONG_SAMPLES, seed=SEED)
+    p = parse_function
+    for name, fam in {"t2<=4": [(p("t^2"), 4.0)],
+                      "t2<=4,t^-1<=3": [(p("t^2"), 4.0), (p("t^-1"), 3.0)]}.items():
+        for dim in (2, 3):
+            yield f"n300 sublevel {name} d{dim}", (
+                lambda fam=fam, d=dim: sublevel_family_test(fam, d, 2, LONG_SAMPLES, seed=SEED))
+    for name, (a, b) in {"d2": (_diag(1.0, 3.0), _diag(0.5, 2.0)),
+                         "d3rot": (_rotated([1.0, 2.0, 5.0], 5), _rotated([0.3, 0.6, 1.2], 6))}.items():
+        yield f"n300 harmonic-sum {name}", lambda a=a, b=b: harmonic_sum_closure_test(
+            a, b, LONG_SAMPLES, seed=SEED)
+
+
 def _embedded(verdict, f, scalar):
     return embed_counterexample(verdict.counterexample, f, scalar)
 
@@ -167,7 +199,7 @@ def body(thunk) -> tuple[dict, str]:
 def main() -> int:
     combined = hashlib.sha256()
     counts = {"calls": 0, "violated": 0, "error": 0}
-    for name, thunk in grid():
+    for name, thunk in (*grid(), *long_grid()):
         payload, outcome = body(thunk)
         digest = hashlib.sha256(canonical_dumps(payload).encode()).hexdigest()
         line = f"{digest}  {name}"
