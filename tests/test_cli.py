@@ -74,6 +74,7 @@ class TestClassify:
         body = load_report(out)["body"]
         assert body["observed_class"] == "operator-convex"
         assert not body["classification_conflict"]
+        assert b'"classification_conflict":false' in report_body_bytes(load_report(out))
 
     def test_quartic_fails_with_payload(self, tmp_path):
         out = tmp_path / "r.json"
@@ -236,6 +237,23 @@ class TestVerifyAndReport:
                 entry["counterexample"]["violation"] *= 100.0
         out.write_text(json.dumps(report))
         assert main(["verify", "--report", str(out)]) == 1
+
+    def test_verify_map_family_transpose_flags(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert main([
+            "jensen", "--mode", "map-family", "--function", "t^4", "--dims", "2", "--m", "2",
+            "--samples", "1000", "--seed", "43", "--out", str(out),
+        ]) == 1
+        body = report_body_bytes(load_report(out))
+        assert b'"transpose":true' in body or b'"transpose":false' in body
+        assert main(["verify", "--report", str(out)]) == 0
+        # reports written before the flags were JSON booleans hold 0 and 1
+        report = json.loads(out.read_text())
+        for entry in report["body"]["results"]:
+            for spec in entry["counterexample"]["inputs"]["maps"]:
+                spec["transpose"] = int(spec["transpose"])
+        out.write_text(json.dumps(report))
+        assert main(["verify", "--report", str(out)]) == 0
 
     def test_verify_certificates(self, tmp_path, diag13):
         outside = write_json(
