@@ -265,16 +265,10 @@ def _kraus_sums(kraus, sizes, term):
     i, and returns their stacked terms."""
     total = 0
     for i in range(kraus.shape[0]):
-        part = None
-        for k in range(kraus.shape[1]):
+        part = 0 + term(i, kraus[i, 0], slice(None))  # every map has an operator 0
+        for k in range(1, sizes[:, i].max()):
             sel = np.flatnonzero(sizes[:, i] > k)
-            if not sel.size:
-                break
-            t = term(i, kraus[i, k, sel], sel)
-            if part is None:
-                part = 0 + t  # every map has an operator 0
-            else:
-                part[sel] = part[sel] + t
+            part[sel] = part[sel] + term(i, kraus[i, k, sel], sel)
         total = total + part
     return total
 
@@ -285,12 +279,14 @@ def _apply_families(fams, xs) -> np.ndarray:
     kraus, sizes, flips = fams
 
     def term(i, a, sel):
+        # a transposing map multiplies the transposed view, as apply_arr does
+        y, flip = xs[i][sel], flips[sel, i]
+        if flip.all() or not flip.any():
+            return a.conj().mT @ (y.mT if flip[0] else y) @ a
         out = np.empty(a.shape, dtype=np.complex128)
-        for flipped in (False, True):
-            mask = flips[sel, i] == flipped
-            if mask.any():
-                y = xs[i][sel[mask]]
-                out[mask] = a[mask].conj().mT @ (y.mT if flipped else y) @ a[mask]
+        for mask, flipped in ((~flip, False), (flip, True)):
+            v = y[mask]
+            out[mask] = a[mask].conj().mT @ (v.mT if flipped else v) @ a[mask]
         return out
 
     return _kraus_sums(kraus, sizes, term)

@@ -208,18 +208,11 @@ class SpectrumInterval:
         if self.lo > self.hi:
             raise InputError(f"empty interval [{self.lo}, {self.hi}]")
 
-    def contains(self, t: float) -> bool:
-        if self.open_lo:
-            if t <= self.lo:
-                return False
-        elif t < self.lo:
-            return False
-        if self.open_hi:
-            if t >= self.hi:
-                return False
-        elif t > self.hi:
-            return False
-        return True
+    def contains(self, t):
+        """Whether t lies in the interval, elementwise for an array of t."""
+        below = t <= self.lo if self.open_lo else t < self.lo
+        above = t >= self.hi if self.open_hi else t > self.hi
+        return np.logical_not(below | above)
 
     @property
     def bounded(self) -> bool:
@@ -272,11 +265,9 @@ def _apply_arr(f, a: np.ndarray, positive: bool = False) -> np.ndarray:
     domain; the first one that does not (in stack order, ascending within a
     matrix) is named by the DomainError."""
     w, u = _eigh(a)
-    dom = f.domain
-    outside = (w <= dom.lo if dom.open_lo else w < dom.lo) | (
-        w >= dom.hi if dom.open_hi else w > dom.hi)
-    if outside.any():
-        raise DomainError(float(w[outside][0]), str(dom), f.label)
+    inside = f.domain.contains(w)
+    if not inside.all():
+        raise DomainError(float(w[~inside][0]), str(f.domain), f.label)
     fw = np.asarray(f.evaluator(w), dtype=float)
     if not np.all(np.isfinite(fw)):
         raise NumericalError(f"{f.label} produced non-finite values")
