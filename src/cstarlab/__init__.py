@@ -65,6 +65,7 @@ from .convexity import (
     log_epigraph_closure_test,
     log_harmonic_jensen_test,
     log_midpoint_test,
+    harmonic_sum_closure_test,
     midpoint_convexity_test,
     sublevel_family_test,
 )
@@ -75,7 +76,6 @@ from .hull import (
     HullWitness,
     OracleResult,
     WitnessCheck,
-    harmonic_sum_closure_test,
     hull_membership,
     hull_of_function,
     lch_membership,

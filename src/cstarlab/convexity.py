@@ -1,15 +1,19 @@
 """Sampling-based verification and falsification of operator inequalities.
 
 Every suite draws seeded random instances, checks one inequality in the
-Loewner order, and either reports `no-violation-found` (evidence, not proof)
-or returns a machine-checkable counterexample. Falsifiers escalate the
+Loewner order or one set-closure statement, and either reports
+`no-violation-found` (evidence, not proof) or returns a machine-checkable
+counterexample. Six suites test Jensen-type inequalities for a scalar
+function; three test closure of a set under C*-combinations: the order
+interval [0, A], a joint sublevel set, and the harmonic sums of two
+log-convex hulls. Falsifiers escalate the
 eigenvalue spread geometrically across three rounds, since several
 inequalities only fail visibly for well-separated spectra.
 
 Per-sample randomness is derived from (master seed, suite salt, sample
 index), so verdicts are independent of execution order.
 
-All suites share one sampling loop, `_run_suite`, which owns the margin
+All nine suites share one sampling loop, `_run_suite`, which owns the margin
 tracker, the per-sample generators, the stop at the first violation and
 the counterexample; a suite supplies only its `draw`. The six Loewner-order
 suites add the escalating window and lambda_min(rhs - lhs) via `_order_suite`.
@@ -32,12 +36,19 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, InputError, NonPositiveError, NumericalError
+from .errors import (
+    DimensionMismatchError,
+    DomainError,
+    InputError,
+    NonPositiveError,
+    NumericalError,
+)
 from .combinations import (
     _apply_families,
     _combine_arr,
     _family_at,
     _inv_pd_arr,
+    _log_combine_arr,
     _sample_family_arrs,
     _sample_tuple_arrs,
 )
@@ -56,6 +67,7 @@ from .hermitian import (
     _max_abs_eig,
     _mineig,
     _rand_hermitian_arr,
+    _require_pd,
     _sym,
 )
 
@@ -70,6 +82,7 @@ __all__ = [
     "log_epigraph_closure_test",
     "interval_set_falsifier",
     "sublevel_family_test",
+    "harmonic_sum_closure_test",
     "embed_counterexample",
     "EVIDENCE_NOTE",
 ]
@@ -91,6 +104,7 @@ _SALT_EPIGRAPH = 5
 _SALT_LOG_EPIGRAPH = 6
 _SALT_INTERVAL = 7
 _SALT_SUBLEVEL = 8
+_SALT_HARMONIC = 10
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,6 +185,14 @@ class _Tracker:
         self.run = 0
 
     def classify(self, margin: float, scale: float) -> str:
+        """Count the next sample (index `run`, as samples are classified in
+        index order) and sort it as `violated`, a boundary tie or `ok`. A
+        non-finite margin or scale fails every comparison or makes the band
+        infinite, so it raises rather than pass as a clean sample."""
+        if not (math.isfinite(margin) and math.isfinite(scale)):
+            raise NumericalError(
+                f"sample {self.run} has a non-finite margin {margin} at scale {scale}"
+            )
         self.run += 1
         self.worst = min(self.worst, margin)
         thr = self.tol.psd(scale)
@@ -585,6 +607,98 @@ def interval_set_falsifier(
         return _by_key([int(rng.integers(1, 5)) for rng in rngs], rngs, evaluate)
 
     return _run_suite(tol, seed, _SALT_INTERVAL, samples, draw, kind="interval-set")
+
+
+def _parallel_sum(x, y):
+    return 1.0 / (1.0 / x + 1.0 / y)
+
+
+def _harmonic_decompose(z_arr: np.ndarray, a1, b1, a2, b2):
+    """Split Z = (X^{-1} + Y^{-1})^{-1} with spectrum(X) in [a1, b1] and
+    spectrum(Y) in [a2, b2] along the diagonal path x = a1 + t d1,
+    y = a2 + t d2 (d1 = b1 - a1, d2 = b2 - a2, t in [0, 1]), on which the
+    parallel sum p(x, y) increases from p(a1, a2) to p(b1, b2). Each
+    eigenvalue w of Z, clipped to that range, is met where xy = w(x + y):
+    at the root in [0, 1] of d1 d2 t^2 + b t + c, with
+    b = d1 (a2 - w) + d2 (a1 - w) and c = a1 a2 - w (a1 + a2) <= 0.
+    Returns (X, Y, residual); on a stack of Z, stacks of X and Y and one
+    residual per matrix."""
+    w, u = _eigh(z_arr)
+    lo = _parallel_sum(a1, a2)
+    hi = _parallel_sum(b1, b2)
+    d1, d2 = b1 - a1, b2 - a2
+    if hi - lo <= 0.0:
+        t = np.zeros_like(w)  # a1 = b1 and a2 = b2: the path is one point
+    else:
+        target = np.clip(w, lo, hi)
+        b = d1 * (a2 - target) + d2 * (a1 - target)
+        c = a1 * a2 - target * (a1 + a2)
+        if d1 * d2 == 0.0:
+            t = -c / b  # linear
+        else:
+            # the larger root, in the form without cancellation for each sign of b
+            root = np.sqrt(b * b - 4.0 * d1 * d2 * c)
+            t = np.where(b > 0.0, -2.0 * c, root - b) / np.where(b > 0.0, b + root, 2.0 * d1 * d2)
+        t = np.clip(t, 0.0, 1.0)
+    xs, ys = a1 + t * d1, a2 + t * d2
+    residual = np.max(np.abs(_parallel_sum(xs, ys) - w), axis=-1)
+    return _from_eig(u, xs), _from_eig(u, ys), residual
+
+
+def harmonic_sum_closure_test(
+    T1: HermitianMatrix,
+    T2: HermitianMatrix,
+    samples: int = 300,
+    *,
+    seed: int,
+    tol: ToleranceConfig = DEFAULT_TOL,
+) -> TestVerdict:
+    """Closure of {(X^{-1} + Y^{-1})^{-1}: X in LCH(T1), Y in LCH(T2)} under
+    log-combinations.
+
+    Membership in the harmonic-sum set is checked against its interval
+    characterization [p(a1, a2), p(b1, b2)] (p = parallel sum of the hull
+    interval endpoints), and every combined element is constructively
+    re-split into admissible X and Y parts.
+    """
+    if T1.dim != T2.dim:
+        raise DimensionMismatchError(f"dims {T1.dim} and {T2.dim} differ")
+    _require_pd(tol, T1=T1, T2=T2)
+    dim = T1.dim
+    l1 = np.linalg.eigvalsh(T1.array)
+    l2 = np.linalg.eigvalsh(T2.array)
+    a1, b1 = float(l1[0]), float(l1[-1])
+    a2, b2 = float(l2[0]), float(l2[-1])
+    h_lo = _parallel_sum(a1, a2)
+    h_hi = _parallel_sum(b1, b2)
+    eye = np.eye(dim, dtype=np.complex128)
+
+    def evaluate(m, rngs):
+        coeffs = _sample_tuple_arrs(dim, m, rngs)
+        zs = [_inv_pd_arr(_inv_pd_arr(_rand_hermitian_arr(dim, a1, b1, rngs))
+                          + _inv_pd_arr(_rand_hermitian_arr(dim, a2, b2, rngs))) for _ in range(m)]
+        combined = _log_combine_arr(coeffs, zs)
+        margins = _min(_mineig(combined - h_lo * eye), _mineig(h_hi * eye - combined))
+        scales = np.maximum(max(abs(h_lo), abs(h_hi)), _max_abs_eig(combined))
+        bands = np.array([tol.psd(scale) for scale in scales.tolist()])
+        inside = margins >= -bands
+        if inside.any():
+            # constructive expressibility: re-split each combined element inside
+            _, _, residual = _harmonic_decompose(combined[inside], a1, b1, a2, b2)
+            margin, band = margins[inside], bands[inside]
+            bad = residual > band + np.maximum(0.0, -margin)
+            if bad.any():
+                raise NumericalError(
+                    f"harmonic decomposition residual {residual[bad][0]:.3e} is inconsistent "
+                    f"with the interval margin {margin[bad][0]:.3e}"
+                )
+        inputs = {"xs": zs, "coeffs": coeffs, "interval": (h_lo, h_hi)}
+        return margins, scales, inputs, combined, np.broadcast_to(h_hi * eye, combined.shape)
+
+    def draw(rngs, idxs, tracker):
+        return _by_key([int(rng.integers(1, 4)) for rng in rngs], rngs, evaluate)
+
+    return _run_suite(tol, seed, _SALT_HARMONIC, samples, draw, kind="harmonic-sum")
 
 
 def sublevel_family_test(

@@ -214,10 +214,6 @@ class SpectrumInterval:
         above = t >= self.hi if self.open_hi else t > self.hi
         return np.logical_not(below | above)
 
-    @property
-    def bounded(self) -> bool:
-        return math.isfinite(self.lo) and math.isfinite(self.hi)
-
     def __str__(self):
         left = "(" if (self.open_lo or not math.isfinite(self.lo)) else "["
         right = ")" if (self.open_hi or not math.isfinite(self.hi)) else "]"

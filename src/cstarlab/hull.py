@@ -10,7 +10,13 @@ blocks E_1 = (lam_n I - X)/gap and E_n = (X - lam_1 I)/gap form a witness,
 which is validated before `member` is returned and yields an honest
 `boundary` verdict when it fails. Every band follows the `ToleranceConfig`
 rule at the spectral scale of T and X. The log-convex hull reduces to the same
-decision through inversion.
+decision through inversion, and the hull of f(T) through the functional
+calculus; every verdict carries the operands its witness or certificate
+refers to.
+
+This module holds the hull decision and its proof objects only; the
+sampling suites, the harmonic-sum closure suite among them, live in
+`convexity`.
 """
 
 from __future__ import annotations
@@ -19,16 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InputError, NumericalError
-from .combinations import (
-    CoefficientTuple,
-    _inv_pd_arr,
-    _log_combine_arr,
-    _sample_tuple_arrs,
-    apply_combination,
-    validate_tuple,
-)
-from .convexity import TestVerdict, _by_key, _min, _run_suite
+from .errors import DimensionMismatchError, InputError
+from .combinations import CoefficientTuple, _inv_pd_arr, apply_combination, validate_tuple
 from .functions import ScalarFunctionSpec
 from .hermitian import (
     DEFAULT_TOL,
@@ -36,10 +34,6 @@ from .hermitian import (
     HermitianMatrix,
     ToleranceConfig,
     _eigh,
-    _from_eig,
-    _max_abs_eig,
-    _mineig,
-    _rand_hermitian_arr,
     _require_pd,
     apply_function,
 )
@@ -58,10 +52,7 @@ __all__ = [
     "witness_to_tuple",
     "lch_membership",
     "hull_of_function",
-    "harmonic_sum_closure_test",
 ]
-
-_SALT_HARMONIC = 10
 
 
 @dataclass(frozen=True)
@@ -128,13 +119,16 @@ class OracleResult:
 
 @dataclass(frozen=True, eq=False)
 class FeasibilityResult:
-    """Verdict of a hull decision. `residual` is the escape of X beyond the
-    hull for `non-member`, the distance of X to lam I for a degenerate T, and
+    """Verdict of a hull decision on the operands `t` and `x`, which its
+    witness or certificate refer to. `residual` is the escape of x beyond the
+    hull for `non-member`, the distance of x to lam I for a degenerate t, and
     otherwise the largest defect of the closed-form witness. `iterations` is
     always 0 and stays because the perfbench harness reads it."""
 
     status: str  # 'member' | 'non-member' | 'boundary'
     residual: float
+    t: HermitianMatrix
+    x: HermitianMatrix
     witness: HullWitness | None = None
     certificate: HullCertificate | None = None
     iterations: int = field(default=0, init=False)
@@ -232,6 +226,8 @@ def hull_membership(
         return FeasibilityResult(
             status="non-member",
             residual=escape,
+            t=T,
+            x=X,
             certificate=_certificate(X.array, lam[0], lam[-1]),
         )
     if degenerate:
@@ -242,8 +238,8 @@ def hull_membership(
         valid = check.valid
         residual = max(check.sum_defect, check.moment_defect, -check.min_eig)
     if valid:
-        return FeasibilityResult(status="member", residual=residual, witness=witness)
-    return FeasibilityResult(status="boundary", residual=residual)
+        return FeasibilityResult(status="member", residual=residual, t=T, x=X, witness=witness)
+    return FeasibilityResult(status="boundary", residual=residual, t=T, x=X)
 
 
 def two_point_witness(
@@ -306,17 +302,12 @@ def lch_membership(
     T: HermitianMatrix, X: HermitianMatrix, tol: ToleranceConfig = DEFAULT_TOL
 ) -> FeasibilityResult:
     """Membership in the C*-log-convex hull of {T}, decided through the
-    reduction X in LCH(T) iff X^{-1} in CH(T^{-1}); the returned witness or
-    certificate refers to that reduced problem."""
+    reduction X in LCH(T) iff X^{-1} in CH(T^{-1}); the verdict's operands,
+    and so its witness or certificate, are that reduced pair."""
     if T.dim != X.dim:
         raise DimensionMismatchError(f"dims {T.dim} and {X.dim} differ")
     _require_pd(tol, T=T, X=X)
-    return hull_membership(*_lch_reduce(T, X), tol)
-
-
-def _lch_reduce(T: HermitianMatrix, X: HermitianMatrix):
-    """(T^{-1}, X^{-1}): X lies in LCH(T) iff X^{-1} lies in CH(T^{-1})."""
-    return tuple(HermitianMatrix._wrap(_inv_pd_arr(M.array)) for M in (T, X))
+    return hull_membership(*(HermitianMatrix._wrap(_inv_pd_arr(M.array)) for M in (T, X)), tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -344,88 +335,3 @@ def hull_of_function(T: HermitianMatrix, f: ScalarFunctionSpec) -> FunctionHull:
         transformed=ft,
     )
 
-
-# --- harmonic sums of log-convex hulls --------------------------------------
-
-
-def _parallel_sum(x, y):
-    return 1.0 / (1.0 / x + 1.0 / y)
-
-
-def _harmonic_decompose(z_arr: np.ndarray, a1, b1, a2, b2):
-    """Split Z = (X^{-1} + Y^{-1})^{-1} with spectrum(X) in [a1, b1] and
-    spectrum(Y) in [a2, b2], by bisecting the monotone diagonal path of the
-    parallel sum for each eigenvalue of Z. Returns (X, Y, residual); on a
-    stack of Z, stacks of X and Y and one residual per matrix."""
-    w, u = _eigh(z_arr)
-    lo = _parallel_sum(a1, a2)
-    hi = _parallel_sum(b1, b2)
-    if hi - lo <= 0.0:
-        xs, ys = np.full_like(w, a1), np.full_like(w, a2)
-    else:
-        target = np.clip(w, lo, hi)
-        t_lo, t_hi = np.zeros_like(w), np.ones_like(w)
-        for _ in range(80):
-            t = (t_lo + t_hi) / 2.0
-            below = _parallel_sum(a1 + t * (b1 - a1), a2 + t * (b2 - a2)) < target
-            t_lo, t_hi = np.where(below, t, t_lo), np.where(below, t_hi, t)
-        t = (t_lo + t_hi) / 2.0
-        xs, ys = a1 + t * (b1 - a1), a2 + t * (b2 - a2)
-    residual = np.max(np.abs(_parallel_sum(xs, ys) - w), axis=-1)
-    return _from_eig(u, xs), _from_eig(u, ys), residual
-
-
-def harmonic_sum_closure_test(
-    T1: HermitianMatrix,
-    T2: HermitianMatrix,
-    samples: int = 300,
-    *,
-    seed: int,
-    tol: ToleranceConfig = DEFAULT_TOL,
-) -> TestVerdict:
-    """Closure of {(X^{-1} + Y^{-1})^{-1}: X in LCH(T1), Y in LCH(T2)} under
-    log-combinations.
-
-    Membership in the harmonic-sum set is checked against its interval
-    characterization [p(a1, a2), p(b1, b2)] (p = parallel sum of the hull
-    interval endpoints), and every combined element is constructively
-    re-split into admissible X and Y parts.
-    """
-    if T1.dim != T2.dim:
-        raise DimensionMismatchError(f"dims {T1.dim} and {T2.dim} differ")
-    _require_pd(tol, T1=T1, T2=T2)
-    dim = T1.dim
-    l1 = np.linalg.eigvalsh(T1.array)
-    l2 = np.linalg.eigvalsh(T2.array)
-    a1, b1 = float(l1[0]), float(l1[-1])
-    a2, b2 = float(l2[0]), float(l2[-1])
-    h_lo = _parallel_sum(a1, a2)
-    h_hi = _parallel_sum(b1, b2)
-    eye = np.eye(dim, dtype=np.complex128)
-
-    def evaluate(m, rngs):
-        coeffs = _sample_tuple_arrs(dim, m, rngs)
-        zs = [_inv_pd_arr(_inv_pd_arr(_rand_hermitian_arr(dim, a1, b1, rngs))
-                          + _inv_pd_arr(_rand_hermitian_arr(dim, a2, b2, rngs))) for _ in range(m)]
-        combined = _log_combine_arr(coeffs, zs)
-        margins = _min(_mineig(combined - h_lo * eye), _mineig(h_hi * eye - combined))
-        scales = np.maximum(max(abs(h_lo), abs(h_hi)), _max_abs_eig(combined))
-        bands = np.array([tol.psd(scale) for scale in scales.tolist()])
-        inside = margins >= -bands
-        if inside.any():
-            # constructive expressibility: re-split each combined element inside
-            _, _, residual = _harmonic_decompose(combined[inside], a1, b1, a2, b2)
-            margin, band = margins[inside], bands[inside]
-            bad = residual > band + np.maximum(0.0, -margin)
-            if bad.any():
-                raise NumericalError(
-                    f"harmonic decomposition residual {residual[bad][0]:.3e} is inconsistent "
-                    f"with the interval margin {margin[bad][0]:.3e}"
-                )
-        inputs = {"xs": zs, "coeffs": coeffs, "interval": (h_lo, h_hi)}
-        return margins, scales, inputs, combined, np.broadcast_to(h_hi * eye, combined.shape)
-
-    def draw(rngs, idxs, tracker):
-        return _by_key([int(rng.integers(1, 4)) for rng in rngs], rngs, evaluate)
-
-    return _run_suite(tol, seed, _SALT_HARMONIC, samples, draw, kind="harmonic-sum")

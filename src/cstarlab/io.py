@@ -186,15 +186,15 @@ def certificate_to_payload(
     }
 
 
-def feasibility_to_payload(
-    res: FeasibilityResult, T: HermitianMatrix, X: HermitianMatrix
-) -> dict:
+def feasibility_to_payload(res: FeasibilityResult) -> dict:
+    """The verdict, its witness and its certificate, which carries the
+    verdict's own operands (for `lch_membership`, the inverted pair)."""
     return {
         "status": res.status,
         "residual": float(res.residual),
         "witness": witness_to_payload(res.witness) if res.witness else None,
         "certificate": (
-            certificate_to_payload(res.certificate, T, X) if res.certificate else None
+            certificate_to_payload(res.certificate, res.t, res.x) if res.certificate else None
         ),
     }
 

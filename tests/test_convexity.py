@@ -7,6 +7,7 @@ from cstarlab import (
     HermitianMatrix,
     InputError,
     NonPositiveError,
+    NumericalError,
     ScalarFunctionSpec,
     SpectrumInterval,
     TestVerdict,
@@ -377,6 +378,9 @@ CUT = ScalarFunctionSpec(
     "cut", SpectrumInterval(0.0, open_lo=True), lambda t: np.where(t > 0.03, 1.0 / t, -1.0)
 )
 WELL = parse_function("poly:1,0,-2,0,1")
+HUGE = parse_function("poly:0,0,5e305")
+# f(X^{-1}) leaves the domain [0, 2] whenever X has an eigenvalue below 1/2
+BUMP = ScalarFunctionSpec("bump", SpectrumInterval(0.0, 2.0), lambda t: np.asarray(t, float) ** 2 + 1.0)
 N = 300
 CHUNKING_CASES = {
     # clean runs of all nine suites walk every chunk size
@@ -413,6 +417,9 @@ CHUNKING_CASES = {
     "log-midpoint at 0": (lambda: log_midpoint_test(T2, 2, N, seed=0), 1),
     "log-harmonic at 0": (lambda: log_harmonic_jensen_test(T2, 2, 2, N, seed=0), 1),
     "sublevel inside [3, 7)": (lambda: sublevel_family_test([(WELL, 0.9)], 2, 2, N, seed=23), 7),
+    # four stacked draws raise DomainError and rerun alone, where 39 retries
+    # in all come before the violation
+    "log-epigraph domain retries": (lambda: log_epigraph_closure_test(BUMP, 1, 2, N, seed=3), 53),
     "interval-set swap certificate": (
         lambda: interval_set_falsifier(HermitianMatrix.diagonal([0.5, 1.0, 4.0]), N, seed=1), 0),
     # a positive-valued suite meets a non-positive value after clean samples,
@@ -421,6 +428,12 @@ CHUNKING_CASES = {
     "log-midpoint non-positive at 63": (lambda: log_midpoint_test(CUT, 2, N, seed=15), (NonPositiveError, 63)),
     "log-harmonic non-positive at 10": (
         lambda: log_harmonic_jensen_test(CUT, 2, 2, N, seed=4), (NonPositiveError, 10)),
+    # a non-finite margin raises at its sample instead of passing as clean:
+    # NaN, and -inf at an infinite scale, both inside [191, 255)
+    "jensen NaN margin at 207": (
+        lambda: jensen_test(HUGE, "tuple", 2, 1, N, seed=1), (NumericalError, 207)),
+    "midpoint -inf margin at 202": (
+        lambda: midpoint_convexity_test(HUGE, 2, N, seed=1), (NumericalError, 202)),
     # the InputError window paths, at the first sample
     "midpoint window too small": (lambda: midpoint_convexity_test(POINT, 2, N, seed=1), (InputError, 0)),
     "epigraph window too small": (lambda: epigraph_closure_test(POINT, 2, 2, N, seed=1), (InputError, 0)),

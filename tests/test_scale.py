@@ -174,7 +174,7 @@ def test_certificate_rechecks_at_any_scale_and_only_for_its_input(case, c, m, se
     t, x, _ = case
     res = hull_membership(t, x)
     assume(res.status == "non-member")
-    payload = scaled_certificate(feasibility_to_payload(res, t, x)["certificate"], c)
+    payload = scaled_certificate(feasibility_to_payload(res)["certificate"], c)
     assert recheck_payload(payload).ok
     member = sample_hull_member(t, sample_tuple(t.dim, m, seed))
     payload["x"] = encode_complex_matrix(c * member.array)

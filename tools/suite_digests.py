@@ -1,14 +1,21 @@
-"""Print sha256 digests of falsifier-suite verdict bodies over a fixed grid.
+"""Print sha256 digests of falsifier-suite verdict bodies and CLI outputs
+over a fixed grid.
 
 Each line is `<sha256>  <call>` for one library call: the digest of the
 canonical JSON of `verdict_to_payload(verdict)` (or of the raised error's
-type and message). The last lines give the call, violation and error counts
-and a combined digest over all lines. The grid covers all nine suites,
-including `sublevel_family_test` and `harmonic_sum_closure_test`, which no
-CLI command reaches, plus `embed_counterexample`, at a budget of 30 samples.
-A second grid reruns a subset of it at 300 samples (lines named `n300 ...`),
-so that clean runs walk the sampling engine's largest chunks and violations
-fall far from the first sample.
+type and message). The grid covers all nine suites, including
+`sublevel_family_test` and `harmonic_sum_closure_test`, which no CLI command
+reaches, plus `embed_counterexample`, at a budget of 30 samples. A second
+grid reruns a subset of it at 300 samples (lines named `n300 ...`), so that
+clean runs walk the sampling engine's largest chunks and violations fall far
+from the first sample.
+
+A third grid (lines named `cli ...`) runs `cstarlab.cli.main` in a
+temporary directory on fixed matrix files and prints
+`<sha256>  cli <run> exit <code>`: the digest of the report body
+(`report_body_bytes`), of the witness file, or of stdout where a command
+writes neither. The last lines give the call, violation, error and CLI
+counts and a combined digest over all lines.
 
 Two source trees produce byte-identical verdicts iff their outputs match:
 
@@ -20,12 +27,17 @@ Digests depend on the LAPACK build, so compare runs on one machine only.
 from __future__ import annotations
 
 import hashlib
+import os
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 
 import numpy as np
 
 from cstarlab import (
     HermitianMatrix,
+    cli,
     embed_counterexample,
     epigraph_closure_test,
     harmonic_sum_closure_test,
@@ -41,7 +53,14 @@ from cstarlab import (
 from cstarlab.errors import CstarlabError
 from cstarlab.functions import ScalarFunctionSpec
 from cstarlab.hermitian import SpectrumInterval
-from cstarlab.io import canonical_dumps, counterexample_to_payload, verdict_to_payload
+from cstarlab.io import (
+    canonical_dumps,
+    counterexample_to_payload,
+    load_report,
+    report_body_bytes,
+    save_matrix,
+    verdict_to_payload,
+)
 
 SEED = 7
 SAMPLES = 30
@@ -182,6 +201,85 @@ def long_grid():
             a, b, LONG_SAMPLES, seed=SEED)
 
 
+CLI_MATRICES = {
+    "t.json": _rotated([1.0, 2.0, 4.0], 11),
+    "x-in.json": _rotated([1.5, 2.5, 3.0], 12),
+    "x-out.json": _rotated([0.5, 2.0, 3.0], 13),
+    # escapes [1, 4] by 1e-8: inside the psd band, but the witness block
+    # (X - I)/3 has eigenvalue -3e-9 < -1e-10, so the verdict is `boundary`
+    "x-tie.json": _rotated([1.0 - 1e-8, 2.0, 3.0], 14),
+    "t-flat.json": _diag(2.0, 2.0, 2.0),
+    "a-spread.json": _rotated([0.5, 1.0, 4.0], 15),
+    "a-flat.json": _diag(1.5, 1.5, 1.5),
+}
+
+
+def cli_grid():
+    """Yield (name, argv, source) for every CLI run, in order: `source` is
+    `report` (the body of the report at --out), `file` (the bytes at --out)
+    or `stdout`. Paths are relative, so report bodies, which echo the
+    command line, do not depend on the temporary directory."""
+    run = ["--samples", str(SAMPLES), "--seed", str(SEED)]
+    yield "classify t^2", ["classify", "--function", "t^2", "--dims", "2", *run], "report"
+    for mode in ("isometry", "tuple", "map-family"):
+        yield f"jensen {mode} t^4", [
+            "jensen", "--mode", mode, "--function", "t^4", "--dims", "2,3", *run], "report"
+    for noise in ("0", "0.1"):
+        yield f"epigraph t^4 n{noise}", [
+            "epigraph", "--function", "t^4", "--dims", "2", "--noise", noise, *run], "report"
+        yield f"log-epigraph t^0.5 n{noise}", [
+            "log-epigraph", "--function", "t^0.5", "--dims", "2", "--noise", noise, *run], "report"
+    yield "interval-set certificate", [
+        "interval-set", "--a", "a-spread.json", *run, "--out", "interval.json"], "report"
+    yield "interval-set clean", ["interval-set", "--a", "a-flat.json", *run], "report"
+    hull_cases = {"member": ("t.json", "x-in.json"), "non-member": ("t.json", "x-out.json"),
+                  "tie": ("t.json", "x-tie.json"), "degenerate": ("t-flat.json", "t-flat.json")}
+    for case, (t, x) in hull_cases.items():
+        yield f"hull member {case}", [
+            "hull", "member", "--t", t, "--x", x, "--out", f"hull-{case}.json"], "report"
+    yield "hull member tie tol 1e-6", [
+        "hull", "member", "--t", "t.json", "--x", "x-tie.json", "--tol", "1e-6"], "report"
+    yield "hull witness member", [
+        "hull", "witness", "--t", "t.json", "--x", "x-in.json", "--out", "witness.json"], "file"
+    for case in ("non-member", "tie"):
+        t, x = hull_cases[case]
+        yield f"hull witness {case}", [
+            "hull", "witness", "--t", t, "--x", x, "--out", "witness.json"], "stdout"
+    for case in ("member", "non-member"):
+        yield f"lch member {case}", ["lch", "member", "--t", "t.json", "--x", hull_cases[case][1],
+                                     "--out", f"lch-{case}.json"], "report"
+    for report in ("hull-non-member.json", "lch-non-member.json", "interval.json"):
+        yield f"verify {report}", ["verify", "--report", report], "stdout"
+
+
+def cli_lines():
+    """Yield one `<sha256>  cli <run> exit <code>` line per CLI run."""
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for path, matrix in CLI_MATRICES.items():
+                save_matrix(path, matrix)
+            for name, argv, source in cli_grid():
+                if source != "stdout" and "--out" not in argv:
+                    argv = [*argv, "--out", "out.json"]
+                stdout = StringIO()
+                with redirect_stdout(stdout), redirect_stderr(StringIO()):
+                    code = cli.main(argv)
+                if source == "stdout":
+                    data = stdout.getvalue().encode()
+                else:
+                    out = argv[argv.index("--out") + 1]
+                    if source == "report":
+                        data = report_body_bytes(load_report(out))
+                    else:
+                        with open(out, "rb") as fh:
+                            data = fh.read()
+                yield f"{hashlib.sha256(data).hexdigest()}  cli {name} exit {code}"
+        finally:
+            os.chdir(cwd)
+
+
 def _embedded(verdict, f, scalar):
     return embed_counterexample(verdict.counterexample, f, scalar)
 
@@ -207,6 +305,10 @@ def main() -> int:
         combined.update((line + "\n").encode())
         counts["calls"] += 1
         counts[outcome] = counts.get(outcome, 0) + 1
+    for line in cli_lines():
+        print(line)
+        combined.update((line + "\n").encode())
+        counts["cli"] = counts.get("cli", 0) + 1
     print(" ".join(f"{k}={v}" for k, v in counts.items()))
     print(f"combined {combined.hexdigest()}")
     return 0
