@@ -60,12 +60,12 @@ from .convexity import (
     TestVerdict,
     embed_counterexample,
     epigraph_closure_test,
+    harmonic_sum_closure_test,
     interval_set_falsifier,
     jensen_test,
     log_epigraph_closure_test,
     log_harmonic_jensen_test,
     log_midpoint_test,
-    harmonic_sum_closure_test,
     midpoint_convexity_test,
     sublevel_family_test,
 )

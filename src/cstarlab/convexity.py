@@ -1,12 +1,11 @@
 """Sampling-based verification and falsification of operator inequalities.
 
 Every suite draws seeded random instances, checks one inequality in the
-Loewner order or one set-closure statement, and either reports
-`no-violation-found` (evidence, not proof) or returns a machine-checkable
-counterexample. Six suites test Jensen-type inequalities for a scalar
-function; three test closure of a set under C*-combinations: the order
-interval [0, A], a joint sublevel set, and the harmonic sums of two
-log-convex hulls. Falsifiers escalate the
+Loewner order, and either reports `no-violation-found` (evidence, not proof)
+or returns a machine-checkable counterexample. Six suites test Jensen-type
+inequalities for a scalar function; three test that a set stays closed under
+C*-combinations: the order interval [0, A], a joint sublevel set, and the
+harmonic sums of two C*-log-convex hulls. Falsifiers escalate the
 eigenvalue spread geometrically across three rounds, since several
 inequalities only fail visibly for well-separated spectra.
 
@@ -191,7 +190,7 @@ class _Tracker:
         infinite, so it raises rather than pass as a clean sample."""
         if not (math.isfinite(margin) and math.isfinite(scale)):
             raise NumericalError(
-                f"sample {self.run} has a non-finite margin {margin} at scale {scale}"
+                f"sample {self.run} has margin {margin} at scale {scale}; both must be finite"
             )
         self.run += 1
         self.worst = min(self.worst, margin)
