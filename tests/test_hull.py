@@ -352,88 +352,6 @@ class TestHarmonicSumClosure:
 
     def test_requires_positive(self):
         with pytest.raises(NonPositiveError):
-            lch_membership(HermitianMatrix(np.diag([1.0, 0.0])), HermitianMatrix.identity(2))
-
-
-class TestFunctionHull:
-    def test_square(self):
-        h = hull_of_function(HermitianMatrix(np.diag([1.0, 2.0])), parse_function("t^2"))
-        assert np.allclose(h.eigenvalues, [1.0, 4.0])
-        assert h.membership(HermitianMatrix(2.5 * np.eye(2))).status == "member"
-        assert h.membership(HermitianMatrix(5.0 * np.eye(2))).status == "non-member"
-
-    def test_constant_singleton(self):
-        h = hull_of_function(HermitianMatrix(np.diag([1.0, 2.0])), parse_function("const:3.0"))
-        assert np.allclose(h.eigenvalues, [3.0, 3.0])
-        assert h.membership(HermitianMatrix(3.0 * np.eye(2))).status == "member"
-        assert h.membership(HermitianMatrix(np.diag([3.0, 3.1]))).status == "non-member"
-
-    def test_inverse(self):
-        h = hull_of_function(HermitianMatrix(np.diag([1.0, 2.0])), parse_function("t^-1"))
-        assert np.allclose(h.eigenvalues, [0.5, 1.0])
-
-
-class TestHarmonicSumClosure:
-    def test_scalar_singleton(self):
-        a, b = 2.0, 3.0
-        v = harmonic_sum_closure_test(
-            HermitianMatrix(a * np.eye(2)), HermitianMatrix(b * np.eye(2)), 50, seed=1
-        )
-        assert v.status == "no-violation-found"
-        # the set collapses to the single parallel sum
-        assert abs(_parallel_sum(a, b) - (a * b) / (a + b)) < 1e-15
-
-    def test_random_dim3(self):
-        t1 = sample_hermitian(3, SpectrumInterval(0.5, 2.0), 21)
-        t2 = sample_hermitian(3, SpectrumInterval(1.0, 3.0), 22)
-        v = harmonic_sum_closure_test(t1, t2, 300, seed=42)
-        assert v.status == "no-violation-found"
-
-    def test_unitary_combination_exact(self):
-        # a single-unitary log-combination conjugates, so membership in the
-        # harmonic-sum set is preserved exactly
-        rng = np.random.default_rng(24)
-        a1, b1, a2, b2 = 0.5, 2.0, 1.0, 3.0
-        lo, hi = _parallel_sum(a1, a2), _parallel_sum(b1, b2)
-        for _ in range(20):
-            ux, uy = haar_unitary(3, rng), haar_unitary(3, rng)
-            x = (ux * rng.uniform(a1, b1, 3)) @ ux.conj().T
-            y = (uy * rng.uniform(a2, b2, 3)) @ uy.conj().T
-            z = np.linalg.inv(np.linalg.inv(x) + np.linalg.inv(y))
-            u = haar_unitary(3, rng)
-            conj = u.conj().T @ z @ u
-            w = np.linalg.eigvalsh(conj)
-            assert np.all(w >= lo - 1e-10) and np.all(w <= hi + 1e-10)
-            assert np.allclose(np.sort(w), np.sort(np.linalg.eigvalsh(z)), atol=1e-10)
-
-    def test_interval_characterization_brute_force_dim2(self):
-        # the harmonic-sum set of two interval hulls is itself an interval
-        # set: every (X^{-1}+Y^{-1})^{-1} lands inside, and every matrix with
-        # spectrum inside decomposes back into admissible parts
-        rng = np.random.default_rng(23)
-        a1, b1, a2, b2 = 0.5, 2.0, 1.0, 3.0
-        lo, hi = _parallel_sum(a1, a2), _parallel_sum(b1, b2)
-        for _ in range(200):
-            ux, uy = haar_unitary(2, rng), haar_unitary(2, rng)
-            x = (ux * rng.uniform(a1, b1, 2)) @ ux.conj().T
-            y = (uy * rng.uniform(a2, b2, 2)) @ uy.conj().T
-            z = np.linalg.inv(np.linalg.inv(x) + np.linalg.inv(y))
-            w = np.linalg.eigvalsh(z)
-            assert np.all(w >= lo - 1e-10) and np.all(w <= hi + 1e-10)
-        for _ in range(200):
-            uz = haar_unitary(2, rng)
-            z = (uz * rng.uniform(lo, hi, 2)) @ uz.conj().T
-            xs, ys, residual = _harmonic_decompose(z, a1, b1, a2, b2)
-            assert residual < 1e-10
-            assert np.all(np.linalg.eigvalsh(xs) >= a1 - 1e-9)
-            assert np.all(np.linalg.eigvalsh(xs) <= b1 + 1e-9)
-            assert np.all(np.linalg.eigvalsh(ys) >= a2 - 1e-9)
-            assert np.all(np.linalg.eigvalsh(ys) <= b2 + 1e-9)
-            rebuilt = np.linalg.inv(np.linalg.inv(xs) + np.linalg.inv(ys))
-            assert specnorm(rebuilt - z) < 1e-9
-
-    def test_requires_positive(self):
-        with pytest.raises(NonPositiveError):
             harmonic_sum_closure_test(
                 HermitianMatrix(np.diag([1.0, -0.1])), HermitianMatrix.identity(2), 10, seed=0
             )
