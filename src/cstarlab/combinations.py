@@ -5,6 +5,12 @@ convex weights; applying it to operators X_i forms sum C_i* X_i C_i, and the
 log variant forms (sum C_i* X_i^{-1} C_i)^{-1}. This module also builds the
 witness-style tuples used to reduce positive unital map families and
 eigenvalue scalarizations to plain C*-combinations.
+
+Positive maps (`KrausMap`) and unital families of them take stacks like
+the kernel's array helpers: operators of shape (..., d, d) with one
+transpose flag per stacked map, applied to each matrix of the stack exactly
+as to that matrix alone. The sampling engine draws one stacked family per
+chunk and applies it through the same `apply_arr` as a single map.
 """
 
 from __future__ import annotations
@@ -113,39 +119,48 @@ class OperatorTuple:
 class KrausMap:
     """A positive linear map X -> sum_k A_k* X A_k, optionally precomposed
     with the entrywise transpose (which keeps the map positive but breaks
-    complete positivity)."""
+    complete positivity).
+
+    Like the kernel's array helpers, a map may be a stack: operators of
+    shape (..., d, d) and `transpose` one flag per stacked map (an array of
+    shape (...)). A map of 2-D operators keeps a plain bool."""
 
     kraus: tuple
-    transpose: bool = False
+    transpose: bool | np.ndarray = False
 
-    def __init__(self, kraus: Sequence[np.ndarray], transpose: bool = False):
+    def __init__(self, kraus: Sequence[np.ndarray], transpose: bool | Sequence[bool] = False):
         mats = tuple(np.array(a, dtype=np.complex128) for a in kraus)
         if not mats:
             raise InputError("a Kraus map needs at least one operator")
-        d = mats[0].shape[0]
+        shape = mats[0].shape
         for a in mats:
-            if a.shape != (d, d):
-                raise InputError("Kraus operators must be square and of equal dim")
+            if a.ndim < 2 or a.shape != shape or shape[-1] != shape[-2]:
+                raise InputError("Kraus operators must be square and of equal shape")
             a.setflags(write=False)
+        flags = np.asarray(transpose, bool)
+        if flags.shape not in ((), shape[:-2]):
+            raise InputError(f"transpose flags of shape {flags.shape} do not match the "
+                             f"stack shape {shape[:-2]}")
         object.__setattr__(self, "kraus", mats)
-        object.__setattr__(self, "transpose", bool(transpose))
+        object.__setattr__(self, "transpose", bool(flags) if len(shape) == 2 else flags)
 
     @property
     def dim(self) -> int:
-        return self.kraus[0].shape[0]
+        return self.kraus[0].shape[-1]
 
     def apply_arr(self, x: np.ndarray) -> np.ndarray:
-        y = x.T if self.transpose else x
-        return sum(a.conj().T @ y @ a for a in self.kraus)
+        y = np.where(np.asarray(self.transpose)[..., None, None], x.mT, x)
+        return sum(a.conj().mT @ y @ a for a in self.kraus)
 
     def unit_image(self) -> np.ndarray:
         """Value on the identity; independent of the transpose flag."""
-        return sum(a.conj().T @ a for a in self.kraus)
+        return sum(a.conj().mT @ a for a in self.kraus)
 
 
 @dataclass(frozen=True, eq=False)
 class UnitalMapFamily:
-    """Positive linear maps Phi_i whose values on the identity sum to I."""
+    """Positive linear maps Phi_i whose values on the identity sum to I;
+    stacked maps form one family per stacked sample."""
 
     maps: tuple
 
@@ -166,6 +181,10 @@ class UnitalMapFamily:
     @property
     def m(self) -> int:
         return len(self.maps)
+
+    def apply_arr(self, xs: Sequence[np.ndarray]) -> np.ndarray:
+        """sum Phi_i(X_i)."""
+        return sum(phi.apply_arr(x) for phi, x in zip(self.maps, xs))
 
 
 def _require_unital(units: np.ndarray, tol: ToleranceConfig) -> None:
@@ -210,86 +229,47 @@ def sample_tuple(dim: int, m: int, rng_seed) -> CoefficientTuple:
     return CoefficientTuple([c[0] for c in _sample_tuple_arrs(dim, m, [rng])])
 
 
-def sample_map_family(
-    dim: int,
-    m: int,
-    rng_seed,
-    max_kraus: int = 3,
-    transpose_prob: float = 0.5,
-) -> UnitalMapFamily:
+_MAX_KRAUS = 3  # Kraus operators per sampled map, at most
+
+
+def sample_map_family(dim: int, m: int, rng_seed, transpose_prob: float = 0.5) -> UnitalMapFamily:
     """Random unital family of positive maps: Kraus blocks cut from one tall
     isometry, each map transposed with the given probability."""
     if dim < 1 or m < 1:
         raise InputError("dim and m must be at least 1")
     rng = _seeded_rng(rng_seed)
-    return _family_at(_sample_family_arrs(dim, m, [rng], max_kraus, transpose_prob), 0)
+    return _family_at(_sample_families(dim, m, [rng], transpose_prob), 0)
 
 
-def _sample_family_arrs(dim: int, m: int, rngs, max_kraus: int = 3, transpose_prob: float = 0.5):
-    """One `sample_map_family` draw per generator, as arrays: `kraus[i, k]`
-    stacks Kraus operator k of map i over the samples (zero past a sample's
-    count), `sizes[j, i]` counts the operators of map i in sample j, and
-    `flips[j, i]` says whether that map transposes. Each generator draws the
-    sizes, then its isometry (the samples are stacked by total size), then
-    the flags. Raises as `UnitalMapFamily` does for a family that is not
-    unital."""
+def _sample_families(dim: int, m: int, rngs, transpose_prob: float = 0.5):
+    """One `sample_map_family` draw per generator, as `(family, sizes)`: a
+    family of m stacked maps, each with `_MAX_KRAUS` operators that are zero
+    past a sample's count, and `sizes[j, i]`, the count of map i in sample
+    j. Each generator draws the sizes, then its isometry (the samples are
+    stacked by total size), then the flags."""
     n = len(rngs)
-    sizes = np.array([[int(rng.integers(1, max_kraus + 1)) for _ in range(m)] for rng in rngs])
+    sizes = np.array([[int(rng.integers(1, _MAX_KRAUS + 1)) for _ in range(m)] for rng in rngs])
     totals = sizes.sum(axis=1)
-    kraus = np.zeros((m, max_kraus, n, dim, dim), dtype=np.complex128)
+    kraus = np.zeros((m, _MAX_KRAUS, n, dim, dim), dtype=np.complex128)
     for total in dict.fromkeys(totals.tolist()):
         group = np.flatnonzero(totals == total)
-        blocks = _sample_tuple_arrs(dim, total, [rngs[j] for j in group])
+        # the group's isometries, as in `_sample_tuple_arrs`, cut into blocks
+        blocks = _haar_columns(total * dim, dim, [rngs[j] for j in group])
+        blocks = blocks.reshape(len(group), total, dim, dim)
         for pos, j in enumerate(group):
             at = 0
             for i, size in enumerate(sizes[j].tolist()):
-                for k in range(size):
-                    kraus[i, k, j] = blocks[at + k][pos]
+                kraus[i, :size, j] = blocks[pos, at : at + size]
                 at += size
     flips = np.array([[rng.random() < transpose_prob for _ in range(m)] for rng in rngs])
-    _require_unital(_kraus_sums(kraus, sizes, lambda i, a, sel: a.conj().mT @ a), DEFAULT_TOL)
-    return kraus, sizes, flips
+    return UnitalMapFamily([KrausMap(kraus[i], flips[:, i]) for i in range(m)]), sizes
 
 
 def _family_at(fams, j: int) -> UnitalMapFamily:
-    """Sample j of `_sample_family_arrs` as a UnitalMapFamily."""
-    kraus, sizes, flips = fams
-    return UnitalMapFamily([KrausMap(kraus[i, :size, j], transpose=bool(flips[j, i]))
-                            for i, size in enumerate(sizes[j].tolist())])
-
-
-def _kraus_sums(kraus, sizes, term):
-    """sum_i sum_k term(i, A_ik, sel) per sample, summed in the order of
-    `sum(sum(... for A in map.kraus) for map in maps)`; `term` gets the
-    stacked Kraus operators of the samples `sel` that have operator k of map
-    i, and returns their stacked terms."""
-    total = 0
-    for i in range(kraus.shape[0]):
-        part = 0 + term(i, kraus[i, 0], slice(None))  # every map has an operator 0
-        for k in range(1, sizes[:, i].max()):
-            sel = np.flatnonzero(sizes[:, i] > k)
-            part[sel] = part[sel] + term(i, kraus[i, k, sel], sel)
-        total = total + part
-    return total
-
-
-def _apply_families(fams, xs) -> np.ndarray:
-    """sum_i Phi_i(X_i) for each sample, with that sample's own family from
-    `_sample_family_arrs`; each map computes as `KrausMap.apply_arr`."""
-    kraus, sizes, flips = fams
-
-    def term(i, a, sel):
-        # a transposing map multiplies the transposed view, as apply_arr does
-        y, flip = xs[i][sel], flips[sel, i]
-        if flip.all() or not flip.any():
-            return a.conj().mT @ (y.mT if flip[0] else y) @ a
-        out = np.empty(a.shape, dtype=np.complex128)
-        for mask, flipped in ((~flip, False), (flip, True)):
-            v = y[mask]
-            out[mask] = a[mask].conj().mT @ (v.mT if flipped else v) @ a[mask]
-        return out
-
-    return _kraus_sums(kraus, sizes, term)
+    """Sample j of `_sample_families`, each map cut to its own operators."""
+    fam, sizes = fams
+    return UnitalMapFamily([KrausMap([a[j] for a in phi.kraus[:size]], phi.transpose[j])
+                            for phi, size in zip(fam.maps, sizes[j].tolist())])
 
 
 def _combine_arr(coeffs: Sequence[np.ndarray], xs: Sequence[np.ndarray]) -> np.ndarray:
@@ -430,20 +410,16 @@ def positive_family_combination(
     if any(x.dim != fam.dim for x in xs):
         raise DimensionMismatchError("operand dim does not match family dim")
     _require_unital(sum(m.unit_image() for m in fam.maps), tol)
-    d = fam.dim
-    value = np.zeros((d, d), dtype=np.complex128)
     coeffs = []
     scalars = []
     for phi, x in zip(fam.maps, xs):
-        value += phi.apply_arr(x.array)
         w, u = _eigh(x.array)
-        for j in range(d):
-            v = u[:, j]
-            proj = np.outer(v, v.conj())
-            coeffs.append(_sqrt_psd(_sym(phi.apply_arr(proj))))
-            scalars.append(float(w[j]))
+        # projs[j] is the spectral projector v v* of the eigenvector v = u[:, j]
+        projs = u.T[:, :, None] * u.T.conj()[:, None, :]
+        coeffs.extend(_sqrt_psd(_sym(phi.apply_arr(projs))))
+        scalars.extend(w.tolist())
     return FamilyCombination(
-        value=HermitianMatrix._wrap(value),
+        value=HermitianMatrix._wrap(fam.apply_arr([x.array for x in xs])),
         equivalent_tuple=CoefficientTuple(coeffs),
         scalars=tuple(scalars),
     )

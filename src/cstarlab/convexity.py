@@ -43,12 +43,11 @@ from .errors import (
     NumericalError,
 )
 from .combinations import (
-    _apply_families,
     _combine_arr,
     _family_at,
     _inv_pd_arr,
     _log_combine_arr,
-    _sample_family_arrs,
+    _sample_families,
     _sample_tuple_arrs,
 )
 from .functions import ScalarFunctionSpec
@@ -285,7 +284,7 @@ def _run_suite(tol: ToleranceConfig, seed: int, salt: int, samples: int, draw, *
 def _first(inputs: dict) -> dict:
     """The counterexample inputs of the first sample of a stack: the lists
     `xs`, `ys` and `coeffs` hold one stack per operand, `maps` the families
-    of `_sample_family_arrs`, `bound_value` one entry per sample, and other
+    of `_sample_families`, `bound_value` one entry per sample, and other
     keys a suite-wide value."""
     out = {}
     for key, value in inputs.items():
@@ -399,15 +398,16 @@ def jensen_test(
         raise InputError("dim and m must be at least 1")
 
     def evaluate(rngs, lo, hi, tracker):
-        fams = _sample_family_arrs(dim, m, rngs) if mode == "map-family" else None
+        fams = _sample_families(dim, m, rngs) if mode == "map-family" else None
         coeffs = _sample_tuple_arrs(dim, m, rngs) if fams is None else None
 
         def build():
             xs = [_rand_hermitian_arr(dim, lo, hi, rngs) for _ in range(m)]
             if fams is None:
                 return {"xs": xs, "coeffs": coeffs}, *_jensen_sides(f, coeffs, xs)
-            lhs = _apply_arr(f, _sym(_apply_families(fams, xs)))
-            rhs = _sym(_apply_families(fams, [_apply_arr(f, x) for x in xs]))
+            fam = fams[0]
+            lhs = _apply_arr(f, _sym(fam.apply_arr(xs)))
+            rhs = _sym(fam.apply_arr([_apply_arr(f, x) for x in xs]))
             return {"xs": xs, "maps": fams}, lhs, rhs
 
         return _retry_domain(tracker, build)

@@ -122,8 +122,10 @@ class FeasibilityResult:
     """Verdict of a hull decision on the operands `t` and `x`, which its
     witness or certificate refer to. `residual` is the escape of x beyond the
     hull for `non-member`, the distance of x to lam I for a degenerate t, and
-    otherwise the largest defect of the closed-form witness. `iterations` is
-    always 0 and stays because the perfbench harness reads it."""
+    otherwise the largest defect of the closed-form witness. `check` is the
+    validation of that witness (None for `non-member`); it is not
+    serialized. `iterations` is always 0 and stays because the perfbench
+    harness reads it."""
 
     status: str  # 'member' | 'non-member' | 'boundary'
     residual: float
@@ -131,6 +133,7 @@ class FeasibilityResult:
     x: HermitianMatrix
     witness: HullWitness | None = None
     certificate: HullCertificate | None = None
+    check: WitnessCheck | None = None
     iterations: int = field(default=0, init=False)
 
     def __post_init__(self):
@@ -218,8 +221,8 @@ def hull_membership(
     with a separating eigenvector certificate. Otherwise the closed-form
     witness is built and validated: `member` if it passes, `boundary` if it
     fails, which is where ties inside the psd band land. For a degenerate T
-    the witness E_1 = I is accepted only within the solver tolerance of
-    lam I, and the rest of the band is `boundary`.
+    the witness E_1 = I is validated too, but accepted only within the
+    solver tolerance of lam I, and the rest of the band is `boundary`.
     """
     lam, scale, degenerate, escape, witness = _closed_form(T, X, tol)
     if witness is None:
@@ -230,16 +233,17 @@ def hull_membership(
             x=X,
             certificate=_certificate(X.array, lam[0], lam[-1]),
         )
+    check = witness.validate(X)
     if degenerate:
         valid = escape <= tol.solver(scale)
         residual = escape
     else:
-        check = witness.validate(X)
         valid = check.valid
         residual = max(check.sum_defect, check.moment_defect, -check.min_eig)
     if valid:
-        return FeasibilityResult(status="member", residual=residual, t=T, x=X, witness=witness)
-    return FeasibilityResult(status="boundary", residual=residual, t=T, x=X)
+        return FeasibilityResult(status="member", residual=residual, t=T, x=X, witness=witness,
+                                 check=check)
+    return FeasibilityResult(status="boundary", residual=residual, t=T, x=X, check=check)
 
 
 def two_point_witness(

@@ -3,7 +3,9 @@
 Everything here recomputes from the serialized payload alone, on a separate
 numerical path from the engines that produced it (scipy eigensolvers and
 locally re-derived matrix formulas). A payload passes when the recomputed
-violation is negative and within a factor of two of the stored magnitude.
+violation is negative and within a factor of two of the stored magnitude;
+a hull certificate's stored value and interval must also match their
+recomputation.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import scipy.linalg
 
 from .errors import InputError
 from .functions import parse_function
+from .hermitian import DEFAULT_TOL
 from .io import decode_complex_matrix
 
 __all__ = ["RecheckResult", "recheck_payload"]
@@ -129,35 +132,54 @@ def _recompute(payload) -> float:
         combined = _inv(_combine(coeffs, [_inv(z) for z in xs]))
         eye = np.eye(combined.shape[0])
         return min(_mineig(combined - lo * eye), _mineig(hi * eye - combined))
-    if kind == "hull-certificate":
-        vec = np.array([complex(p[0], p[1]) for p in payload["vector"]])
-        norm = float(np.linalg.norm(vec))
-        if abs(norm - 1.0) > 1e-8:
-            raise InputError(f"certificate vector is not unit (norm {norm})")
-        x = decode_complex_matrix(payload["x"])
-        t = decode_complex_matrix(payload["t"])
-        value = float((vec.conj() @ x @ vec).real)
-        lam = scipy.linalg.eigvalsh((t + t.conj().T) / 2.0)
-        # negative of the escape distance, to share the sign convention
-        return -max(float(lam[0] - value), float(value - lam[-1]))
     raise InputError(f"unknown payload kind {kind!r}")
+
+
+def _recompute_certificate(payload) -> tuple[float, str]:
+    """The negated escape of <Xa, a> from [lam_min(T), lam_max(T)], and which
+    stored field, `value` or `interval`, differs from its recomputation by
+    more than the psd band at the payload's scale ('' when neither does)."""
+    vec = np.array([complex(p[0], p[1]) for p in payload["vector"]])
+    norm = float(np.linalg.norm(vec))
+    if abs(norm - 1.0) > 1e-8:
+        raise InputError(f"certificate vector is not unit (norm {norm})")
+    x = decode_complex_matrix(payload["x"])
+    t = decode_complex_matrix(payload["t"])
+    value = float((vec.conj() @ x @ vec).real)
+    lam = scipy.linalg.eigvalsh((t + t.conj().T) / 2.0)
+    lo, hi = float(lam[0]), float(lam[-1])
+    band = DEFAULT_TOL.psd(max(abs(lo), abs(hi), abs(value)))
+    stored_lo, stored_hi = (float(v) for v in payload["interval"])
+    mismatch = ""
+    if abs(float(payload["value"]) - value) > band:
+        mismatch = f"stored value {float(payload['value']):.6e} is not <Xa, a> = {value:.6e}"
+    elif max(abs(stored_lo - lo), abs(stored_hi - hi)) > band:
+        mismatch = (f"stored interval [{stored_lo:.6e}, {stored_hi:.6e}] is not the "
+                    f"spectral interval [{lo:.6e}, {hi:.6e}] of t")
+    # negative of the escape distance, to share the sign convention
+    return -max(lo - value, value - hi), mismatch
 
 
 def recheck_payload(payload: dict) -> RecheckResult:
     """Recompute a payload's violation and compare against the stored value.
 
     For inequality counterexamples the stored value is `violation`; for hull
-    certificates it is the negated escape `margin`. Passing requires a
-    negative recomputation within a factor of two of the stored magnitude.
+    certificates it is the negated escape `margin`, and the certificate's
+    stored `value` and `interval` must also match their recomputation.
+    Passing requires a negative recomputation within a factor of two of the
+    stored magnitude.
     """
     kind = payload.get("kind")
     if kind is None:
         raise InputError("payload has no kind")
     if kind == "hull-certificate":
         stored = -float(payload["margin"])
+        recomputed, mismatch = _recompute_certificate(payload)
+        if mismatch:
+            return RecheckResult(False, stored, recomputed, mismatch)
     else:
         stored = float(payload["violation"])
-    recomputed = _recompute(payload)
+        recomputed = _recompute(payload)
     if stored >= 0:
         return RecheckResult(False, stored, recomputed, "stored violation is not negative")
     if recomputed >= 0:

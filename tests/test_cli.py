@@ -173,6 +173,22 @@ class TestHullCommands:
             "abs_floor": 1e-14, "construction_tol": 1e-12, "psd_tol": 1e-6, "solver_tol": 1e-9,
         }
 
+    def test_witness_degenerate_boundary(self, tmp_path, two_eye, capsys):
+        # 1e-8 from 2I: inside the psd band of the degenerate T = 2I but
+        # beyond its solver band, so the valid witness E_1 = I still gives
+        # `boundary`, and its defects are printed from that one decision
+        x = write_json(
+            tmp_path / "X-tie.json",
+            {"dim": 2, "entries": [[[2, 0], [0, 0]], [[0, 0], [2 + 1e-8, 0]]]},
+        )
+        capsys.readouterr()
+        assert main(["hull", "witness", "--t", two_eye, "--x", x,
+                     "--out", str(tmp_path / "w.json")]) == 3
+        assert capsys.readouterr().out == (
+            "boundary: residual 1.00e-08; closed-form witness min_eig 0.00e+00, "
+            "sum defect 0.00e+00, moment defect 1.00e-08\n")
+        assert not (tmp_path / "w.json").exists()
+
     def test_witness_blocks_written(self, tmp_path, diag13, two_eye):
         wpath = tmp_path / "w.json"
         assert main(["hull", "witness", "--t", diag13, "--x", two_eye, "--out", str(wpath)]) == 0
@@ -276,6 +292,48 @@ class TestVerifyAndReport:
         out = tmp_path / "r.json"
         assert main(["lch", "member", "--t", t, "--x", half, "--out", str(out)]) == 1
         assert main(["verify", "--report", str(out)]) == 0
+
+    def test_verify_rejects_forged_certificate_fields(self, tmp_path, diag13, capsys):
+        outside = write_json(
+            tmp_path / "O.json",
+            {"dim": 2, "entries": [[[0, 0], [0, 0]], [[0, 0], [2, 0]]]},
+        )
+        out = tmp_path / "r.json"
+        assert main(["hull", "member", "--t", diag13, "--x", outside, "--out", str(out)]) == 1
+        clean = json.loads(out.read_text())
+        forgeries = {"interval": {"interval": [100.0, 200.0]}, "value": {"value": -7.0},
+                     "both": {"interval": [100.0, 200.0], "value": -7.0}}
+        for name, fields in forgeries.items():
+            report = json.loads(json.dumps(clean))
+            report["body"]["results"][0]["certificate"].update(fields)
+            out.write_text(json.dumps(report))
+            capsys.readouterr()
+            assert main(["verify", "--report", str(out)]) == 1, name
+            named = "stored interval" if name == "interval" else "stored value"
+            assert f"FAILED ({named}" in capsys.readouterr().out
+
+    def test_verify_rejects_lch_certificate_on_uninverted_operands(self, tmp_path, capsys):
+        # the certificate of X = I/2 against T = diag(1, 4) refers to the
+        # inverted pair; paired with T and X themselves its escape is half
+        # the stored margin, which the factor-of-two check alone accepts
+        t = write_json(
+            tmp_path / "T14.json",
+            {"dim": 2, "entries": [[[1, 0], [0, 0]], [[0, 0], [4, 0]]]},
+        )
+        half = write_json(
+            tmp_path / "half.json",
+            {"dim": 2, "entries": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]},
+        )
+        out = tmp_path / "r.json"
+        assert main(["lch", "member", "--t", t, "--x", half, "--out", str(out)]) == 1
+        report = json.loads(out.read_text())
+        cert = report["body"]["results"][0]["certificate"]
+        cert["t"], cert["x"] = json.loads(open(t).read()), json.loads(open(half).read())
+        out.write_text(json.dumps(report))
+        capsys.readouterr()
+        assert main(["verify", "--report", str(out)]) == 1
+        printed = capsys.readouterr().out
+        assert "recomputed -5.000000e-01" in printed and "FAILED (stored value" in printed
 
     def test_report_summary(self, tmp_path, capsys):
         out = tmp_path / "r.json"

@@ -268,3 +268,48 @@ class TestPositiveFamilyCombination:
         xs = [rand_herm(2, -1.0, 1.0, s) for s in (8, 9)]
         res = positive_family_combination(fam, xs)
         assert specnorm(res.value.array - res.value.array.conj().T) == 0.0
+
+
+class TestStackedMaps:
+    @pytest.mark.parametrize("prob", [0.0, 0.5, 1.0])
+    def test_stack_matches_each_sample(self, prob):
+        from cstarlab.combinations import _family_at, _sample_families
+
+        mixed = 0  # stacked maps whose samples disagree on the transpose
+        for dim in (2, 3, 4):
+            for m in (1, 2, 3):
+                rngs = [np.random.default_rng((dim, m, j)) for j in range(8)]
+                fams = _sample_families(dim, m, rngs, prob)
+                fam, sizes = fams
+                g = rngs[0].standard_normal((m, 8, dim, dim, 2))
+                xs = list(g[..., 0] + 1j * g[..., 1])
+                stacked = fam.apply_arr(xs)
+                for j in range(8):
+                    one = _family_at(fams, j)
+                    assert [len(phi.kraus) for phi in one.maps] == sizes[j].tolist()
+                    assert all(type(phi.transpose) is bool for phi in one.maps)
+                    assert np.array_equal(stacked[j], one.apply_arr([x[j] for x in xs]))
+                if prob in (0.0, 1.0):
+                    assert all(np.all(phi.transpose == bool(prob)) for phi in fam.maps)
+                mixed += sum(0 < phi.transpose.sum() < 8 for phi in fam.maps)
+        assert (mixed > 0) == (prob == 0.5)
+
+    def test_map_on_a_stack_matches_each_operand(self):
+        phi = sample_map_family(3, 2, 11, transpose_prob=1.0).maps[0]
+        g = np.random.default_rng(12).standard_normal((4, 3, 3, 2))
+        xs = g[..., 0] + 1j * g[..., 1]
+        out = phi.apply_arr(xs)
+        for j in range(4):
+            assert np.array_equal(out[j], phi.apply_arr(xs[j]))
+
+    def test_malformed_stacks_rejected(self):
+        with pytest.raises(InputError):
+            KrausMap([np.zeros((2, 3, 3)), np.zeros((3, 3, 3))])
+        with pytest.raises(InputError):
+            KrausMap([np.zeros((2, 3, 3)), np.zeros((2, 2, 2))])
+        with pytest.raises(InputError):
+            KrausMap([np.zeros((2, 3, 2))])
+        with pytest.raises(InputError):
+            KrausMap([np.zeros((2, 3, 3))], transpose=[True, False, True])
+        with pytest.raises(InputError):
+            KrausMap([np.eye(2)], transpose=[True])

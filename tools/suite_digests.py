@@ -209,6 +209,9 @@ CLI_MATRICES = {
     # (X - I)/3 has eigenvalue -3e-9 < -1e-10, so the verdict is `boundary`
     "x-tie.json": _rotated([1.0 - 1e-8, 2.0, 3.0], 14),
     "t-flat.json": _diag(2.0, 2.0, 2.0),
+    # 1e-8 from 2I: inside the psd band but beyond the solver band of the
+    # degenerate T = 2I, so the verdict is `boundary` with a valid witness
+    "x-flat-tie.json": _diag(2.0, 2.0, 2.0 + 1e-8),
     "a-spread.json": _rotated([0.5, 1.0, 4.0], 15),
     "a-flat.json": _diag(1.5, 1.5, 1.5),
 }
@@ -245,6 +248,8 @@ def cli_grid():
         t, x = hull_cases[case]
         yield f"hull witness {case}", [
             "hull", "witness", "--t", t, "--x", x, "--out", "witness.json"], "stdout"
+    yield "hull witness degenerate tie", [
+        "hull", "witness", "--t", "t-flat.json", "--x", "x-flat-tie.json", "--out", "witness.json"], "stdout"
     for case in ("member", "non-member"):
         yield f"lch member {case}", ["lch", "member", "--t", "t.json", "--x", hull_cases[case][1],
                                      "--out", f"lch-{case}.json"], "report"
