@@ -9,6 +9,7 @@ seeds produce byte-identical report bodies.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 
@@ -419,12 +420,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on first use, not at import, and shared by every later call in
+    # the process: building costs some 30 parses, and parsing leaves the
+    # parser as it was (each call gets a fresh namespace)
+    return build_parser()
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_INPUT
     args._argv = list(argv)

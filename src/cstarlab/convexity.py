@@ -246,6 +246,10 @@ def _run_suite(tol: ToleranceConfig, seed: int, salt: int, samples: int, draw, *
     builds the counterexample from that run, and errors surface at the
     sample and with the message of a one-at-a-time loop. `fixed_ce_fields`
     (kind, function, mode) complete the counterexample.
+
+    Draws run with numpy's overflow and invalid-value warnings off: a
+    non-finite margin or scale raises `NumericalError` in the tracker, so
+    the warnings would only repeat that error on stderr.
     """
     tr = _Tracker(tol)
     idx, size = 0, 1
@@ -254,8 +258,9 @@ def _run_suite(tol: ToleranceConfig, seed: int, salt: int, samples: int, draw, *
         size = min(2 * size, _CHUNK_CAP)
         if stop - idx > 1:
             try:
-                margins, scales = draw([_sample_rng(seed, salt, i) for i in range(idx, stop)],
-                                       range(idx, stop), None)[:2]
+                with np.errstate(over="ignore", invalid="ignore"):
+                    margins, scales = draw([_sample_rng(seed, salt, i) for i in range(idx, stop)],
+                                           range(idx, stop), None)[:2]
                 walk = zip(margins.tolist(), scales.tolist())
             except Exception:
                 # whatever raised, user-supplied evaluators included, raises
@@ -267,8 +272,9 @@ def _run_suite(tol: ToleranceConfig, seed: int, salt: int, samples: int, draw, *
                 tr.classify(margin, scale)
                 idx += 1
         for alone in range(idx, stop):
-            margins, scales, inputs, lhs, rhs, *functions = draw(
-                [_sample_rng(seed, salt, alone)], range(alone, alone + 1), tr)
+            with np.errstate(over="ignore", invalid="ignore"):
+                margins, scales, inputs, lhs, rhs, *functions = draw(
+                    [_sample_rng(seed, salt, alone)], range(alone, alone + 1), tr)
             margin = float(margins[0])
             if tr.classify(margin, float(scales[0])) == "violated":
                 if functions:

@@ -6,6 +6,11 @@ locally re-derived matrix formulas). A payload passes when the recomputed
 violation is negative and within a factor of two of the stored magnitude;
 a hull certificate's stored value and interval must also match their
 recomputation.
+
+This is the only module that uses scipy, and `cstarlab verify` the only
+command that reaches it, so `scipy.linalg` is imported on the first
+eigensolver call rather than with the package. There is no numpy fallback:
+the recheck is only independent of the engines on scipy's path.
 """
 
 from __future__ import annotations
@@ -13,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InputError
 from .functions import parse_function
@@ -31,16 +35,27 @@ class RecheckResult:
     detail: str = ""
 
 
+def _linalg():
+    """scipy.linalg, imported on first use (see the module docstring)."""
+    import scipy.linalg
+
+    return scipy.linalg
+
+
 def _eigh(a):
-    return scipy.linalg.eigh((a + a.conj().T) / 2.0)
+    return _linalg().eigh((a + a.conj().T) / 2.0)
+
+
+def _eigvalsh(a):
+    return _linalg().eigvalsh((a + a.conj().T) / 2.0)
 
 
 def _mineig(a) -> float:
-    return float(scipy.linalg.eigvalsh((a + a.conj().T) / 2.0)[0])
+    return float(_eigvalsh(a)[0])
 
 
 def _maxeig(a) -> float:
-    return float(scipy.linalg.eigvalsh((a + a.conj().T) / 2.0)[-1])
+    return float(_eigvalsh(a)[-1])
 
 
 def _fun(label, a):
@@ -146,7 +161,7 @@ def _recompute_certificate(payload) -> tuple[float, str]:
     x = decode_complex_matrix(payload["x"])
     t = decode_complex_matrix(payload["t"])
     value = float((vec.conj() @ x @ vec).real)
-    lam = scipy.linalg.eigvalsh((t + t.conj().T) / 2.0)
+    lam = _eigvalsh(t)
     lo, hi = float(lam[0]), float(lam[-1])
     band = DEFAULT_TOL.psd(max(abs(lo), abs(hi), abs(value)))
     stored_lo, stored_hi = (float(v) for v in payload["interval"])

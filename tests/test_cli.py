@@ -1,11 +1,14 @@
 import json
+import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from cstarlab import HermitianMatrix, HermitianDefectError
+import cstarlab
+from cstarlab import HermitianMatrix, HermitianDefectError, cli
 from cstarlab.cli import main
 from cstarlab.io import (
     canonical_dumps,
@@ -133,6 +136,19 @@ class TestSuiteCommands:
             "log-epigraph", "--function", "t^-1", "--dims", "2", "--m", "2",
             "--samples", "100", "--seed", "42",
         ]) == 0
+
+    def test_overflow_reports_only_the_numerical_failure(self, capsys):
+        # 5e305 t^2 overflows on the sampled spectra: the suite stops with
+        # the tracker's error alone, with no numpy warnings before it
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["jensen", "--function", "poly:0,0,5e305", "--dims", "2", "--m", "1",
+                         "--samples", "300", "--seed", "1"])
+        assert code == 3
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == (
+            "numerical failure: sample 207 has margin nan at scale nan; both must be finite\n")
 
     def test_interval_set(self, tmp_path):
         a_bad = write_json(
@@ -377,6 +393,47 @@ class TestDeterminism:
         main(["hull", "member", "--t", diag13, "--x", two_eye, "--out", str(p2)])
         assert report_body_bytes(load_report(p1)) == report_body_bytes(load_report(p2))
 
+    def test_reused_parser_matches_fresh(self, tmp_path, capsys):
+        # one parser serves every call in a process; failed parses, help and
+        # failed runs in between must change neither bodies nor exit codes
+        run = ["jensen", "--function", "t^4", "--dims", "2", "--m", "2",
+               "--samples", "30", "--seed", "7"]
+        missing = str(tmp_path / "missing.json")
+        between = [
+            [*run, "--format", "json"],
+            run[:-2],
+            ["jensen", "--help"],
+            ["hull", "member", "--t", missing, "--x", missing],
+            ["epigraph", "--function", "t^2", "--dims", "2", "--noise", "0.3",
+             "--samples", "5", "--seed", "1"],
+        ]
+
+        def outcome(argv):
+            code = main(argv)
+            printed = capsys.readouterr()
+            return code, printed.out, printed.err
+
+        capsys.readouterr()
+        fresh = []
+        for argv in between:
+            cli._parser.cache_clear()
+            fresh.append(outcome(argv))
+        assert [code for code, _, _ in fresh] == [2, 2, 0, 2, 0]
+        assert "unrecognized arguments: --format json" in fresh[0][2]
+        assert "required: --seed" in fresh[1][2]
+        assert "--noise" not in fresh[2][1] and "--function" in fresh[2][1]
+        assert fresh[3][2].startswith("error: ")
+
+        cli._parser.cache_clear()
+        p1, p2 = tmp_path / "r1.json", tmp_path / "r2.json"
+        first = outcome([*run, "--out", str(p1)])
+        assert [outcome(argv) for argv in between] == fresh
+        assert outcome([*run, "--out", str(p2)]) == first == (1, "jensen t^4 dims [2]: violated\n", "")
+        assert report_body_bytes(load_report(p1)) == report_body_bytes(load_report(p2))
+        parsed = vars(cli._parser().parse_args(run))
+        assert "noise" not in parsed
+        assert parsed == vars(cli.build_parser().parse_args(run))
+
     def test_canonical_dumps_stable(self):
         assert canonical_dumps({"b": 1.5, "a": [1, 2]}) == '{"a":[1,2],"b":1.5}\n'
 
@@ -394,3 +451,29 @@ def test_console_entry_point():
         text=True,
     )
     assert "--function" in proc.stdout
+
+
+def test_scipy_loads_only_for_verify(tmp_path):
+    # scipy.linalg is most of the import time of the CLI and only `verify`
+    # uses it; a fresh interpreter shows whether anything imports it early
+    script = """
+import sys
+import cstarlab, cstarlab.cli
+cstarlab.cli.build_parser()
+assert "scipy" not in sys.modules, "scipy imported with the CLI"
+report = sys.argv[1]
+assert cstarlab.cli.main(["jensen", "--function", "t^4", "--dims", "2", "--m", "2",
+                          "--samples", "30", "--seed", "7", "--out", report]) == 1
+assert "scipy" not in sys.modules, "scipy imported by a suite"
+assert cstarlab.cli.main(["verify", "--report", report]) == 0
+assert "scipy.linalg" in sys.modules
+"""
+    src = os.path.dirname(os.path.dirname(cstarlab.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "r.json")],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1].endswith("-> ok")

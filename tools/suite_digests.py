@@ -13,9 +13,11 @@ from the first sample.
 A third grid (lines named `cli ...`) runs `cstarlab.cli.main` in a
 temporary directory on fixed matrix files and prints
 `<sha256>  cli <run> exit <code>`: the digest of the report body
-(`report_body_bytes`), of the witness file, or of stdout where a command
-writes neither. The last lines give the call, violation, error and CLI
-counts and a combined digest over all lines.
+(`report_body_bytes`), of the witness file, or of stdout (stderr for a
+failed parse) where a command writes neither. All CLI runs share one
+process, so later runs reuse the parser that earlier ones built. The last
+lines give the call, violation, error and CLI counts and a combined digest
+over all lines.
 
 Two source trees produce byte-identical verdicts iff their outputs match:
 
@@ -219,9 +221,11 @@ CLI_MATRICES = {
 
 def cli_grid():
     """Yield (name, argv, source) for every CLI run, in order: `source` is
-    `report` (the body of the report at --out), `file` (the bytes at --out)
-    or `stdout`. Paths are relative, so report bodies, which echo the
-    command line, do not depend on the temporary directory."""
+    `report` (the body of the report at --out), `file` (the bytes at --out),
+    `stdout`, or `stderr` (its last line, the error message; argparse wraps
+    the usage text above it to the terminal's width). Paths are relative,
+    so report bodies, which echo the command line, do not depend on the
+    temporary directory."""
     run = ["--samples", str(SAMPLES), "--seed", str(SEED)]
     yield "classify t^2", ["classify", "--function", "t^2", "--dims", "2", *run], "report"
     for mode in ("isometry", "tuple", "map-family"):
@@ -253,7 +257,13 @@ def cli_grid():
     for case in ("member", "non-member"):
         yield f"lch member {case}", ["lch", "member", "--t", "t.json", "--x", hull_cases[case][1],
                                      "--out", f"lch-{case}.json"], "report"
-    for report in ("hull-non-member.json", "lch-non-member.json", "interval.json"):
+    # in this order: the parse failure goes through the parser that later
+    # runs reuse, and verifying jensen.json is the process's first recheck
+    yield "jensen parse failure", ["jensen", "--function", "t^4", "--dims", "2", *run,
+                                   "--format", "json"], "stderr"
+    yield "jensen tuple t^4 m2", ["jensen", "--function", "t^4", "--dims", "2", "--m", "2", *run,
+                                  "--out", "jensen.json"], "report"
+    for report in ("jensen.json", "hull-non-member.json", "lch-non-member.json", "interval.json"):
         yield f"verify {report}", ["verify", "--report", report], "stdout"
 
 
@@ -266,13 +276,15 @@ def cli_lines():
             for path, matrix in CLI_MATRICES.items():
                 save_matrix(path, matrix)
             for name, argv, source in cli_grid():
-                if source != "stdout" and "--out" not in argv:
+                if source in ("report", "file") and "--out" not in argv:
                     argv = [*argv, "--out", "out.json"]
-                stdout = StringIO()
-                with redirect_stdout(stdout), redirect_stderr(StringIO()):
+                stdout, stderr = StringIO(), StringIO()
+                with redirect_stdout(stdout), redirect_stderr(stderr):
                     code = cli.main(argv)
                 if source == "stdout":
                     data = stdout.getvalue().encode()
+                elif source == "stderr":
+                    data = stderr.getvalue().splitlines()[-1].encode()
                 else:
                     out = argv[argv.index("--out") + 1]
                     if source == "report":
