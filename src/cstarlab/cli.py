@@ -14,7 +14,7 @@ import sys
 import time
 
 from . import convexity, hull, io
-from .errors import CstarlabError, InputError, NumericalError
+from .errors import CstarlabError, NumericalError
 from .combinations import sample_tuple
 from .functions import parse_function
 from .hermitian import DEFAULT_TOL, ToleranceConfig
@@ -36,13 +36,13 @@ def _seed_arg(text: str) -> int:
     return value
 
 
-def _samples_arg(text: str) -> int:
+def _count_arg(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"samples must be an integer, got {text!r}")
+        value = 0
     if value < 1:
-        raise argparse.ArgumentTypeError("samples must be at least 1")
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return value
 
 
@@ -60,8 +60,6 @@ def _tolconfig(args) -> ToleranceConfig:
     t = getattr(args, "tol", None)
     if t is None:
         return DEFAULT_TOL
-    if t <= 0:
-        raise InputError("--tol must be strictly positive")
     return ToleranceConfig(
         construction_tol=min(DEFAULT_TOL.construction_tol, t),
         psd_tol=t,
@@ -81,7 +79,7 @@ def _emit(args, body: dict, summary: str) -> None:
 def _suite_flags(p, with_m=True, with_noise=False):
     p.add_argument("--function", required=True, help="catalog label or inline spec")
     p.add_argument("--dims", required=True, type=_dims_arg)
-    p.add_argument("--samples", type=_samples_arg, default=500)
+    p.add_argument("--samples", type=_count_arg, default=500)
     p.add_argument("--seed", required=True, type=_seed_arg)
     if with_m:
         p.add_argument("--m", type=int, default=2, help="coefficients per combination")
@@ -355,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="run the convexity suites for one function")
     _suite_flags(p, with_m=False)
-    p.add_argument("--max-m", type=int, default=3, help="run jensen suites for m = 1..max_m")
+    p.add_argument("--max-m", type=_count_arg, default=3, help="run jensen suites for m = 1..max_m")
     p.set_defaults(handler=cmd_classify)
 
     p = sub.add_parser("jensen", help="Jensen operator inequality falsifier")
@@ -373,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("interval-set", help="falsify C*-convexity of the order interval [0, A]")
     p.add_argument("--a", required=True, help="matrix file for the upper bound A")
-    p.add_argument("--samples", type=_samples_arg, default=500)
+    p.add_argument("--samples", type=_count_arg, default=500)
     p.add_argument("--seed", required=True, type=_seed_arg)
     _common_flags(p)
     p.set_defaults(handler=cmd_interval_set)

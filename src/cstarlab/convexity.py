@@ -18,13 +18,12 @@ the counterexample; a suite supplies only its `draw`. The six Loewner-order
 suites add the escalating window and lambda_min(rhs - lhs) via `_order_suite`.
 
 The loop evaluates samples in chunks of 1, 2, 4, ... up to `_CHUNK_CAP`
-consecutive indices. Within a chunk each sample still makes its own draws
-from its own generator, in the same order as when it runs alone; the
-linear algebra (QR, eigh, functional calculus, inverses, combinations) then
-runs once over the stacked (n, d, d) arrays, which numpy computes matrix by
-matrix exactly as for one matrix. A verdict is therefore byte-identical for
-every chunk schedule: same `samples_run`, margins, boundary count,
-resamples, counterexample and errors as a one-sample-at-a-time run.
+consecutive indices. Within a chunk each sample makes its own draws from
+its own generator, in the same order as when it runs alone; the linear
+algebra then runs once over the stacked (n, d, d) arrays, which numpy
+computes matrix by matrix exactly as for one matrix. The first violation
+builds its counterexample from the stack that found it, so a verdict
+(samples, margins, counterexample, errors) is the same for every schedule.
 """
 
 from __future__ import annotations
@@ -92,6 +91,7 @@ SPREADS = (1.0, 4.0, 16.0)
 # the largest chunk of samples evaluated as one stack; small enough that the
 # stacks stay a few hundred kilobytes
 _CHUNK_CAP = 64
+_DOMAIN_RETRIES = 10  # draws of one sample before its domain violations fail the suite
 
 # per-suite salts for deriving sample seeds
 _SALT_MIDPOINT = 1
@@ -211,7 +211,7 @@ class _Tracker:
         )
 
 
-def _retry_domain(tracker: _Tracker | None, build, cap: int = 10):
+def _retry_domain(tracker: _Tracker | None, build):
     """Run `build` and retry on domain violations, counting resamples.
 
     A chunk of several samples passes no tracker and is not retried: its
@@ -219,107 +219,104 @@ def _retry_domain(tracker: _Tracker | None, build, cap: int = 10):
     """
     if tracker is None:
         return build()
-    for _ in range(cap):
+    for _ in range(_DOMAIN_RETRIES):
         try:
             return build()
         except DomainError:
             tracker.resamples += 1
-    raise NumericalError(f"domain violations persisted through {cap} resampling attempts")
+    raise NumericalError(f"domain violations persisted through {_DOMAIN_RETRIES} resampling attempts")
 
 
 def _run_suite(tol: ToleranceConfig, seed: int, salt: int, samples: int, draw, **fixed_ce_fields):
     """The sampling loop of every suite.
 
     `draw(rngs, idxs, tracker)` evaluates the samples `idxs` (a range), one
-    generator each, as one stack and returns `(margins, scales, inputs, lhs,
-    rhs[, functions])`: margins and scales of shape (n,), lhs and rhs of
-    shape (n, d, d), `inputs` keyed as in `Counterexample.inputs` but with
-    per-sample values stacked (see `_first`), and per-sample function labels
-    for suites whose counterexample names one.
+    generator each, as one stack and returns `(margins, scales, sample)`:
+    margins and scales of shape (n,), and `sample(j)` the stack's j-th
+    `(inputs, lhs, rhs, function)` (see `_stacked`).
 
     Chunks of 1, 2, 4, ... up to `_CHUNK_CAP` samples are drawn as one
-    stack, without a tracker. Their margins are walked in index order and
-    the walk stops before the first one below the psd band at its scale, so
-    later samples of the chunk count nowhere. That sample, every sample of
-    a chunk of one, and every sample of a chunk whose stacked draw raised
-    then run alone, with the tracker for domain retries: the violation
-    builds the counterexample from that run, and errors surface at the
-    sample and with the message of a one-at-a-time loop. `fixed_ce_fields`
-    (kind, function, mode) complete the counterexample.
+    stack, without a tracker, and classified in index order; the first
+    margin below the psd band at its scale builds the counterexample from
+    that stack, so later samples count nowhere. A chunk of one, and every
+    sample of a chunk whose stacked draw raised, runs alone with the tracker
+    for domain retries, so errors surface at the sample and with the message
+    of a one-at-a-time loop; no other sample is evaluated twice.
+    `fixed_ce_fields` (kind, function, mode) complete the counterexample.
 
     Draws run with numpy's overflow and invalid-value warnings off: a
     non-finite margin or scale raises `NumericalError` in the tracker, so
     the warnings would only repeat that error on stderr.
     """
+
+    def run(idxs, tracker):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return draw([_sample_rng(seed, salt, i) for i in idxs], idxs, tracker)
+
     tr = _Tracker(tol)
     idx, size = 0, 1
     while idx < samples:
         stop = min(idx + size, samples)
         size = min(2 * size, _CHUNK_CAP)
+        stacks = (run(range(i, i + 1), tr) for i in range(idx, stop))
         if stop - idx > 1:
             try:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    margins, scales = draw([_sample_rng(seed, salt, i) for i in range(idx, stop)],
-                                           range(idx, stop), None)[:2]
-                walk = zip(margins.tolist(), scales.tolist())
+                stacks = [run(range(idx, stop), None)]
             except Exception:
                 # whatever raised, user-supplied evaluators included, raises
                 # again from its own sample when the chunk runs alone below
-                walk = ()
-            for margin, scale in walk:
-                if margin < -tol.psd(scale):
-                    break
-                tr.classify(margin, scale)
-                idx += 1
-        for alone in range(idx, stop):
-            with np.errstate(over="ignore", invalid="ignore"):
-                margins, scales, inputs, lhs, rhs, *functions = draw(
-                    [_sample_rng(seed, salt, alone)], range(alone, alone + 1), tr)
-            margin = float(margins[0])
-            if tr.classify(margin, float(scales[0])) == "violated":
-                if functions:
-                    fixed_ce_fields["function"] = functions[0][0]
-                wrap = HermitianMatrix._wrap
-                ce = Counterexample(dim=lhs.shape[-1], inputs=_first(inputs), lhs=wrap(lhs[0]),
-                                    rhs=wrap(rhs[0]), violation=margin, **fixed_ce_fields)
-                return tr.verdict(ce)
+                pass
+        for margins, scales, sample in stacks:
+            for j, (margin, scale) in enumerate(zip(margins.tolist(), scales.tolist())):
+                if tr.classify(margin, scale) == "violated":
+                    inputs, lhs, rhs, function = sample(j)
+                    if function is not None:
+                        fixed_ce_fields["function"] = function
+                    return tr.verdict(Counterexample(dim=lhs.dim, inputs=inputs, lhs=lhs, rhs=rhs,
+                                                     violation=margin, **fixed_ce_fields))
         idx = stop
     return tr.verdict()
 
 
-def _first(inputs: dict) -> dict:
-    """The counterexample inputs of the first sample of a stack: the lists
-    `xs`, `ys` and `coeffs` hold one stack per operand, `maps` the families
-    of `_sample_families`, `bound_value` one entry per sample, and other
-    keys a suite-wide value."""
-    out = {}
-    for key, value in inputs.items():
-        if key in ("xs", "ys"):
-            out[key] = [HermitianMatrix._wrap(x[0]) for x in value]
-        elif key == "coeffs":
-            out[key] = [c[0] for c in value]
-        elif key == "maps":
-            out[key] = _family_at(value, 0)
-        elif key == "bound_value":
-            out[key] = value[0]
-        else:
-            out[key] = value
-    return out
+def _stacked(inputs: dict, lhs, rhs, functions=None):
+    """The `sample` of a draw over one stack: sample j's counterexample
+    inputs, lhs, rhs and function label (None without `functions`). In
+    `inputs` the lists `xs`, `ys` and `coeffs` hold one stack per operand,
+    `maps` the families of `_sample_families`, `bound_value` one entry per
+    sample, and other keys a suite-wide value."""
+    wrap = HermitianMatrix._wrap
+
+    def sample(j):
+        out = {}
+        for key, value in inputs.items():
+            if key in ("xs", "ys"):
+                out[key] = [wrap(x[j]) for x in value]
+            elif key == "coeffs":
+                out[key] = [c[j] for c in value]
+            elif key == "maps":
+                out[key] = _family_at(value, j)
+            elif key == "bound_value":
+                out[key] = value[j]
+            else:
+                out[key] = value
+        return out, wrap(lhs[j]), wrap(rhs[j]), None if functions is None else functions[j]
+
+    return sample
 
 
 def _by_key(keys, rngs, evaluate):
     """Stack samples that differ in a discrete draw (such as the length of
-    their coefficient tuple): `evaluate(key, rngs)` runs once per distinct
-    key on that key's samples, and margins and scales come back in sample
-    order. A stack of one returns all that `evaluate` returns."""
-    if len(rngs) == 1:
-        return evaluate(keys[0], rngs)
+    their coefficient tuple): `evaluate(key, rngs)` draws once per distinct
+    key on that key's samples; margins and scales come back in sample order,
+    and `sample(j)` is sample j's entry of its key's stack, after the earlier
+    samples with that key."""
     keys = np.asarray(keys)
     margins, scales = np.empty(len(rngs)), np.empty(len(rngs))
+    groups = {}
     for key in dict.fromkeys(keys.tolist()):
         sel = np.flatnonzero(keys == key)
-        margins[sel], scales[sel] = evaluate(key, [rngs[i] for i in sel])[:2]
-    return margins, scales
+        margins[sel], scales[sel], groups[key] = evaluate(key, [rngs[i] for i in sel])
+    return margins, scales, lambda j: groups[keys[j]](int(np.sum(keys[:j] == keys[j])))
 
 
 def _min(p, q):
@@ -344,7 +341,7 @@ def _order_suite(f, tol, seed, salt, samples, evaluate, positive=False, **fixed_
         lo, hi = zip(*windows)
         inputs, lhs, rhs = evaluate(rngs, lo, hi, tracker)
         scale = np.maximum(_max_abs_eig(lhs), _max_abs_eig(rhs))
-        return _mineig(rhs - lhs), scale, inputs, lhs, rhs
+        return _mineig(rhs - lhs), scale, _stacked(inputs, lhs, rhs)
 
     return _run_suite(tol, seed, salt, samples, draw, function=f.label, **fixed_ce_fields)
 
@@ -488,10 +485,12 @@ def epigraph_closure_test(
     not leave the epigraph.
 
     Membership noise: Y = f(X) + G G* with the PSD part scaled to
-    `noise_scale` times the norm of f(X); zero keeps Y on the boundary.
+    `noise_scale` (finite, >= 0) times the norm of f(X); zero keeps Y on the boundary.
     """
     if dim < 1 or m < 1:
         raise InputError("dim and m must be at least 1")
+    if not 0.0 <= noise_scale < math.inf:
+        raise InputError(f"noise_scale must be finite and non-negative, got {noise_scale}")
 
     def evaluate(rngs, lo, hi, tracker):
         coeffs = _sample_tuple_arrs(dim, m, rngs)
@@ -534,6 +533,8 @@ def log_epigraph_closure_test(
     log-combinations (harmonic C*-mixing of both components)."""
     if dim < 1 or m < 1:
         raise InputError("dim and m must be at least 1")
+    if not 0.0 <= noise_scale < math.inf:
+        raise InputError(f"noise_scale must be finite and non-negative, got {noise_scale}")
 
     def evaluate(rngs, lo, hi, tracker):
         coeffs = _sample_tuple_arrs(dim, m, rngs)
@@ -606,7 +607,8 @@ def interval_set_falsifier(
         combined = _combine_arr(coeffs, xs)
         inputs = {"xs": xs, "coeffs": coeffs, "bound": A}
         scales = np.maximum(scale, _max_abs_eig(combined))
-        return membership_margin(combined), scales, inputs, combined, np.broadcast_to(a, combined.shape)
+        rhs = np.broadcast_to(a, combined.shape)
+        return membership_margin(combined), scales, _stacked(inputs, combined, rhs)
 
     def draw(rngs, idxs, tracker):
         return _by_key([int(rng.integers(1, 5)) for rng in rngs], rngs, evaluate)
@@ -698,7 +700,8 @@ def harmonic_sum_closure_test(
                     f"with the interval margin {margin[bad][0]:.3e}"
                 )
         inputs = {"xs": zs, "coeffs": coeffs, "interval": (h_lo, h_hi)}
-        return margins, scales, inputs, combined, np.broadcast_to(h_hi * eye, combined.shape)
+        rhs = np.broadcast_to(h_hi * eye, combined.shape)
+        return margins, scales, _stacked(inputs, combined, rhs)
 
     def draw(rngs, idxs, tracker):
         return _by_key([int(rng.integers(1, 4)) for rng in rngs], rngs, evaluate)
@@ -770,7 +773,7 @@ def sublevel_family_test(
         inputs = {"xs": xs, "coeffs": coeffs, "bound_value": bound_bad}
         rhs = bound_bad[:, None, None] * np.eye(dim, dtype=np.complex128)
         labels = [family[i][0].label for i in worst]
-        return margins[worst, each], scale, inputs, fx_bad, rhs, labels
+        return margins[worst, each], scale, _stacked(inputs, fx_bad, rhs, labels)
 
     return _run_suite(tol, seed, _SALT_SUBLEVEL, samples, draw, kind="sublevel")
 

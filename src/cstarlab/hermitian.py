@@ -95,8 +95,8 @@ class ToleranceConfig:
     solver_tol: float = 1e-9
 
     def __post_init__(self):
-        if min(self.construction_tol, self.psd_tol, self.solver_tol) <= 0:
-            raise InputError("tolerances must be strictly positive")
+        if not all(0 < t < math.inf for t in (self.construction_tol, self.psd_tol, self.solver_tol)):
+            raise InputError("tolerances must be finite and strictly positive")
         if self.construction_tol > self.psd_tol:
             raise InputError("construction_tol must not exceed psd_tol")
 

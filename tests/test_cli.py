@@ -109,6 +109,15 @@ class TestClassify:
     def test_seed_required(self, capsys):
         assert main(["classify", "--function", "t^2", "--dims", "2"]) == 2
 
+    @pytest.mark.parametrize("max_m", ["0", "-1", "two"])
+    def test_max_m_below_one_is_a_parse_error(self, max_m, capsys):
+        # with no jensen suite run, classify would call t^2 operator-convex
+        # on the midpoint suite alone
+        assert main(["classify", "--function", "t^2", "--dims", "2", "--seed", "1",
+                     "--max-m", max_m]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "argument --max-m: expected a positive integer" in err
+
 
 class TestSuiteCommands:
     def test_jensen(self, tmp_path):
@@ -136,6 +145,23 @@ class TestSuiteCommands:
             "log-epigraph", "--function", "t^-1", "--dims", "2", "--m", "2",
             "--samples", "100", "--seed", "42",
         ]) == 0
+
+    def test_non_finite_tol_is_an_input_error(self, capsys):
+        # a NaN or infinite band would pass every margin and clear t^3
+        run = ["jensen", "--function", "t^3", "--dims", "2", "--samples", "50", "--seed", "1"]
+        assert main(run) == 1
+        for tol in ("nan", "inf", "-inf", "0", "-1"):
+            capsys.readouterr()
+            assert main([*run, f"--tol={tol}"]) == 2
+            assert capsys.readouterr().err.startswith("error: tolerances must be finite")
+
+    @pytest.mark.parametrize("command", ["epigraph", "log-epigraph"])
+    @pytest.mark.parametrize("noise", ["-1", "nan", "inf"])
+    def test_bad_noise_is_an_input_error(self, command, noise, capsys):
+        assert main([command, "--function", "t^-1", "--dims", "2", "--samples", "20",
+                     "--seed", "1", "--noise", noise]) == 2
+        assert capsys.readouterr().err == (
+            f"error: noise_scale must be finite and non-negative, got {float(noise)}\n")
 
     def test_overflow_reports_only_the_numerical_failure(self, capsys):
         # 5e305 t^2 overflows on the sampled spectra: the suite stops with

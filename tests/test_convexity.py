@@ -71,6 +71,10 @@ TOO_SMALL_MSG = "domain [1.0, 1.0] is too small to sample"
         (lambda: jensen_test(T2, "isometry", 2, 2, 10, seed=1), InputError,
          "isometry mode requires m = 1"),
         (lambda: jensen_test(POINT, "map-family", 2, 2, 10, seed=1), InputError, TOO_SMALL_MSG),
+        *[(lambda s=s, z=z: s(T2, 2, 2, 10, seed=1, noise_scale=z), InputError,
+           f"noise_scale must be finite and non-negative, got {z}")
+          for s in (epigraph_closure_test, log_epigraph_closure_test)
+          for z in (-1.0, float("nan"), float("inf"))],
         *[(lambda s=s: ORDER_SUITES[s](POINT), InputError, TOO_SMALL_MSG)
           for s in ("midpoint", "jensen", "epigraph")],
         *[(lambda s=s: ORDER_SUITES[s](NONPOS), InputError, NO_POSITIVE_MSG)
@@ -480,3 +484,72 @@ def test_verdict_bytes_do_not_depend_on_chunking(name, monkeypatch):
     assert alone == body
     # one sample at a time draws up to the sample that ends the run
     assert drawn_alone == (expected[1] + 1 if isinstance(expected, tuple) else verdict.samples_run)
+
+
+def _chunk_end(index):
+    """The end of the engine's chunk that holds sample `index`."""
+    start, size = 0, 1
+    while start + size <= index:
+        start, size = start + size, min(2 * size, convexity._CHUNK_CAP)
+    return min(start + size, N)
+
+
+@pytest.mark.parametrize("name", [n for n, (_, e) in CHUNKING_CASES.items() if type(e) is int])
+def test_violation_is_built_from_the_chunk_that_found_it(name, monkeypatch):
+    # e.g. "midpoint last of [3, 7)" derives the generators of samples 0..6
+    # and "map-family inside [191, 255)" those of 0..254, each once: the
+    # violating sample is not evaluated a second time on its own
+    call, expected = CHUNKING_CASES[name]
+    derived, raised = [], []
+    sample_rng, run_suite = convexity._sample_rng, convexity._run_suite
+
+    def counting(seed, salt, index):
+        derived.append(index)
+        return sample_rng(seed, salt, index)
+
+    def spying(tol, seed, salt, samples, draw, **fields):
+        def spy(rngs, idxs, tracker):
+            try:
+                return draw(rngs, idxs, tracker)
+            except Exception:
+                raised.extend(idxs)
+                raise
+
+        return run_suite(tol, seed, salt, samples, spy, **fields)
+
+    monkeypatch.setattr(convexity, "_sample_rng", counting)
+    monkeypatch.setattr(convexity, "_run_suite", spying)
+    verdict = call()
+    assert verdict.violated and verdict.samples_run == expected
+    assert bool(raised) == (name == "log-epigraph domain retries")
+    # only the samples of a chunk whose stacked draw raised run again alone
+    assert {i for i in derived if derived.count(i) > 1} <= set(raised)
+    assert sorted(set(derived)) == list(range(_chunk_end(expected - 1) if expected else 0))
+
+
+def test_by_key_maps_each_sample_to_its_key_stack():
+    keys = [2, 1, 2, 3, 1]
+    calls = []
+
+    def evaluate(key, rngs):
+        # each "generator" is its sample's index, so a stack is tagged by it
+        calls.append((key, list(rngs)))
+        tags = np.array(rngs, dtype=float)
+        lhs = tags[:, None, None] * np.eye(2)
+        rhs = lhs + key * np.eye(2)
+        inputs = {"xs": [lhs, 2.0 * lhs], "coeffs": [rhs], "bound_value": tags, "interval": key}
+        return -tags, tags + 10.0, convexity._stacked(inputs, lhs, rhs, [f"f{t}" for t in rngs])
+
+    margins, scales, sample = convexity._by_key(keys, list(range(len(keys))), evaluate)
+    assert calls == [(2, [0, 2]), (1, [1, 4]), (3, [3])]
+    assert margins.tolist() == [0.0, -1.0, -2.0, -3.0, -4.0]
+    assert scales.tolist() == [10.0, 11.0, 12.0, 13.0, 14.0]
+    for j, key in enumerate(keys):
+        inputs, lhs, rhs, function = sample(j)
+        assert function == f"f{j}"
+        assert np.array_equal(lhs.array, j * np.eye(2))
+        assert np.array_equal(rhs.array, (j + key) * np.eye(2))
+        assert [x.array.tolist() for x in inputs["xs"]] == [(j * np.eye(2)).tolist(),
+                                                           (2.0 * j * np.eye(2)).tolist()]
+        assert np.array_equal(inputs["coeffs"][0], (j + key) * np.eye(2))
+        assert inputs["bound_value"] == j and inputs["interval"] == key

@@ -249,6 +249,10 @@ class TestTolerances:
     def test_invalid_config(self):
         with pytest.raises(InputError):
             ToleranceConfig(psd_tol=-1.0)
+        # a NaN or infinite band would pass every margin
+        for bad in (np.nan, np.inf):
+            with pytest.raises(InputError, match="finite"):
+                ToleranceConfig(psd_tol=bad)
         with pytest.raises(InputError):
             ToleranceConfig(construction_tol=1e-6, psd_tol=1e-8)
 
