@@ -10,7 +10,11 @@ eigenvalue spread geometrically across three rounds, since several
 inequalities only fail visibly for well-separated spectra.
 
 Per-sample randomness is derived from (master seed, suite salt, sample
-index), so verdicts are independent of execution order.
+index), so verdicts are independent of execution order. Sample i draws from
+the stream of `default_rng(SeedSequence((seed, salt, i)))`; the seed words
+of a whole chunk of indices come from one pass of numpy's SeedSequence hash
+over the chunk (`_seed_words`), identical to SeedSequence's own, and each
+sample's PCG64 seeds itself from its row of them.
 
 All nine suites share one sampling loop, `_run_suite`, which owns the margin
 tracker, the per-sample generators, the stop at the first violation and
@@ -28,7 +32,10 @@ builds its counterexample from the stack that found it, so a verdict
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -104,6 +111,13 @@ _SALT_INTERVAL = 7
 _SALT_SUBLEVEL = 8
 _SALT_HARMONIC = 10
 
+# numpy's SeedSequence constants: the pool size and the hash multipliers
+_POOL = 4
+_M32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
 
 @dataclass(frozen=True, eq=False)
 class Counterexample:
@@ -145,8 +159,124 @@ class TestVerdict:
         return self.status == "violated"
 
 
-def _sample_rng(seed: int, salt: int, index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence((int(seed), salt, index)))
+def _u32(x):
+    """x mod 2^32: Python ints are masked, uint32 arrays wrap by themselves."""
+    return x & _M32 if type(x) is int else x
+
+
+def _hashmix(value, a, b):
+    """numpy's SeedSequence hashmix of `value` under hash constant `a`,
+    which the call advances to `b`."""
+    value = _u32((value ^ a) * b)
+    return value ^ (value >> 16)
+
+
+def _mix(x, y):
+    """numpy's SeedSequence mix of pool word x with hashed word y."""
+    r = _u32(_u32(_MIX_L * x) - _u32(_MIX_R * y))
+    return r ^ (r >> 16)
+
+
+def _hash_consts(a=_INIT_A, mult=_MULT_A):
+    """The (a, b) pairs of numpy's successive hashmix calls in one mixing
+    (with `_INIT_B`, `_MULT_B`: of generate_state's words)."""
+    while True:
+        b = a * mult & _M32
+        yield a, b
+        a = b
+
+
+# generate_state's hash constants before and after each of its 8 words
+_STATE_A, _STATE_B = np.array(list(itertools.islice(_hash_consts(_INIT_B, _MULT_B), 8)),
+                              dtype=np.uint32).T[..., None]
+
+
+def _int_words(n: int) -> list[int]:
+    """numpy's split of a non-negative int into 32-bit words, low word first."""
+    words = [n & _M32]
+    while n := n >> 32:
+        words.append(n & _M32)
+    return words
+
+
+def _mix_into(pool: list, dsts, value, consts):
+    """pool[d] = mix(pool[d], hashmix(value)) for each d of `dsts` in turn,
+    with the next hash constant each. A word that depends on the index of
+    a chunk of several is a uint32 array over the chunk and is hashed with
+    all its constants in one (len(dsts), n) stack; other words are Python
+    ints."""
+    pairs = [next(consts) for _ in dsts]
+    if type(value) is int:
+        for d, (a, b) in zip(dsts, pairs):
+            pool[d] = _mix(pool[d], _hashmix(value, a, b))
+        return
+    a, b = np.array(pairs, dtype=np.uint32).T[..., None]
+    rows = np.empty((len(dsts), len(value)), dtype=np.uint32)
+    for row, d in zip(rows, dsts):
+        row[:] = pool[d]
+    for d, row in zip(dsts, _mix(rows, _hashmix(value, a, b))):
+        pool[d] = row
+
+
+def _seed_words(seed: int, salt: int, idxs: range) -> np.ndarray:
+    """`SeedSequence((seed, salt, i)).generate_state(4, np.uint64)` for each
+    i of `idxs` (consecutive, below 2^64) as the rows of one C-contiguous
+    (n, 4) uint64 array: numpy's SeedSequence hash run once over the
+    chunk, in uint32 arithmetic. An index of two 32-bit words (2^32 and
+    above) makes a longer entropy than one of one word, so each length is
+    hashed on its own."""
+    cut = min(max(idxs.start, 2**32), idxs.stop)
+    if idxs.start < cut < idxs.stop:
+        return np.concatenate([_seed_words(seed, salt, range(idxs.start, cut)),
+                               _seed_words(seed, salt, range(cut, idxs.stop))])
+    if len(idxs) == 1:
+        # the words of one index stay Python ints, like the seed's: numpy's
+        # per-call cost would outweigh an array of one element
+        index_words = _int_words(idxs.start)
+    elif cut == idxs.start:  # every index has two words
+        index = np.arange(idxs.start, idxs.stop, dtype=np.uint64)
+        index_words = [(index & _M32).astype(np.uint32), (index >> 32).astype(np.uint32)]
+    else:
+        index_words = [np.arange(idxs.start, idxs.stop, dtype=np.uint32)]
+    entropy = [*_int_words(seed), *_int_words(salt), *index_words]
+    consts = _hash_consts()
+    pool = [_hashmix(e, *next(consts)) for e in (entropy + [0] * _POOL)[:_POOL]]
+    for s in range(_POOL):
+        _mix_into(pool, [d for d in range(_POOL) if d != s], pool[s], consts)
+    for e in entropy[_POOL:]:
+        _mix_into(pool, range(_POOL), e, consts)
+    # the 8 uint32 words of generate_state(8) cycle through the pool
+    state = np.array(pool * 2, dtype=np.uint32).reshape(8, -1)
+    state ^= _STATE_A
+    state *= _STATE_B
+    state ^= state >> 16
+    return state.T.astype("<u4", order="C").view("<u8").astype(np.uint64, copy=False)
+
+
+@functools.cache
+def _words_class():
+    """`_Words`, built on first use so that importing cstarlab does not
+    import numpy.random."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class _Words(ISeedSequence):
+        """The seed sequence of one sample: hands PCG64 its row of
+        `_seed_words`, the buffer PCG64 reads as its four seed words."""
+
+        def __init__(self, row: np.ndarray):
+            self.row = row
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.row
+
+    return _Words
+
+
+def _sample_rngs(seed: int, salt: int, idxs: range) -> list[np.random.Generator]:
+    """One generator per index of `idxs`, each with the stream of
+    `np.random.default_rng(np.random.SeedSequence((seed, salt, index)))`."""
+    seq, generator, pcg64 = _words_class(), np.random.Generator, np.random.PCG64
+    return [generator(pcg64(seq(row))) for row in _seed_words(seed, salt, idxs)]
 
 
 def _round_spread(index: int, samples: int) -> float:
@@ -227,6 +357,17 @@ def _retry_domain(tracker: _Tracker | None, build):
     raise NumericalError(f"domain violations persisted through {_DOMAIN_RETRIES} resampling attempts")
 
 
+def _require_seed(seed) -> int:
+    """A suite's seed as a Python int; it must be a non-negative integer."""
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise InputError(f"seed must be an integer, got {seed!r}") from None
+    if seed < 0:
+        raise InputError(f"seed must be non-negative, got {seed}")
+    return seed
+
+
 def _run_suite(tol: ToleranceConfig, seed: int, salt: int, samples: int, draw, **fixed_ce_fields):
     """The sampling loop of every suite.
 
@@ -244,14 +385,21 @@ def _run_suite(tol: ToleranceConfig, seed: int, salt: int, samples: int, draw, *
     of a one-at-a-time loop; no other sample is evaluated twice.
     `fixed_ce_fields` (kind, function, mode) complete the counterexample.
 
+    Each chunk derives the seed words of all its samples at once
+    (`_sample_rngs`); they are identical to those of
+    `SeedSequence((seed, salt, index))`, so sample i draws the same stream
+    whatever its chunk. `seed` must be a non-negative integer; anything
+    else raises `InputError` before the first sample.
+
     Draws run with numpy's overflow and invalid-value warnings off: a
     non-finite margin or scale raises `NumericalError` in the tracker, so
     the warnings would only repeat that error on stderr.
     """
+    seed = _require_seed(seed)
 
     def run(idxs, tracker):
         with np.errstate(over="ignore", invalid="ignore"):
-            return draw([_sample_rng(seed, salt, i) for i in idxs], idxs, tracker)
+            return draw(_sample_rngs(seed, salt, idxs), idxs, tracker)
 
     tr = _Tracker(tol)
     idx, size = 0, 1
@@ -570,6 +718,7 @@ def interval_set_falsifier(
     singleton. Random rounds then mix Haar-sampled members with random
     tuples.
     """
+    _require_seed(seed)  # the certificate returns before the sampling loop checks it
     a = A.array
     dim = A.dim
     w, u = _eigh(a)

@@ -452,19 +452,19 @@ CHUNKING_CASES = {
 def _outcome(call):
     """(body bytes or (error type, message), samples drawn, verdict) of one call."""
     drawn = [0]
-    sample_rng = convexity._sample_rng
+    sample_rngs = convexity._sample_rngs
 
-    def counting(*args):
-        drawn[0] += 1
-        return sample_rng(*args)
+    def counting(seed, salt, idxs):
+        drawn[0] += len(idxs)
+        return sample_rngs(seed, salt, idxs)
 
-    convexity._sample_rng = counting
+    convexity._sample_rngs = counting
     try:
         verdict = call()
     except CstarlabError as exc:
         return (type(exc), str(exc)), drawn[0], None
     finally:
-        convexity._sample_rng = sample_rng
+        convexity._sample_rngs = sample_rngs
     return canonical_dumps(verdict_to_payload(verdict)).encode(), drawn[0], verdict
 
 
@@ -501,11 +501,11 @@ def test_violation_is_built_from_the_chunk_that_found_it(name, monkeypatch):
     # violating sample is not evaluated a second time on its own
     call, expected = CHUNKING_CASES[name]
     derived, raised = [], []
-    sample_rng, run_suite = convexity._sample_rng, convexity._run_suite
+    sample_rngs, run_suite = convexity._sample_rngs, convexity._run_suite
 
-    def counting(seed, salt, index):
-        derived.append(index)
-        return sample_rng(seed, salt, index)
+    def counting(seed, salt, idxs):
+        derived.extend(idxs)
+        return sample_rngs(seed, salt, idxs)
 
     def spying(tol, seed, salt, samples, draw, **fields):
         def spy(rngs, idxs, tracker):
@@ -517,7 +517,7 @@ def test_violation_is_built_from_the_chunk_that_found_it(name, monkeypatch):
 
         return run_suite(tol, seed, salt, samples, spy, **fields)
 
-    monkeypatch.setattr(convexity, "_sample_rng", counting)
+    monkeypatch.setattr(convexity, "_sample_rngs", counting)
     monkeypatch.setattr(convexity, "_run_suite", spying)
     verdict = call()
     assert verdict.violated and verdict.samples_run == expected
@@ -553,3 +553,88 @@ def test_by_key_maps_each_sample_to_its_key_stack():
                                                            (2.0 * j * np.eye(2)).tolist()]
         assert np.array_equal(inputs["coeffs"][0], (j + key) * np.eye(2))
         assert inputs["bound_value"] == j and inputs["interval"] == key
+
+
+# every suite salt, and seeds of one, two and three 32-bit words
+SALTS = sorted(v for k, v in vars(convexity).items() if k.startswith("_SALT_"))
+PIN_SEEDS = (0, 7, 2**32 - 1, 2**32, 10**12, 2**63 - 1, 2**64 - 1, 2**64 + 3)
+
+
+def _draws(rng):
+    return (rng.standard_normal(3).tolist(), rng.uniform(-2.0, 5.0, 2).tolist(),
+            rng.integers(1, 5, 4).tolist(), int(rng.integers(1, 4)), rng.random(2).tolist())
+
+
+def _check_against_seed_sequences(seed, salt, chunks):
+    """The words and generators of each chunk against numpy's own
+    `SeedSequence((seed, salt, i))` and `default_rng` of it."""
+    refs = {i: np.random.SeedSequence((seed, salt, i)) for idxs in chunks for i in idxs}
+    ref_words = {i: ss.generate_state(4, np.uint64) for i, ss in refs.items()}
+    ref_draws = {i: _draws(np.random.default_rng(ss)) for i, ss in refs.items()}
+    for idxs in chunks:
+        words = convexity._seed_words(seed, salt, idxs)
+        assert words.dtype == np.uint64 and words.shape == (len(idxs), 4)
+        assert np.array_equal(words, [ref_words[i] for i in idxs])
+        rngs = convexity._sample_rngs(seed, salt, idxs)
+        assert len(rngs) == len(idxs)
+        for i, rng in zip(idxs, rngs):
+            # PCG64 reads its seed words straight from this buffer
+            row = rng.bit_generator.seed_seq.row
+            assert row.dtype == np.uint64 and row.shape == (4,) and row.flags.c_contiguous
+            assert _draws(rng) == ref_draws[i]
+
+
+@pytest.mark.parametrize("seed", PIN_SEEDS)
+def test_chunk_generators_match_numpy_seed_sequences(seed):
+    # indices 0..300 one at a time and in chunks of 64: a change to numpy's
+    # seeding fails here rather than silently changing every verdict
+    for salt in SALTS:
+        _check_against_seed_sequences(seed, salt, [range(i, i + 1) for i in range(301)]
+                                      + [range(i, min(i + 64, 301)) for i in range(0, 301, 64)])
+
+
+@pytest.mark.parametrize("seed", (7, 2**64 - 1))
+def test_indices_of_two_words_keep_their_streams(seed):
+    # an index from 2^32 on is two entropy words; a chunk may straddle 2^32
+    chunks = [range(2**32 - 2, 2**32 + 2), range(2**32 - 1, 2**32), range(2**32, 2**32 + 1),
+              range(2**40 + 5, 2**40 + 9), range(2**64 - 3, 2**64)]
+    _check_against_seed_sequences(seed, convexity._SALT_JENSEN, chunks)
+
+
+SEEDED_SUITES = {
+    "midpoint": lambda seed: midpoint_convexity_test(T2, 2, 10, seed=seed),
+    "jensen": lambda seed: jensen_test(T2, "map-family", 2, 2, 10, seed=seed),
+    "log-epigraph": lambda seed: log_epigraph_closure_test(TINV, 2, 2, 10, seed=seed),
+    "interval-set": lambda seed: interval_set_falsifier(HermitianMatrix(2.0 * np.eye(2)), 10, seed=seed),
+    "interval-set certificate": lambda seed: interval_set_falsifier(
+        HermitianMatrix.diagonal([0.5, 1.0, 4.0]), 10, seed=seed),
+    "sublevel": lambda seed: sublevel_family_test([(T2, 4.0)], 2, 2, 10, seed=seed),
+    "harmonic-sum": lambda seed: harmonic_sum_closure_test(
+        HermitianMatrix.identity(2), HermitianMatrix.identity(2), 10, seed=seed),
+}
+BAD_SEEDS = {
+    -1: "seed must be non-negative, got -1",
+    2.5: "seed must be an integer, got 2.5",
+    "7": "seed must be an integer, got '7'",
+}
+
+
+@pytest.mark.parametrize("seed", BAD_SEEDS)
+@pytest.mark.parametrize("suite", SEEDED_SUITES)
+def test_bad_seeds_raise_before_any_sample(suite, seed, monkeypatch):
+    def no_sampling(*args):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(convexity, "_sample_rngs", no_sampling)
+    with pytest.raises(InputError) as err:
+        SEEDED_SUITES[suite](seed)
+    assert str(err.value) == BAD_SEEDS[seed]
+
+
+@pytest.mark.parametrize("suite", SEEDED_SUITES)
+def test_numpy_integer_seeds_run_as_python_ints(suite):
+    def body(seed):
+        return canonical_dumps(verdict_to_payload(SEEDED_SUITES[suite](seed)))
+
+    assert body(np.uint64(2**64 - 1)) == body(2**64 - 1)
+    assert body(np.int32(7)) == body(7)

@@ -8,9 +8,12 @@ type and message). The grid covers all nine suites, including
 reaches, plus `embed_counterexample`, at a budget of 30 samples. A second
 grid reruns a subset of it at 300 samples (lines named `n300 ...`), so that
 clean runs walk the sampling engine's largest chunks and violations fall far
-from the first sample.
+from the first sample. A third reruns a smaller subset at 300 samples at two
+seeds of two 32-bit words, 2^63 + 12345 and 2^64 - 1 (lines named
+`n300 seed<seed> ...`), since SEED = 7 seeds every sample from three words
+of entropy and the CLI's seeds reach 2^64 - 1.
 
-A third grid (lines named `cli ...`) runs `cstarlab.cli.main` in a
+A last grid (lines named `cli ...`) runs `cstarlab.cli.main` in a
 temporary directory on fixed matrix files and prints
 `<sha256>  cli <run> exit <code>`: the digest of the report body
 (`report_body_bytes`), of the witness file, or of stdout (stderr for a
@@ -68,6 +71,8 @@ SEED = 7
 SAMPLES = 30
 LONG_SAMPLES = 300
 LONG_LABELS = ("t", "t^1.5", "t^2", "t^-0.5", "t^-1", "t^0.5", "t^3")
+WIDE_SEEDS = (2**63 + 12345, 2**64 - 1)
+WIDE_LABELS = ("t^1.5", "t^-1", "t^0.5", "t^3")
 LABELS = (
     "t", "t^0.5", "t^1.5", "t^2", "t^3", "t^4", "t^-0.5", "t^-1",
     "const:2.0", "poly:1,0,1", "poly:0,0,0,1", "poly:0,-1,0,0,1",
@@ -91,30 +96,30 @@ def _rotated(values, seed: int) -> HermitianMatrix:
     return HermitianMatrix((a + a.T) / 2.0)
 
 
-def _function_calls(fns, dims, ms, noises, samples, prefix=""):
+def _function_calls(fns, dims, ms, noises, samples, prefix="", seed=SEED):
     """(name, thunk) for the six function suites over a grid of shapes."""
     n = samples
     for f in fns:
         for dim in dims:
             yield f"{prefix}midpoint {f.label} d{dim}", lambda f=f, d=dim: midpoint_convexity_test(
-                f, d, n, seed=SEED)
+                f, d, n, seed=seed)
             yield f"{prefix}log-midpoint {f.label} d{dim}", lambda f=f, d=dim: log_midpoint_test(
-                f, d, n, seed=SEED)
+                f, d, n, seed=seed)
             yield f"{prefix}jensen isometry {f.label} d{dim}", lambda f=f, d=dim: jensen_test(
-                f, "isometry", d, 1, n, seed=SEED)
+                f, "isometry", d, 1, n, seed=seed)
             for m in ms:
                 for mode in ("tuple", "map-family"):
                     yield f"{prefix}jensen {mode} {f.label} d{dim} m{m}", (
-                        lambda f=f, d=dim, m=m, mode=mode: jensen_test(f, mode, d, m, n, seed=SEED))
+                        lambda f=f, d=dim, m=m, mode=mode: jensen_test(f, mode, d, m, n, seed=seed))
                 yield f"{prefix}log-harmonic {f.label} d{dim} m{m}", (
-                    lambda f=f, d=dim, m=m: log_harmonic_jensen_test(f, d, m, n, seed=SEED))
+                    lambda f=f, d=dim, m=m: log_harmonic_jensen_test(f, d, m, n, seed=seed))
                 for noise in noises:
                     yield f"{prefix}epigraph {f.label} d{dim} m{m} n{noise}", (
                         lambda f=f, d=dim, m=m, z=noise: epigraph_closure_test(
-                            f, d, m, n, seed=SEED, noise_scale=z))
+                            f, d, m, n, seed=seed, noise_scale=z))
                     yield f"{prefix}log-epigraph {f.label} d{dim} m{m} n{noise}", (
                         lambda f=f, d=dim, m=m, z=noise: log_epigraph_closure_test(
-                            f, d, m, n, seed=SEED, noise_scale=z))
+                            f, d, m, n, seed=seed, noise_scale=z))
 
 
 def grid():
@@ -203,6 +208,22 @@ def long_grid():
             a, b, LONG_SAMPLES, seed=SEED)
 
 
+def wide_seed_grid():
+    """Yield (name, thunk) for a subset of the long grid at seeds of two
+    32-bit words (lines named `n300 seed<seed> ...`), as the CLI and the
+    benchmark pass them; SEED is one word."""
+    fns = [parse_function(label) for label in WIDE_LABELS]
+    for seed in WIDE_SEEDS:
+        prefix = f"n300 seed{seed} "
+        yield from _function_calls(fns, (2,), (2,), (0.1,), LONG_SAMPLES, prefix, seed)
+        yield f"{prefix}interval-set rot3", lambda s=seed: interval_set_falsifier(
+            _rotated([0.5, 1.0, 4.0], 3), LONG_SAMPLES, seed=s)
+        yield f"{prefix}sublevel t2<=4,t^-1<=3 d2", lambda s=seed: sublevel_family_test(
+            [(parse_function("t^2"), 4.0), (parse_function("t^-1"), 3.0)], 2, 2, LONG_SAMPLES, seed=s)
+        yield f"{prefix}harmonic-sum d2", lambda s=seed: harmonic_sum_closure_test(
+            _diag(1.0, 3.0), _diag(0.5, 2.0), LONG_SAMPLES, seed=s)
+
+
 CLI_MATRICES = {
     "t.json": _rotated([1.0, 2.0, 4.0], 11),
     "x-in.json": _rotated([1.5, 2.5, 3.0], 12),
@@ -265,6 +286,8 @@ def cli_grid():
                                   "--out", "jensen.json"], "report"
     for report in ("jensen.json", "hull-non-member.json", "lch-non-member.json", "interval.json"):
         yield f"verify {report}", ["verify", "--report", report], "stdout"
+    yield "classify t^2 seed 2^64-1", ["classify", "--function", "t^2", "--dims", "2", "--samples",
+                                      str(SAMPLES), "--seed", str(2**64 - 1)], "report"
 
 
 def cli_lines():
@@ -314,7 +337,7 @@ def body(thunk) -> tuple[dict, str]:
 def main() -> int:
     combined = hashlib.sha256()
     counts = {"calls": 0, "violated": 0, "error": 0}
-    for name, thunk in (*grid(), *long_grid()):
+    for name, thunk in (*grid(), *long_grid(), *wide_seed_grid()):
         payload, outcome = body(thunk)
         digest = hashlib.sha256(canonical_dumps(payload).encode()).hexdigest()
         line = f"{digest}  {name}"
