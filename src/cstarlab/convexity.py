@@ -50,7 +50,6 @@ from .errors import (
 )
 from .combinations import (
     _combine_arr,
-    _family_at,
     _inv_pd_arr,
     _log_combine_arr,
     _sample_families,
@@ -74,6 +73,7 @@ from .hermitian import (
     _require_pd,
     _sym,
 )
+from .io import EVIDENCE_NOTE, INPUT_KEYS
 
 __all__ = [
     "TestVerdict",
@@ -90,8 +90,6 @@ __all__ = [
     "embed_counterexample",
     "EVIDENCE_NOTE",
 ]
-
-EVIDENCE_NOTE = "no-violation-found is sampling evidence, not a proof"
 
 SPREADS = (1.0, 4.0, 16.0)
 
@@ -428,26 +426,13 @@ def _run_suite(tol: ToleranceConfig, seed: int, salt: int, samples: int, draw, *
 
 def _stacked(inputs: dict, lhs, rhs, functions=None):
     """The `sample` of a draw over one stack: sample j's counterexample
-    inputs, lhs, rhs and function label (None without `functions`). In
-    `inputs` the lists `xs`, `ys` and `coeffs` hold one stack per operand,
-    `maps` the families of `_sample_families`, `bound_value` one entry per
-    sample, and other keys a suite-wide value."""
+    inputs (each cut by its `io.INPUT_KEYS` entry), lhs, rhs and function
+    label (None without `functions`)."""
     wrap = HermitianMatrix._wrap
 
     def sample(j):
-        out = {}
-        for key, value in inputs.items():
-            if key in ("xs", "ys"):
-                out[key] = [wrap(x[j]) for x in value]
-            elif key == "coeffs":
-                out[key] = [c[j] for c in value]
-            elif key == "maps":
-                out[key] = _family_at(value, j)
-            elif key == "bound_value":
-                out[key] = value[j]
-            else:
-                out[key] = value
-        return out, wrap(lhs[j]), wrap(rhs[j]), None if functions is None else functions[j]
+        cut = {key: INPUT_KEYS[key].cut(value, j) for key, value in inputs.items()}
+        return cut, wrap(lhs[j]), wrap(rhs[j]), None if functions is None else functions[j]
 
     return sample
 

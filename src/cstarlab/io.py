@@ -9,15 +9,17 @@ data that is excluded from determinism comparisons.
 from __future__ import annotations
 
 import json
-from typing import Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import InputError
-from .combinations import UnitalMapFamily
-from .convexity import EVIDENCE_NOTE, Counterexample, TestVerdict
+from .combinations import _family_at
 from .hermitian import SCALE_FLOOR, HermitianMatrix, ToleranceConfig
 from .hull import FeasibilityResult, HullCertificate, HullWitness
+
+if TYPE_CHECKING:  # convexity imports this module
+    from .convexity import Counterexample, TestVerdict
 
 __all__ = [
     "encode_complex_matrix",
@@ -35,6 +37,8 @@ __all__ = [
     "write_report",
     "load_report",
 ]
+
+EVIDENCE_NOTE = "no-violation-found is sampling evidence, not a proof"
 
 
 def _jsonable(obj):
@@ -108,27 +112,42 @@ def save_matrix(path, H: HermitianMatrix) -> None:
         fh.write(canonical_dumps(encode_complex_matrix(H.array)))
 
 
-def _encode_inputs(inputs: dict) -> dict:
-    out = {}
-    for key, value in inputs.items():
-        if key in ("xs", "ys"):
-            out[key] = [encode_complex_matrix(x.array) for x in value]
-        elif key == "coeffs":
-            out[key] = [encode_complex_matrix(c) for c in value]
-        elif key == "maps":
-            fam: UnitalMapFamily = value
-            out[key] = [
-                {
-                    "kraus": [encode_complex_matrix(a) for a in m.kraus],
-                    "transpose": bool(m.transpose),
-                }
-                for m in fam.maps
-            ]
-        elif key == "bound":
-            out[key] = encode_complex_matrix(value.array)
-        else:
-            out[key] = _jsonable(value)
-    return out
+def _matrices(payload) -> list:
+    return [decode_complex_matrix(p) for p in payload]
+
+
+class _InputKey(NamedTuple):
+    """How one counterexample input is cut for sample j from a suite's
+    stacked draw, encoded into a payload, and decoded from one."""
+
+    cut: Callable
+    encode: Callable
+    decode: Callable
+
+
+_OPERATORS = _InputKey(lambda v, j: [HermitianMatrix._wrap(x[j]) for x in v],
+                      lambda v: [encode_complex_matrix(x.array) for x in v], _matrices)
+
+# The one schema of counterexample inputs, read by `convexity._stacked`,
+# `counterexample_to_payload` and `recheck`, which keeps its own formulas.
+# Stacks hold one (n, d, d) array per operand, `maps` the families of
+# `_sample_families` and `bound_value` one entry per sample; `bound` and
+# `interval` are suite-wide. A decoded map is (Kraus operators, transpose).
+INPUT_KEYS = {
+    "xs": _OPERATORS,
+    "ys": _OPERATORS,
+    "coeffs": _InputKey(lambda v, j: [c[j] for c in v],
+                       lambda v: [encode_complex_matrix(c) for c in v], _matrices),
+    "maps": _InputKey(
+        _family_at,
+        lambda fam: [{"kraus": [encode_complex_matrix(a) for a in phi.kraus],
+                      "transpose": bool(phi.transpose)} for phi in fam.maps],
+        lambda v: [(_matrices(spec["kraus"]), bool(spec["transpose"])) for spec in v]),
+    "bound": _InputKey(lambda v, j: v, lambda v: encode_complex_matrix(v.array), decode_complex_matrix),
+    "bound_value": _InputKey(lambda v, j: v[j], float, float),
+    "interval": _InputKey(lambda v, j: v, lambda v: [float(b) for b in v],
+                         lambda v: tuple(float(b) for b in v)),
+}
 
 
 def counterexample_to_payload(ce: Counterexample) -> dict:
@@ -137,7 +156,7 @@ def counterexample_to_payload(ce: Counterexample) -> dict:
         "dim": ce.dim,
         "function": ce.function,
         "mode": ce.mode,
-        "inputs": _encode_inputs(ce.inputs),
+        "inputs": {key: INPUT_KEYS[key].encode(v) for key, v in ce.inputs.items()},
         "lhs": encode_complex_matrix(ce.lhs.array),
         "rhs": encode_complex_matrix(ce.rhs.array),
         "violation": float(ce.violation),

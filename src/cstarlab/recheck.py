@@ -22,7 +22,7 @@ import numpy as np
 from .errors import InputError
 from .functions import parse_function
 from .hermitian import DEFAULT_TOL
-from .io import decode_complex_matrix
+from .io import INPUT_KEYS, decode_complex_matrix
 
 __all__ = ["RecheckResult", "recheck_payload"]
 
@@ -93,20 +93,15 @@ def _combine(coeffs, xs):
 
 
 def _apply_map(spec, x):
-    y = x.T if spec["transpose"] else x
-    out = np.zeros_like(y)
-    for k in spec["kraus"]:
-        a = decode_complex_matrix(k)
-        out = out + a.conj().T @ y @ a
-    return out
+    kraus, transpose = spec
+    y = x.T if transpose else x
+    return sum(a.conj().T @ y @ a for a in kraus)
 
 
 def _recompute(payload) -> float:
     kind = payload["kind"]
-    inputs = payload["inputs"] if "inputs" in payload else {}
-    xs = [decode_complex_matrix(p) for p in inputs.get("xs", [])]
-    ys = [decode_complex_matrix(p) for p in inputs.get("ys", [])]
-    coeffs = [decode_complex_matrix(p) for p in inputs.get("coeffs", [])]
+    inputs = {key: INPUT_KEYS[key].decode(v) for key, v in payload.get("inputs", {}).items()}
+    xs, ys, coeffs = (inputs.get(key, []) for key in ("xs", "ys", "coeffs"))
     label = payload.get("function")
 
     if kind == "midpoint":
@@ -136,12 +131,11 @@ def _recompute(payload) -> float:
         yc = _inv(_combine(coeffs, [_inv(y) for y in ys]))
         return _mineig(yc - _fun(label, _inv(xc)))
     if kind == "interval-set":
-        bound = decode_complex_matrix(inputs["bound"])
         combined = _combine(coeffs, xs)
-        return min(_mineig(combined), _mineig(bound - combined))
+        return min(_mineig(combined), _mineig(inputs["bound"] - combined))
     if kind == "sublevel":
         combined = _combine(coeffs, xs)
-        return float(inputs["bound_value"]) - _maxeig(_fun(label, combined))
+        return inputs["bound_value"] - _maxeig(_fun(label, combined))
     if kind == "harmonic-sum":
         lo, hi = inputs["interval"]
         combined = _inv(_combine(coeffs, [_inv(z) for z in xs]))
