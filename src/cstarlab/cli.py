@@ -276,11 +276,10 @@ def cmd_verify(args) -> int:
     report = io.load_report(args.report)
     payloads = []
     for entry in report["body"].get("results", []):
-        if isinstance(entry, dict):
-            if entry.get("counterexample"):
-                payloads.append(entry["counterexample"])
-            if entry.get("certificate"):
-                payloads.append(entry["certificate"])
+        if entry.get("counterexample"):
+            payloads.append(entry["counterexample"])
+        if entry.get("certificate"):
+            payloads.append(entry["certificate"])
     if not payloads:
         print("report carries no counterexample payloads; nothing to verify")
         return EXIT_PASS

@@ -36,6 +36,7 @@ __all__ = [
     "build_report",
     "write_report",
     "load_report",
+    "decode_payload",
 ]
 
 EVIDENCE_NOTE = "no-violation-found is sampling evidence, not a proof"
@@ -112,13 +113,49 @@ def save_matrix(path, H: HermitianMatrix) -> None:
         fh.write(canonical_dumps(encode_complex_matrix(H.array)))
 
 
-def _matrices(payload) -> list:
-    return [decode_complex_matrix(p) for p in payload]
+def _number(value, dim=None) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not np.isfinite(value):
+        raise InputError(f"{value!r} is not a finite number")
+    return float(value)
+
+
+def _list(value, length=None) -> list:
+    if not isinstance(value, list) or not value or length not in (None, len(value)):
+        raise InputError(f"{value!r:.40} is not a list of {length or 'one or more'} entries")
+    return value
+
+
+def _matrix(value, dim) -> np.ndarray:
+    arr = decode_complex_matrix(value)
+    if arr.shape != (dim, dim):
+        raise InputError(f"a matrix of shape {arr.shape} where the payload's dim is {dim}")
+    if not np.isfinite(arr).all():
+        raise InputError("a matrix has non-finite entries")
+    return arr
+
+
+def _matrices(value, dim) -> list:
+    return [_matrix(p, dim) for p in _list(value)]
+
+
+def _map(spec, dim) -> tuple:
+    if not isinstance(spec, dict) or spec.get("transpose") not in (True, False):
+        raise InputError(f"map {spec!r:.40} is not {{kraus, transpose}}")
+    return _matrices(spec["kraus"], dim), bool(spec["transpose"])
+
+
+def _interval(value, dim=None) -> tuple:
+    return tuple(_number(b) for b in _list(value, 2))
+
+
+def _vector(value, dim) -> np.ndarray:
+    return np.array([complex(*(_number(v) for v in _list(p, 2))) for p in _list(value, dim)])
 
 
 class _InputKey(NamedTuple):
     """How one counterexample input is cut for sample j from a suite's
-    stacked draw, encoded into a payload, and decoded from one."""
+    stacked draw, encoded into a payload, and decoded from one:
+    `decode(value, dim)` at the payload's dim."""
 
     cut: Callable
     encode: Callable
@@ -142,12 +179,72 @@ INPUT_KEYS = {
         _family_at,
         lambda fam: [{"kraus": [encode_complex_matrix(a) for a in phi.kraus],
                       "transpose": bool(phi.transpose)} for phi in fam.maps],
-        lambda v: [(_matrices(spec["kraus"]), bool(spec["transpose"])) for spec in v]),
-    "bound": _InputKey(lambda v, j: v, lambda v: encode_complex_matrix(v.array), decode_complex_matrix),
-    "bound_value": _InputKey(lambda v, j: v[j], float, float),
-    "interval": _InputKey(lambda v, j: v, lambda v: [float(b) for b in v],
-                         lambda v: tuple(float(b) for b in v)),
+        lambda v, dim: [_map(spec, dim) for spec in _list(v)]),
+    "bound": _InputKey(lambda v, j: v, lambda v: encode_complex_matrix(v.array), _matrix),
+    "bound_value": _InputKey(lambda v, j: v[j], float, _number),
+    "interval": _InputKey(lambda v, j: v, lambda v: [float(b) for b in v], _interval),
 }
+
+# each kind's input keys, and whether its payload names a function
+_KINDS = {
+    "midpoint": (("xs",), True),
+    "log-midpoint": (("xs",), True),
+    "jensen": (("xs", "coeffs"), True),
+    "jensen map-family": (("xs", "maps"), True),
+    "log-harmonic-jensen": (("xs", "coeffs"), True),
+    "epigraph": (("xs", "ys", "coeffs"), True),
+    "log-epigraph": (("xs", "ys", "coeffs"), True),
+    "interval-set": (("xs", "coeffs", "bound"), False),
+    "sublevel": (("xs", "coeffs", "bound_value"), True),
+    "harmonic-sum": (("xs", "coeffs", "interval"), False),
+}
+
+# a hull certificate's fields, decoded at the length of its vector
+_CERTIFICATE_FIELDS = {"vector": _vector, "value": _number, "interval": _interval,
+                       "margin": _number, "t": _matrix, "x": _matrix}
+
+
+def decode_payload(payload) -> dict:
+    """A counterexample or hull-certificate payload with the fields that
+    `recheck` reads decoded through the schema: for a counterexample `kind`,
+    `mode`, `function`, `violation` and the kind's `inputs`.
+
+    Raises `InputError`, naming the kind, for a missing field, a value of
+    the wrong type, operand lists of unequal length (or, for the midpoint
+    kinds, other than two), or a matrix that is not square of the
+    payload's dim. Premises such as sum C_i* C_i = I are not checked."""
+    if not isinstance(payload, dict):
+        raise InputError(f"payload {payload!r:.40} is not an object")
+    kind, mode = payload.get("kind"), payload.get("mode")
+    name = f"{kind} {mode}" if f"{kind} {mode}" in _KINDS else str(kind)
+    if kind is None:
+        raise InputError("payload has no kind")
+    if name not in _KINDS and kind != "hull-certificate":
+        raise InputError(f"unknown payload kind {kind!r}")
+    try:
+        if kind == "hull-certificate":
+            dim = len(_list(payload["vector"]))
+            return {"kind": kind, **{key: decode(payload[key], dim)
+                                     for key, decode in _CERTIFICATE_FIELDS.items()}}
+        keys, labeled = _KINDS[name]
+        dim, inputs, label = payload["dim"], payload["inputs"], payload.get("function")
+        if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+            raise InputError(f"dim {dim!r} is not a positive integer")
+        if not isinstance(inputs, dict):
+            raise InputError("inputs is not an object")
+        if labeled and not isinstance(label, str):
+            raise InputError(f"function {label!r} is not a function label")
+        decoded = {key: INPUT_KEYS[key].decode(inputs[key], dim) for key in keys}
+        # one entry per operand in each list: xs, ys, coeffs and maps
+        lengths = {key: len(v) for key, v in decoded.items() if isinstance(v, list)}
+        if len(set(lengths.values())) > 1 or kind.endswith("midpoint") and lengths["xs"] != 2:
+            raise InputError(f"operand lists of lengths {lengths}")
+        return {"kind": kind, "mode": mode, "function": label, "inputs": decoded,
+                "violation": _number(payload["violation"])}
+    except KeyError as exc:
+        raise InputError(f"{kind} payload has no field {exc}") from None
+    except InputError as exc:
+        raise InputError(f"{kind} payload: {exc}") from None
 
 
 def counterexample_to_payload(ce: Counterexample) -> dict:
@@ -241,6 +338,8 @@ def write_report(path, body: dict, meta: dict) -> dict:
 
 
 def load_report(path) -> dict:
+    """A run report; its body must be an object whose `results`, if any,
+    are a list of objects."""
     try:
         with open(path) as fh:
             report = json.load(fh)
@@ -248,6 +347,9 @@ def load_report(path) -> dict:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
-    if not isinstance(report, dict) or "body" not in report:
+    if not isinstance(report, dict) or not isinstance(report.get("body"), dict):
         raise InputError(f"{path} is not a run report (missing body)")
+    results = report["body"].get("results", [])
+    if not isinstance(results, list) or not all(isinstance(r, dict) for r in results):
+        raise InputError(f"{path}: results is not a list of objects")
     return report

@@ -5,7 +5,11 @@ numerical path from the engines that produced it (scipy eigensolvers and
 locally re-derived matrix formulas). A payload passes when the recomputed
 violation is negative and within a factor of two of the stored magnitude;
 a hull certificate's stored value and interval must also match their
-recomputation.
+recomputation. Payloads are decoded through `io.decode_payload`, the
+schema the suites encode them with, so a malformed payload (a missing or
+mistyped field, operand lists of unequal length, a matrix not square of the
+payload's dim) raises `InputError`; only the input layout is shared, and
+every formula here is recheck's own.
 
 This is the only module that uses scipy, and `cstarlab verify` the only
 command that reaches it, so `scipy.linalg` is imported on the first
@@ -19,10 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, NumericalError
 from .functions import parse_function
 from .hermitian import DEFAULT_TOL
-from .io import INPUT_KEYS, decode_complex_matrix
+from .io import decode_payload
 
 __all__ = ["RecheckResult", "recheck_payload"]
 
@@ -42,12 +46,17 @@ def _linalg():
     return scipy.linalg
 
 
-def _eigh(a):
-    return _linalg().eigh((a + a.conj().T) / 2.0)
+def _eigh(a, eigvals_only=False):
+    """scipy's eigh of the Hermitian part of a; a convergence failure, which
+    scipy raises as a ValueError, is a NumericalError and not bad input."""
+    try:
+        return _linalg().eigh((a + a.conj().T) / 2.0, eigvals_only=eigvals_only)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"scipy eigensolver failed: {exc}") from exc
 
 
 def _eigvalsh(a):
-    return _linalg().eigvalsh((a + a.conj().T) / 2.0)
+    return _eigh(a, eigvals_only=True)
 
 
 def _mineig(a) -> float:
@@ -99,10 +108,9 @@ def _apply_map(spec, x):
 
 
 def _recompute(payload) -> float:
-    kind = payload["kind"]
-    inputs = {key: INPUT_KEYS[key].decode(v) for key, v in payload.get("inputs", {}).items()}
-    xs, ys, coeffs = (inputs.get(key, []) for key in ("xs", "ys", "coeffs"))
-    label = payload.get("function")
+    """rhs - lhs of a counterexample payload decoded by `io.decode_payload`."""
+    kind, inputs, label = payload["kind"], payload["inputs"], payload["function"]
+    xs, ys, coeffs = (inputs.get(key) for key in ("xs", "ys", "coeffs"))
 
     if kind == "midpoint":
         x, y = xs
@@ -141,27 +149,26 @@ def _recompute(payload) -> float:
         combined = _inv(_combine(coeffs, [_inv(z) for z in xs]))
         eye = np.eye(combined.shape[0])
         return min(_mineig(combined - lo * eye), _mineig(hi * eye - combined))
-    raise InputError(f"unknown payload kind {kind!r}")
+    raise AssertionError(f"no formula for payload kind {kind!r}")
 
 
 def _recompute_certificate(payload) -> tuple[float, str]:
     """The negated escape of <Xa, a> from [lam_min(T), lam_max(T)], and which
     stored field, `value` or `interval`, differs from its recomputation by
-    more than the psd band at the payload's scale ('' when neither does)."""
-    vec = np.array([complex(p[0], p[1]) for p in payload["vector"]])
+    more than the psd band at the payload's scale ('' when neither does);
+    the payload is decoded by `io.decode_payload`."""
+    vec, x, t = payload["vector"], payload["x"], payload["t"]
     norm = float(np.linalg.norm(vec))
     if abs(norm - 1.0) > 1e-8:
-        raise InputError(f"certificate vector is not unit (norm {norm})")
-    x = decode_complex_matrix(payload["x"])
-    t = decode_complex_matrix(payload["t"])
+        raise InputError(f"hull-certificate vector is not unit (norm {norm})")
     value = float((vec.conj() @ x @ vec).real)
     lam = _eigvalsh(t)
     lo, hi = float(lam[0]), float(lam[-1])
     band = DEFAULT_TOL.psd(max(abs(lo), abs(hi), abs(value)))
-    stored_lo, stored_hi = (float(v) for v in payload["interval"])
+    stored_lo, stored_hi = payload["interval"]
     mismatch = ""
-    if abs(float(payload["value"]) - value) > band:
-        mismatch = f"stored value {float(payload['value']):.6e} is not <Xa, a> = {value:.6e}"
+    if abs(payload["value"] - value) > band:
+        mismatch = f"stored value {payload['value']:.6e} is not <Xa, a> = {value:.6e}"
     elif max(abs(stored_lo - lo), abs(stored_hi - hi)) > band:
         mismatch = (f"stored interval [{stored_lo:.6e}, {stored_hi:.6e}] is not the "
                     f"spectral interval [{lo:.6e}, {hi:.6e}] of t")
@@ -176,18 +183,16 @@ def recheck_payload(payload: dict) -> RecheckResult:
     certificates it is the negated escape `margin`, and the certificate's
     stored `value` and `interval` must also match their recomputation.
     Passing requires a negative recomputation within a factor of two of the
-    stored magnitude.
+    stored magnitude. A malformed payload raises `InputError`.
     """
-    kind = payload.get("kind")
-    if kind is None:
-        raise InputError("payload has no kind")
-    if kind == "hull-certificate":
-        stored = -float(payload["margin"])
+    payload = decode_payload(payload)
+    if payload["kind"] == "hull-certificate":
+        stored = -payload["margin"]
         recomputed, mismatch = _recompute_certificate(payload)
         if mismatch:
             return RecheckResult(False, stored, recomputed, mismatch)
     else:
-        stored = float(payload["violation"])
+        stored = payload["violation"]
         recomputed = _recompute(payload)
     if stored >= 0:
         return RecheckResult(False, stored, recomputed, "stored violation is not negative")

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import cstarlab
-from cstarlab import HermitianMatrix, HermitianDefectError, cli
+from cstarlab import HermitianMatrix, HermitianDefectError, InputError, cli
 from cstarlab.cli import main
 from cstarlab.io import (
     canonical_dumps,
@@ -392,6 +392,48 @@ class TestVerifyAndReport:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["report", "--in", str(bad)]) == 2
+
+    @pytest.mark.parametrize("body", [{"results": "abc"}, {"results": [1, 2]}, "abc"])
+    def test_results_must_be_a_list_of_objects(self, tmp_path, capsys, body):
+        # `verify` used to find nothing to verify in a string and exit 0
+        bad = write_json(tmp_path / "bad.json", {"body": body})
+        with pytest.raises(InputError):
+            load_report(bad)
+        for argv in (["verify", "--report", bad], ["report", "--in", bad]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err.startswith("error:")
+
+    def test_verify_malformed_payload_exits_2_without_traceback(self, tmp_path):
+        eye = {"dim": 2, "entries": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}
+        payload = {"kind": "midpoint", "dim": 2, "function": "t^4", "inputs": {"xs": [eye]},
+                   "violation": -1.0}
+        report = write_json(tmp_path / "r.json", {"body": {"results": [{"counterexample": payload}]}})
+        src = os.path.dirname(os.path.dirname(cstarlab.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "cstarlab.cli", "verify", "--report", report],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: midpoint payload")
+        assert "Traceback" not in proc.stderr
+
+    def test_verify_eigensolver_failure_exits_3(self, tmp_path, capsys, monkeypatch):
+        # scipy's LinAlgError is a ValueError, but a solver failure is not bad input
+        import scipy.linalg
+
+        out = tmp_path / "r.json"
+        assert main(["jensen", "--function", "t^4", "--dims", "2", "--m", "2",
+                     "--samples", "30", "--seed", "7", "--out", str(out)]) == 1
+
+        def fail(*args, **kwargs):
+            raise scipy.linalg.LinAlgError("did not converge")
+
+        monkeypatch.setattr(scipy.linalg, "eigh", fail)
+        capsys.readouterr()
+        assert main(["verify", "--report", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("numerical failure: scipy eigensolver failed")
 
 
 class TestDeterminism:

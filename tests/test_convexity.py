@@ -1,3 +1,6 @@
+import copy
+import json
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,7 @@ from cstarlab import (
     embed_counterexample,
     epigraph_closure_test,
     harmonic_sum_closure_test,
+    hull_membership,
     interval_set_falsifier,
     jensen_test,
     log_epigraph_closure_test,
@@ -26,7 +30,14 @@ from cstarlab import (
 )
 from cstarlab import convexity
 from cstarlab.errors import CstarlabError
-from cstarlab.io import canonical_dumps, counterexample_to_payload, verdict_to_payload
+from cstarlab.convexity import Counterexample
+from cstarlab.io import (
+    canonical_dumps,
+    counterexample_to_payload,
+    encode_complex_matrix,
+    feasibility_to_payload,
+    verdict_to_payload,
+)
 
 from conftest import specnorm
 
@@ -318,22 +329,104 @@ class TestSublevelFamily:
             sublevel_family_test([], 2, 2, 10, seed=0)
 
 
+def harmonic_sum_counterexample() -> Counterexample:
+    """A harmonic-sum counterexample built by hand: the closure is a theorem,
+    so no suite finds one. T1 = diag(1, 3) and T2 = diag(0.5, 2) bound the
+    set by [p(1, 0.5), p(3, 2)] = [1/3, 6/5], and the log-combination of
+    Z = diag(2, 1/2) with itself, Z, exceeds 6/5 by 0.8."""
+    z = HermitianMatrix.diagonal([2.0, 0.5])
+    coeffs = [np.eye(2) / np.sqrt(2.0)] * 2
+    return Counterexample(kind="harmonic-sum", dim=2, inputs={"xs": [z, z], "coeffs": coeffs,
+                                                            "interval": (1.0 / 3.0, 1.2)},
+                          lhs=z, rhs=HermitianMatrix.diagonal([1.2, 1.2]), violation=-0.8)
+
+
+@pytest.fixture(scope="module")
+def payloads():
+    """One valid payload of each shape the malformed-payload tests edit,
+    read back from JSON."""
+    t13, outside = HermitianMatrix.diagonal([1.0, 3.0]), HermitianMatrix.diagonal([0.0, 2.0])
+    out = {
+        "midpoint": midpoint_convexity_test(T4, 2, 1000, seed=42).counterexample,
+        "jensen": jensen_test(T4, "tuple", 2, 2, 1000, seed=42).counterexample,
+        "map-family": jensen_test(T4, "map-family", 2, 2, 1000, seed=43).counterexample,
+        "epigraph": epigraph_closure_test(T4, 2, 2, 500, seed=42).counterexample,
+    }
+    out = {name: counterexample_to_payload(ce) for name, ce in out.items()}
+    out["certificate"] = feasibility_to_payload(hull_membership(t13, outside))["certificate"]
+    out = json.loads(canonical_dumps(out))
+    for payload in out.values():
+        assert recheck_payload(payload).ok
+    return out
+
+
+def _set_xs0(p, arr):
+    p["inputs"]["xs"][0] = encode_complex_matrix(arr)
+
+
+MALFORMED = {
+    "no inputs": ("midpoint", lambda p: p.pop("inputs")),
+    "one xs": ("midpoint", lambda p: p["inputs"]["xs"].pop()),
+    "no violation": ("midpoint", lambda p: p.pop("violation")),
+    "no function": ("midpoint", lambda p: p.pop("function")),
+    "non-numeric violation": ("midpoint", lambda p: p.update(violation="abc")),
+    "2x3 xs": ("midpoint", lambda p: _set_xs0(p, np.ones((2, 3)))),
+    "3x3 xs at dim 2": ("midpoint", lambda p: _set_xs0(p, np.eye(3))),
+    "non-finite xs": ("midpoint", lambda p: _set_xs0(p, np.full((2, 2), np.nan))),
+    "no dim": ("jensen", lambda p: p.pop("dim")),
+    "coeffs not a list": ("jensen", lambda p: p["inputs"].update(coeffs="abc")),
+    "map without kraus": ("map-family", lambda p: p["inputs"]["maps"][0].pop("kraus")),
+    "certificate without vector": ("certificate", lambda p: p.pop("vector")),
+    "certificate value not a number": ("certificate", lambda p: p.update(value=None)),
+    "certificate interval of one": ("certificate", lambda p: p["interval"].pop()),
+    "certificate x of another dim": ("certificate", lambda p: p.update(
+        x=encode_complex_matrix(np.eye(3)))),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_payload_raises_input_error_naming_its_kind(payloads, case):
+    base, edit = MALFORMED[case]
+    payload = copy.deepcopy(payloads[base])
+    edit(payload)
+    with pytest.raises(InputError, match=f"^{payload['kind']} payload"):
+        recheck_payload(payload)
+
+
+@pytest.mark.parametrize("base, key", [("jensen", "coeffs"), ("jensen", "xs"), ("midpoint", "xs"),
+                                       ("epigraph", "ys"), ("map-family", "maps")])
+def test_operand_lists_of_unequal_length_are_rejected(payloads, base, key):
+    # at one extra operand the payload used to recheck: zip dropped it
+    payload = copy.deepcopy(payloads[base])
+    payload["inputs"][key].append(payload["inputs"][key][0])
+    with pytest.raises(InputError, match="operand lists of lengths"):
+        recheck_payload(payload)
+
+
 class TestCertificates:
     def test_all_found_counterexamples_reverify(self):
         found = [
             midpoint_convexity_test(T4, 2, 1000, seed=42).counterexample,
             jensen_test(T4, "tuple", 2, 2, 1000, seed=42).counterexample,
+            log_midpoint_test(T2, 2, 100, seed=0).counterexample,
             log_harmonic_jensen_test(T2, 2, 2, 100, seed=42).counterexample,
             epigraph_closure_test(T4, 2, 2, 500, seed=42).counterexample,
             log_epigraph_closure_test(T1, 2, 2, 200, seed=42).counterexample,
             interval_set_falsifier(HermitianMatrix(np.diag([2.0, 1.0])), seed=1).counterexample,
+            sublevel_family_test([(parse_function("poly:1,0,-2,0,1"), 0.9)], 2, 2, 300,
+                                 seed=23).counterexample,
+            harmonic_sum_counterexample(),
         ]
+        kinds = []
         for ce in found:
             assert ce is not None
-            result = recheck_payload(counterexample_to_payload(ce))
+            # through JSON, as `cstarlab verify` reads it
+            result = recheck_payload(json.loads(canonical_dumps(counterexample_to_payload(ce))))
             assert result.ok
             # within a factor two of the stored magnitude
             assert 0.5 <= result.recomputed / result.stored <= 2.0
+            kinds.append(ce.kind)
+        assert len(set(kinds)) == 9
 
     def test_map_family_counterexample_reverifies(self):
         v = jensen_test(T4, "map-family", 2, 2, 1000, seed=43)

@@ -18,9 +18,13 @@ temporary directory on fixed matrix files and prints
 `<sha256>  cli <run> exit <code>`: the digest of the report body
 (`report_body_bytes`), of the witness file, or of stdout (stderr for a
 failed parse) where a command writes neither. All CLI runs share one
-process, so later runs reuse the parser that earlier ones built. The last
-lines give the call, violation, error and CLI counts and a combined digest
-over all lines.
+process, so later runs reuse the parser that earlier ones built.
+
+Every violation's counterexample payload is passed through JSON, as
+`cstarlab verify` reads it, and rechecked with `recheck_payload`; the line
+`rechecked=<n> recheck_failed=<k>` counts them and the ones that failed or
+raised. The last lines give the call, violation, error and CLI counts and a
+combined digest over all lines before them.
 
 Two source trees produce byte-identical verdicts iff their outputs match:
 
@@ -32,6 +36,7 @@ Digests depend on the LAPACK build, so compare runs on one machine only.
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import sys
 import tempfile
@@ -66,6 +71,7 @@ from cstarlab.io import (
     save_matrix,
     verdict_to_payload,
 )
+from cstarlab.recheck import recheck_payload
 
 SEED = 7
 SAMPLES = 30
@@ -334,11 +340,25 @@ def body(thunk) -> tuple[dict, str]:
     return counterexample_to_payload(result), "violated"
 
 
+def rechecks(payload: dict) -> bool:
+    """Whether a violation's counterexample, read back from its JSON,
+    rechecks."""
+    ce = json.loads(canonical_dumps(payload.get("counterexample", payload)))
+    try:
+        return recheck_payload(ce).ok
+    except CstarlabError:
+        return False
+
+
 def main() -> int:
     combined = hashlib.sha256()
     counts = {"calls": 0, "violated": 0, "error": 0}
+    rechecked = {"rechecked": 0, "recheck_failed": 0}
     for name, thunk in (*grid(), *long_grid(), *wide_seed_grid()):
         payload, outcome = body(thunk)
+        if outcome == "violated":
+            rechecked["rechecked"] += 1
+            rechecked["recheck_failed"] += not rechecks(payload)
         digest = hashlib.sha256(canonical_dumps(payload).encode()).hexdigest()
         line = f"{digest}  {name}"
         print(line)
@@ -349,6 +369,9 @@ def main() -> int:
         print(line)
         combined.update((line + "\n").encode())
         counts["cli"] = counts.get("cli", 0) + 1
+    line = " ".join(f"{k}={v}" for k, v in rechecked.items())
+    print(line)
+    combined.update((line + "\n").encode())
     print(" ".join(f"{k}={v}" for k, v in counts.items()))
     print(f"combined {combined.hexdigest()}")
     return 0
