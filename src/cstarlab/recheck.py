@@ -108,7 +108,8 @@ def _apply_map(spec, x):
 
 
 def _recompute(payload) -> float:
-    """rhs - lhs of a counterexample payload decoded by `io.decode_payload`."""
+    """The recomputed violation (negative when violated) of a counterexample
+    payload decoded by `io.decode_payload`."""
     kind, inputs, label = payload["kind"], payload["inputs"], payload["function"]
     xs, ys, coeffs = (inputs.get(key) for key in ("xs", "ys", "coeffs"))
 
