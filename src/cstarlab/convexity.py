@@ -21,13 +21,14 @@ tracker, the per-sample generators, the stop at the first violation and
 the counterexample; a suite supplies only its `draw`. The six Loewner-order
 suites add the escalating window and lambda_min(rhs - lhs) via `_order_suite`.
 
-The loop evaluates samples in chunks of 1, 2, 4, ... up to `_CHUNK_CAP`
-consecutive indices. Within a chunk each sample makes its own draws from
-its own generator, in the same order as when it runs alone; the linear
-algebra then runs once over the stacked (n, d, d) arrays, which numpy
-computes matrix by matrix exactly as for one matrix. The first violation
-builds its counterexample from the stack that found it, so a verdict
-(samples, margins, counterexample, errors) is the same for every schedule.
+The loop evaluates sample 0 alone, then chunks of 16, 64 and 256
+consecutive indices (see `_CHUNK_CAP` for the measured reason). Within a
+chunk each sample makes its own draws from its own generator, in the same
+order as when it runs alone; the linear algebra then runs once over the
+stacked (n, d, d) arrays, which numpy computes matrix by matrix exactly as
+for one matrix. The first violation builds its counterexample from the
+stack that found it, so a verdict (samples, margins, counterexample,
+errors) is the same for every schedule.
 """
 
 from __future__ import annotations
@@ -93,9 +94,18 @@ __all__ = [
 
 SPREADS = (1.0, 4.0, 16.0)
 
-# the largest chunk of samples evaluated as one stack; small enough that the
-# stacks stay a few hundred kilobytes
-_CHUNK_CAP = 64
+# Chunk sizes: sample 0 runs alone, then stacks grow x4 from _FIRST_STACK up
+# to _CHUNK_CAP. A stacked chunk pays a fixed cost (seed words, a generator
+# per sample, about a hundred numpy and LAPACK calls) that a chunk of 2 to 8
+# does not absorb: warm, with one OpenBLAS thread on a 2-vCPU x86 host, a
+# jensen tuple chunk at dim 3, m 2 takes about 410 us for 2 samples and
+# 605 us for 8, and per sample 56, 37 and 33 us in chunks of 16, 64 and 256.
+# At the cap the largest stack, the Kraus array of a map family at dim 4 and
+# m 3, holds 3*3*256*4*4 complex entries, about 0.6 MB. A chunk whose
+# stacked draw raises reruns its samples alone, up to 255 of them; neither
+# perfbench workload raises one (its `convexity.resamples` reads 0).
+_FIRST_STACK = 16
+_CHUNK_CAP = 256
 _DOMAIN_RETRIES = 10  # draws of one sample before its domain violations fail the suite
 
 # per-suite salts for deriving sample seeds
@@ -277,8 +287,12 @@ def _sample_rngs(seed: int, salt: int, idxs: range) -> list[np.random.Generator]
     return [generator(pcg64(seq(row))) for row in _seed_words(seed, salt, idxs)]
 
 
-def _round_spread(index: int, samples: int) -> float:
-    return SPREADS[min(index * 3 // max(samples, 1), 2)]
+def _round_windows(domain: SpectrumInterval, samples: int, positive: bool = False):
+    """`windows(idxs)`, the eigenvalue window of each sample index of a
+    suite of `samples`: the window of its escalation round, each of the
+    three computed once."""
+    rounds = [_window(domain, spread, positive) for spread in SPREADS]
+    return lambda idxs: [rounds[min(i * 3 // max(samples, 1), 2)] for i in idxs]
 
 
 def _window(domain: SpectrumInterval, spread: float, positive: bool = False):
@@ -374,13 +388,15 @@ def _run_suite(tol: ToleranceConfig, seed: int, salt: int, samples: int, draw, *
     margins and scales of shape (n,), and `sample(j)` the stack's j-th
     `(inputs, lhs, rhs, function)` (see `_stacked`).
 
-    Chunks of 1, 2, 4, ... up to `_CHUNK_CAP` samples are drawn as one
-    stack, without a tracker, and classified in index order; the first
-    margin below the psd band at its scale builds the counterexample from
-    that stack, so later samples count nowhere. A chunk of one, and every
-    sample of a chunk whose stacked draw raised, runs alone with the tracker
-    for domain retries, so errors surface at the sample and with the message
-    of a one-at-a-time loop; no other sample is evaluated twice.
+    Sample 0 runs alone: most violating suites stop there. After it, chunks
+    of 16, 64 and then 256 samples (`_FIRST_STACK`, growing x4 up to
+    `_CHUNK_CAP`) are drawn as one stack, without a tracker, and classified
+    in index order; the first margin below the psd band at its scale builds
+    the counterexample from that stack, so later samples count nowhere. A
+    suite of 300 samples runs chunks of 1, 16, 64 and 219. A chunk of one,
+    and every sample of a chunk whose stacked draw raised, runs alone with
+    the tracker for domain retries, so errors surface at the sample and with
+    the message of a one-at-a-time loop; no other sample is evaluated twice.
     `fixed_ce_fields` (kind, function, mode) complete the counterexample.
 
     Each chunk derives the seed words of all its samples at once
@@ -403,7 +419,7 @@ def _run_suite(tol: ToleranceConfig, seed: int, salt: int, samples: int, draw, *
     idx, size = 0, 1
     while idx < samples:
         stop = min(idx + size, samples)
-        size = min(2 * size, _CHUNK_CAP)
+        size = min(max(4 * size, _FIRST_STACK), _CHUNK_CAP)
         stacks = (run(range(i, i + 1), tr) for i in range(idx, stop))
         if stop - idx > 1:
             try:
@@ -464,17 +480,23 @@ def _order_suite(f, tol, seed, salt, samples, evaluate, positive=False, **fixed_
     `positive`); `evaluate(rngs, lo, hi, tracker)` returns (inputs, lhs, rhs)
     for a stack of samples, `lo` and `hi` holding each sample's window."""
 
+    windows_of = _round_windows(f.domain, samples, positive)
+
     def draw(rngs, idxs, tracker):
-        windows = [_window(f.domain, _round_spread(idx, samples), positive) for idx in idxs]
-        for lo, hi in windows:
+        windows = windows_of(idxs)
+        for lo, hi in set(windows):
             if positive and (lo >= hi or hi <= 0):
                 raise InputError(f"domain {f.domain} has no positive part to sample")
             if lo >= hi:
                 raise InputError(f"domain {f.domain} is too small to sample")
         lo, hi = zip(*windows)
         inputs, lhs, rhs = evaluate(rngs, lo, hi, tracker)
-        scale = np.maximum(_max_abs_eig(lhs), _max_abs_eig(rhs))
-        return _mineig(rhs - lhs), scale, _stacked(inputs, lhs, rhs)
+        # one LAPACK call for the three stacks; it works matrix by matrix, so
+        # each eigenvalue is the one a call on its own stack would give
+        eig_l, eig_r, eig_gap = np.linalg.eigvalsh(
+            np.concatenate([lhs, rhs, rhs - lhs])).reshape(3, len(rngs), -1)
+        scale = np.maximum(np.max(np.abs(eig_l), axis=-1), np.max(np.abs(eig_r), axis=-1))
+        return eig_gap[:, 0], scale, _stacked(inputs, lhs, rhs)
 
     return _run_suite(tol, seed, salt, samples, draw, function=f.label, **fixed_ce_fields)
 
@@ -891,9 +913,11 @@ def sublevel_family_test(
 
     bounds = np.array([float(b) for _, b in family])
 
+    windows_of = _round_windows(joint, samples)
+
     def draw(rngs, idxs, tracker):
-        windows = [_window(joint, _round_spread(idx, samples)) for idx in idxs]
-        if any(lo >= hi for lo, hi in windows):
+        windows = windows_of(idxs)
+        if any(lo >= hi for lo, hi in set(windows)):
             raise InputError("joint domain is too small to sample")
         coeffs = _sample_tuple_arrs(dim, m, rngs)
         xs = [draw_members(rngs, windows) for _ in range(m)]

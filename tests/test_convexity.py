@@ -466,11 +466,13 @@ class TestLiteratureClassifications:
         assert not jensen_test(f, "tuple", dim, 2, 150, seed=12).violated
 
 
-# The sampling engine evaluates chunks of 1, 2, 4, ... 64 samples as one
-# stack; with the cap at 1 every sample runs alone. Verdict bytes must not
-# depend on it. Chunks start at indices 0, 1, 3, 7, 15, 31, 63, 127, 191, 255,
-# and the seeds below were found by search to put the first violation (or
-# error) where the comment says.
+# The sampling engine evaluates sample 0 alone and then chunks of 16, 64 and
+# 256 samples as one stack; with the cap at 1 every sample runs alone.
+# Verdict bytes must not depend on it. Chunks start at indices 0, 1, 17, 81,
+# 337, so a run of N = 300 ends with [81, 300), and the seeds below were
+# found by search to put the first violation (or error) where the name or
+# comment says; a name's index is the violating sample's, one below
+# samples_run.
 CUT = ScalarFunctionSpec(
     "cut", SpectrumInterval(0.0, open_lo=True), lambda t: np.where(t > 0.03, 1.0 / t, -1.0)
 )
@@ -498,35 +500,44 @@ CHUNKING_CASES = {
         lambda: harmonic_sum_closure_test(HermitianMatrix.diagonal([1.0, 3.0]),
                                           HermitianMatrix.diagonal([0.5, 2.0]), N, seed=1),
         "clean"),
-    # first violations on both sides of the chunk boundaries at 7 and 15
-    "midpoint last of [3, 7)": (lambda: midpoint_convexity_test(T4, 2, N, seed=41), 7),
-    "midpoint first of [7, 15)": (lambda: midpoint_convexity_test(T4, 2, N, seed=13), 8),
-    "jensen last of [7, 15)": (lambda: jensen_test(T4, "tuple", 2, 2, N, seed=28), 15),
-    "jensen first of [15, 31)": (lambda: jensen_test(T4, "tuple", 2, 2, N, seed=8), 16),
-    "epigraph first of [15, 31)": (lambda: epigraph_closure_test(T4, 2, 2, N, seed=56), 16),
-    "log-epigraph first of [1, 3)": (
+    # first violations on both sides of the chunk boundaries at 17 and 81
+    "midpoint last of [1, 17)": (lambda: midpoint_convexity_test(T4, 2, N, seed=64), 17),
+    "epigraph last of [1, 17)": (lambda: epigraph_closure_test(T4, 2, 2, N, seed=90), 17),
+    "jensen first of [17, 81)": (lambda: jensen_test(T4, "tuple", 2, 2, N, seed=34), 18),
+    "map-family last of [17, 81)": (lambda: jensen_test(T4, "map-family", 2, 2, N, seed=70), 81),
+    "epigraph first of [81, 300)": (lambda: epigraph_closure_test(T4, 2, 2, N, seed=219), 82),
+    "map-family first of [81, 300)": (lambda: jensen_test(T4, "map-family", 2, 2, N, seed=266), 82),
+    # inside the first stacked chunk
+    "midpoint at 6 inside [1, 17)": (lambda: midpoint_convexity_test(T4, 2, N, seed=41), 7),
+    "midpoint at 7 inside [1, 17)": (lambda: midpoint_convexity_test(T4, 2, N, seed=13), 8),
+    "jensen at 14 inside [1, 17)": (lambda: jensen_test(T4, "tuple", 2, 2, N, seed=28), 15),
+    "jensen at 15 inside [1, 17)": (lambda: jensen_test(T4, "tuple", 2, 2, N, seed=8), 16),
+    "epigraph at 15 inside [1, 17)": (lambda: epigraph_closure_test(T4, 2, 2, N, seed=56), 16),
+    "log-epigraph first of [1, 17)": (
         lambda: log_epigraph_closure_test(parse_function("t^0.5"), 2, 2, N, seed=0), 2),
-    "log-epigraph last of [1, 3)": (
+    "log-epigraph at 2 inside [1, 17)": (
         lambda: log_epigraph_closure_test(parse_function("t^0.5"), 2, 2, N, seed=16), 3),
-    # deep inside full-size chunks
-    "map-family last of [63, 127)": (lambda: jensen_test(T4, "map-family", 2, 2, N, seed=21), 127),
-    "map-family inside [191, 255)": (lambda: jensen_test(T4, "map-family", 2, 2, N, seed=0), 248),
+    # deep inside the last chunk
+    "map-family at 126 inside [81, 300)": (
+        lambda: jensen_test(T4, "map-family", 2, 2, N, seed=21), 127),
+    "map-family at 247 inside [81, 300)": (
+        lambda: jensen_test(T4, "map-family", 2, 2, N, seed=0), 248),
     "log-midpoint at 0": (lambda: log_midpoint_test(T2, 2, N, seed=0), 1),
     "log-harmonic at 0": (lambda: log_harmonic_jensen_test(T2, 2, 2, N, seed=0), 1),
-    "sublevel inside [3, 7)": (lambda: sublevel_family_test([(WELL, 0.9)], 2, 2, N, seed=23), 7),
-    # four stacked draws raise DomainError and rerun alone, where 39 retries
-    # in all come before the violation
+    "sublevel at 6 inside [1, 17)": (lambda: sublevel_family_test([(WELL, 0.9)], 2, 2, N, seed=23), 7),
+    # the stacked draws of [1, 17) and [17, 81) raise DomainError and rerun
+    # alone, where 39 retries in all come before the violation
     "log-epigraph domain retries": (lambda: log_epigraph_closure_test(BUMP, 1, 2, N, seed=3), 53),
     "interval-set swap certificate": (
         lambda: interval_set_falsifier(HermitianMatrix.diagonal([0.5, 1.0, 4.0]), N, seed=1), 0),
     # a positive-valued suite meets a non-positive value after clean samples,
-    # at index 10 inside [7, 15) and at index 63, the first of [63, 127)
+    # at index 10 inside [1, 17) and at index 63 inside [17, 81)
     "log-midpoint non-positive at 10": (lambda: log_midpoint_test(CUT, 2, N, seed=0), (NonPositiveError, 10)),
     "log-midpoint non-positive at 63": (lambda: log_midpoint_test(CUT, 2, N, seed=15), (NonPositiveError, 63)),
     "log-harmonic non-positive at 10": (
         lambda: log_harmonic_jensen_test(CUT, 2, 2, N, seed=4), (NonPositiveError, 10)),
     # a non-finite margin raises at its sample instead of passing as clean:
-    # NaN, and -inf at an infinite scale, both inside [191, 255)
+    # NaN, and -inf at an infinite scale, both inside [81, 300)
     "jensen NaN margin at 207": (
         lambda: jensen_test(HUGE, "tuple", 2, 1, N, seed=1), (NumericalError, 207)),
     "midpoint -inf margin at 202": (
@@ -583,15 +594,15 @@ def _chunk_end(index):
     """The end of the engine's chunk that holds sample `index`."""
     start, size = 0, 1
     while start + size <= index:
-        start, size = start + size, min(2 * size, convexity._CHUNK_CAP)
+        start, size = start + size, min(max(4 * size, convexity._FIRST_STACK), convexity._CHUNK_CAP)
     return min(start + size, N)
 
 
 @pytest.mark.parametrize("name", [n for n, (_, e) in CHUNKING_CASES.items() if type(e) is int])
 def test_violation_is_built_from_the_chunk_that_found_it(name, monkeypatch):
-    # e.g. "midpoint last of [3, 7)" derives the generators of samples 0..6
-    # and "map-family inside [191, 255)" those of 0..254, each once: the
-    # violating sample is not evaluated a second time on its own
+    # e.g. "midpoint at 6 inside [1, 17)" derives the generators of samples
+    # 0..16 and "map-family at 247 inside [81, 300)" those of 0..299, each
+    # once: the violating sample is not evaluated a second time on its own
     call, expected = CHUNKING_CASES[name]
     derived, raised = [], []
     sample_rngs, run_suite = convexity._sample_rngs, convexity._run_suite
@@ -618,6 +629,29 @@ def test_violation_is_built_from_the_chunk_that_found_it(name, monkeypatch):
     # only the samples of a chunk whose stacked draw raised run again alone
     assert {i for i in derived if derived.count(i) > 1} <= set(raised)
     assert sorted(set(derived)) == list(range(_chunk_end(expected - 1) if expected else 0))
+
+
+@pytest.mark.parametrize("samples, chunks", [
+    (300, [(0, 1), (1, 17), (17, 81), (81, 300)]),
+    (150, [(0, 1), (1, 17), (17, 81), (81, 150)]),
+    (600, [(0, 1), (1, 17), (17, 81), (81, 337), (337, 593), (593, 600)]),
+    (8, [(0, 1), (1, 8)]),
+])
+def test_chunk_schedule(samples, chunks, monkeypatch):
+    ranges = []
+    sample_rngs = convexity._sample_rngs
+
+    def recording(seed, salt, idxs):
+        ranges.append((idxs.start, idxs.stop))
+        return sample_rngs(seed, salt, idxs)
+
+    monkeypatch.setattr(convexity, "_sample_rngs", recording)
+    assert not midpoint_convexity_test(T2, 2, samples, seed=1).violated
+    assert ranges == chunks
+    ranges.clear()
+    monkeypatch.setattr(convexity, "_CHUNK_CAP", 1)
+    assert not midpoint_convexity_test(T2, 2, samples, seed=1).violated
+    assert ranges == [(i, i + 1) for i in range(samples)]
 
 
 def test_by_key_maps_each_sample_to_its_key_stack():

@@ -7,11 +7,14 @@ type and message). The grid covers all nine suites, including
 `sublevel_family_test` and `harmonic_sum_closure_test`, which no CLI command
 reaches, plus `embed_counterexample`, at a budget of 30 samples. A second
 grid reruns a subset of it at 300 samples (lines named `n300 ...`), so that
-clean runs walk the sampling engine's largest chunks and violations fall far
-from the first sample. A third reruns a smaller subset at 300 samples at two
-seeds of two 32-bit words, 2^63 + 12345 and 2^64 - 1 (lines named
-`n300 seed<seed> ...`), since SEED = 7 seeds every sample from three words
-of entropy and the CLI's seeds reach 2^64 - 1.
+clean runs walk the sampling engine's chunks of 1, 16, 64 and 219 and
+violations fall far from the first sample. A third reruns a smaller subset
+at 300 samples at two seeds of two 32-bit words, 2^63 + 12345 and 2^64 - 1
+(lines named `n300 seed<seed> ...`), since SEED = 7 seeds every sample from
+three words of entropy and the CLI's seeds reach 2^64 - 1. A fourth runs
+clean instances of the nine suites at 600 samples (lines named
+`n600 ...`), whose chunks end with two of the largest size, 256, and then
+a partial one of 7.
 
 A last grid (lines named `cli ...`) runs `cstarlab.cli.main` in a
 temporary directory on fixed matrix files and prints
@@ -79,6 +82,7 @@ LONG_SAMPLES = 300
 LONG_LABELS = ("t", "t^1.5", "t^2", "t^-0.5", "t^-1", "t^0.5", "t^3")
 WIDE_SEEDS = (2**63 + 12345, 2**64 - 1)
 WIDE_LABELS = ("t^1.5", "t^-1", "t^0.5", "t^3")
+CAP_SAMPLES = 600
 LABELS = (
     "t", "t^0.5", "t^1.5", "t^2", "t^3", "t^4", "t^-0.5", "t^-1",
     "const:2.0", "poly:1,0,1", "poly:0,0,0,1", "poly:0,-1,0,0,1",
@@ -230,6 +234,30 @@ def wide_seed_grid():
             _diag(1.0, 3.0), _diag(0.5, 2.0), LONG_SAMPLES, seed=s)
 
 
+def cap_grid():
+    """Yield (name, thunk) for clean runs of the nine suites at CAP_SAMPLES
+    (lines named `n600 ...`)."""
+    n, p = CAP_SAMPLES, parse_function
+    t15, t2, tinv = p("t^1.5"), p("t^2"), p("t^-1")
+    calls = {
+        "midpoint t^2 d3": lambda: midpoint_convexity_test(t2, 3, n, seed=SEED),
+        "jensen isometry t^2 d2": lambda: jensen_test(t2, "isometry", 2, 1, n, seed=SEED),
+        "jensen tuple t^1.5 d3 m3": lambda: jensen_test(t15, "tuple", 3, 3, n, seed=SEED),
+        "jensen map-family t^2 d3 m2": lambda: jensen_test(t2, "map-family", 3, 2, n, seed=SEED),
+        "log-midpoint t^-1 d3": lambda: log_midpoint_test(tinv, 3, n, seed=SEED),
+        "log-harmonic t^-1 d2 m3": lambda: log_harmonic_jensen_test(tinv, 2, 3, n, seed=SEED),
+        "epigraph t^2 d2 m2 n0.1": lambda: epigraph_closure_test(t2, 2, 2, n, seed=SEED),
+        "log-epigraph t^-1 d3 m2 n0.1": lambda: log_epigraph_closure_test(tinv, 3, 2, n, seed=SEED),
+        "interval-set eye3": lambda: interval_set_falsifier(_diag(1.5, 1.5, 1.5), n, seed=SEED),
+        "sublevel t2<=4,t^-1<=3 d2": lambda: sublevel_family_test(
+            [(t2, 4.0), (tinv, 3.0)], 2, 2, n, seed=SEED),
+        "harmonic-sum d2": lambda: harmonic_sum_closure_test(
+            _diag(1.0, 3.0), _diag(0.5, 2.0), n, seed=SEED),
+    }
+    for name, thunk in calls.items():
+        yield f"n600 {name}", thunk
+
+
 CLI_MATRICES = {
     "t.json": _rotated([1.0, 2.0, 4.0], 11),
     "x-in.json": _rotated([1.5, 2.5, 3.0], 12),
@@ -354,7 +382,7 @@ def main() -> int:
     combined = hashlib.sha256()
     counts = {"calls": 0, "violated": 0, "error": 0}
     rechecked = {"rechecked": 0, "recheck_failed": 0}
-    for name, thunk in (*grid(), *long_grid(), *wide_seed_grid()):
+    for name, thunk in (*grid(), *long_grid(), *wide_seed_grid(), *cap_grid()):
         payload, outcome = body(thunk)
         if outcome == "violated":
             rechecked["rechecked"] += 1
