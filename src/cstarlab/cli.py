@@ -14,7 +14,7 @@ import sys
 import time
 
 from . import convexity, hull, io
-from .errors import CstarlabError, NumericalError
+from .errors import CstarlabError, InputError, NumericalError
 from .combinations import sample_tuple
 from .functions import parse_function
 from .hermitian import DEFAULT_TOL, ToleranceConfig
@@ -295,12 +295,24 @@ def cmd_verify(args) -> int:
     return EXIT_PASS if all_ok else EXIT_VIOLATION
 
 
+def _number(entry: dict, i: int, name: str, field: str) -> float:
+    """`entry[field]`, which the summary prints as a number; a report
+    that lacks it is malformed input."""
+    value = entry.get(field)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InputError(f"result {i} ({name}) has no numeric {field}, got {value!r}")
+    return value
+
+
 def cmd_report(args) -> int:
     report = io.load_report(args.infile)
     body = report["body"]
-    print("command:", " ".join(str(c) for c in body.get("command", [])))
+    command = body.get("command", [])
+    if not isinstance(command, list):
+        raise InputError(f"the report's command is not a list, got {command!r}")
+    print("command:", " ".join(map(str, command)))
     print("seed:", body.get("seed"))
-    for entry in body.get("results", []):
+    for i, entry in enumerate(body.get("results", [])):
         if "status" in entry and "suite" in entry:
             bits = [entry["suite"]]
             if entry.get("function"):
@@ -310,12 +322,12 @@ def cmd_report(args) -> int:
             if entry.get("m") is not None:
                 bits.append(f"m {entry['m']}")
             print(
-                f"  {' '.join(bits)}: {entry['status']} "
-                f"(worst margin {entry.get('worst_margin'):.3e}, "
+                f"  {' '.join(map(str, bits))}: {entry['status']} "
+                f"(worst margin {_number(entry, i, entry['suite'], 'worst_margin'):.3e}, "
                 f"{entry.get('samples_run')} samples)"
             )
         elif "status" in entry:
-            print(f"  hull: {entry['status']} (residual {entry.get('residual'):.3e})")
+            print(f"  hull: {entry['status']} (residual {_number(entry, i, 'hull', 'residual'):.3e})")
     for key in ("expected_class", "observed_class"):
         if key in body:
             print(f"{key.replace('_', ' ')}: {body[key]}")

@@ -403,6 +403,27 @@ class TestVerifyAndReport:
             assert main(argv) == 2
             assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("body, message", [
+        ({"results": [{"status": "violated", "suite": "jensen"}]},
+         "error: result 0 (jensen) has no numeric worst_margin, got None"),
+        ({"results": [{"status": "member"}]},
+         "error: result 0 (hull) has no numeric residual, got None"),
+        ({"command": 5}, "error: the report's command is not a list, got 5"),
+    ])
+    def test_report_names_a_malformed_field(self, tmp_path, capsys, body, message):
+        # `report` used to die with a TypeError and a traceback, exit 1
+        bad = write_json(tmp_path / "bad.json", {"body": body})
+        assert main(["report", "--in", bad]) == 2
+        assert capsys.readouterr().err.strip() == message
+
+    def test_report_prints_fields_of_any_type(self, tmp_path, capsys):
+        entry = {"status": "violated", "suite": ["jensen"], "function": 7, "worst_margin": -1}
+        report = write_json(tmp_path / "r.json", {"body": {"command": [1, "x"], "results": [entry]}})
+        assert main(["report", "--in", report]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "command: 1 x", "seed: None",
+            "  ['jensen'] 7: violated (worst margin -1.000e+00, None samples)"]
+
     def test_verify_malformed_payload_exits_2_without_traceback(self, tmp_path):
         eye = {"dim": 2, "entries": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}
         payload = {"kind": "midpoint", "dim": 2, "function": "t^4", "inputs": {"xs": [eye]},
