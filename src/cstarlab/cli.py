@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 pass/member, 1 violation/non-member (or classification
-conflict), 2 input error, 3 numerical indeterminacy. Every randomized
+conflict), 2 input error (an unreadable input or an unwritable --out
+included), 3 numerical indeterminacy. Every randomized
 subcommand takes an explicit --seed; identical command lines with identical
 seeds produce byte-identical report bodies.
 """
@@ -250,8 +251,7 @@ def cmd_hull_witness(args) -> int:
     tol = _tolconfig(args)
     res = hull.hull_membership(io.load_matrix(args.t), io.load_matrix(args.x), tol)
     if res.status == "member":
-        with open(args.out, "w") as fh:
-            fh.write(io.canonical_dumps(io.witness_to_payload(res.witness)))
+        io.write_json(args.out, io.witness_to_payload(res.witness))
         print(f"member: witness blocks written to {args.out}")
     elif res.status == "non-member":
         print(f"non-member: certificate value {res.certificate.value:.6g} escapes "

@@ -11,10 +11,11 @@ inequalities only fail visibly for well-separated spectra.
 
 Per-sample randomness is derived from (master seed, suite salt, sample
 index), so verdicts are independent of execution order. Sample i draws from
-the stream of `default_rng(SeedSequence((seed, salt, i)))`; the seed words
-of a whole chunk of indices come from one pass of numpy's SeedSequence hash
-over the chunk (`_seed_words`), identical to SeedSequence's own, and each
-sample's PCG64 seeds itself from its row of them.
+the stream of `default_rng(SeedSequence((seed, salt, i)))`. A lone sample
+gets exactly that generator from numpy; the seed words of a stacked chunk
+come from one vectorized pass of numpy's SeedSequence hash over the chunk
+(`_seed_words`), identical to SeedSequence's own, and each sample's PCG64
+seeds itself from its row of them.
 
 All nine suites share one sampling loop, `_run_suite`, which owns the margin
 tracker, the per-sample generators, the stop at the first violation and
@@ -209,10 +210,10 @@ def _int_words(n: int) -> list[int]:
 
 def _mix_into(pool: list, dsts, value, consts):
     """pool[d] = mix(pool[d], hashmix(value)) for each d of `dsts` in turn,
-    with the next hash constant each. A word that depends on the index of
-    a chunk of several is a uint32 array over the chunk and is hashed with
-    all its constants in one (len(dsts), n) stack; other words are Python
-    ints."""
+    with the next hash constant each. A word that depends on the sample
+    index is a uint32 array over the chunk and is hashed with all its
+    constants in one (len(dsts), n) stack; the seed's and salt's words are
+    Python ints."""
     pairs = [next(consts) for _ in dsts]
     if type(value) is int:
         for d, (a, b) in zip(dsts, pairs):
@@ -237,11 +238,7 @@ def _seed_words(seed: int, salt: int, idxs: range) -> np.ndarray:
     if idxs.start < cut < idxs.stop:
         return np.concatenate([_seed_words(seed, salt, range(idxs.start, cut)),
                                _seed_words(seed, salt, range(cut, idxs.stop))])
-    if len(idxs) == 1:
-        # the words of one index stay Python ints, like the seed's: numpy's
-        # per-call cost would outweigh an array of one element
-        index_words = _int_words(idxs.start)
-    elif cut == idxs.start:  # every index has two words
+    if cut == idxs.start:  # every index has two words
         index = np.arange(idxs.start, idxs.stop, dtype=np.uint64)
         index_words = [(index & _M32).astype(np.uint32), (index >> 32).astype(np.uint32)]
     else:
@@ -282,7 +279,10 @@ def _words_class():
 
 def _sample_rngs(seed: int, salt: int, idxs: range) -> list[np.random.Generator]:
     """One generator per index of `idxs`, each with the stream of
-    `np.random.default_rng(np.random.SeedSequence((seed, salt, index)))`."""
+    `np.random.default_rng(np.random.SeedSequence((seed, salt, index)))`:
+    numpy's own for a lone index (it is faster there), else `_seed_words`."""
+    if len(idxs) == 1:
+        return [np.random.default_rng(np.random.SeedSequence((seed, salt, idxs.start)))]
     seq, generator, pcg64 = _words_class(), np.random.Generator, np.random.PCG64
     return [generator(pcg64(seq(row))) for row in _seed_words(seed, salt, idxs)]
 
@@ -354,11 +354,10 @@ class _Tracker:
 
 
 def _retry_domain(tracker: _Tracker | None, build):
-    """Run `build` and retry on domain violations, counting resamples.
-
-    A chunk of several samples passes no tracker and is not retried: its
-    error sends every sample of the chunk back through a run of its own.
-    """
+    """Run `build` and retry on domain violations, counting resamples: only
+    log-epigraph does, as f(X^{-1}) can leave a bounded domain. A chunk of
+    several samples passes no tracker and is not retried: its error sends
+    every sample of the chunk back through a run of its own."""
     if tracker is None:
         return build()
     for _ in range(_DOMAIN_RETRIES):
@@ -395,14 +394,13 @@ def _run_suite(tol: ToleranceConfig, seed: int, salt: int, samples: int, draw, *
     the counterexample from that stack, so later samples count nowhere. A
     suite of 300 samples runs chunks of 1, 16, 64 and 219. A chunk of one,
     and every sample of a chunk whose stacked draw raised, runs alone with
-    the tracker for domain retries, so errors surface at the sample and with
-    the message of a one-at-a-time loop; no other sample is evaluated twice.
+    the tracker (which only log-epigraph uses, to resample on a domain
+    error), so errors surface at the sample and with the message of a
+    one-at-a-time loop; no other sample is evaluated twice.
     `fixed_ce_fields` (kind, function, mode) complete the counterexample.
 
-    Each chunk derives the seed words of all its samples at once
-    (`_sample_rngs`); they are identical to those of
-    `SeedSequence((seed, salt, index))`, so sample i draws the same stream
-    whatever its chunk. `seed` must be a non-negative integer; anything
+    Sample i draws the stream of `SeedSequence((seed, salt, i))` whatever its
+    chunk (`_sample_rngs`). `seed` must be a non-negative integer; anything
     else raises `InputError` before the first sample.
 
     Draws run with numpy's overflow and invalid-value warnings off: a
@@ -558,17 +556,13 @@ def jensen_test(
     def evaluate(rngs, lo, hi, tracker):
         fams = _sample_families(dim, m, rngs) if mode == "map-family" else None
         coeffs = _sample_tuple_arrs(dim, m, rngs) if fams is None else None
-
-        def build():
-            xs = [_rand_hermitian_arr(dim, lo, hi, rngs) for _ in range(m)]
-            if fams is None:
-                return {"xs": xs, "coeffs": coeffs}, *_jensen_sides(f, coeffs, xs)
-            fam = fams[0]
-            lhs = _apply_arr(f, _sym(fam.apply_arr(xs)))
-            rhs = _sym(fam.apply_arr([_apply_arr(f, x) for x in xs]))
-            return {"xs": xs, "maps": fams}, lhs, rhs
-
-        return _retry_domain(tracker, build)
+        xs = [_rand_hermitian_arr(dim, lo, hi, rngs) for _ in range(m)]
+        if fams is None:
+            return {"xs": xs, "coeffs": coeffs}, *_jensen_sides(f, coeffs, xs)
+        fam = fams[0]
+        lhs = _apply_arr(f, _sym(fam.apply_arr(xs)))
+        rhs = _sym(fam.apply_arr([_apply_arr(f, x) for x in xs]))
+        return {"xs": xs, "maps": fams}, lhs, rhs
 
     return _order_suite(f, tol, seed, _SALT_JENSEN, samples, evaluate, kind="jensen", mode=mode)
 
@@ -649,14 +643,10 @@ def epigraph_closure_test(
 
     def evaluate(rngs, lo, hi, tracker):
         coeffs = _sample_tuple_arrs(dim, m, rngs)
-
-        def build():
-            xs = [_rand_hermitian_arr(dim, lo, hi, rngs) for _ in range(m)]
-            ys = [fx + _psd_noise(fx, dim, noise_scale, rngs) for fx in (_apply_arr(f, x) for x in xs)]
-            lhs = _apply_arr(f, _combine_arr(coeffs, xs))
-            return {"xs": xs, "ys": ys, "coeffs": coeffs}, lhs, _combine_arr(coeffs, ys)
-
-        return _retry_domain(tracker, build)
+        xs = [_rand_hermitian_arr(dim, lo, hi, rngs) for _ in range(m)]
+        ys = [fx + _psd_noise(fx, dim, noise_scale, rngs) for fx in (_apply_arr(f, x) for x in xs)]
+        lhs = _apply_arr(f, _combine_arr(coeffs, xs))
+        return {"xs": xs, "ys": ys, "coeffs": coeffs}, lhs, _combine_arr(coeffs, ys)
 
     return _order_suite(f, tol, seed, _SALT_EPIGRAPH, samples, evaluate, kind="epigraph")
 
@@ -733,8 +723,11 @@ def interval_set_falsifier(
     if w[0] < -tol.psd(scale):
         raise NonPositiveError(f"A must be positive semidefinite (min eig {w[0]:.3e})")
 
-    def membership_margin(x: np.ndarray):
-        return _min(_mineig(x), _mineig(a - x))
+    def membership(x: np.ndarray):
+        """Margins min(lambda_min(X), lambda_min(A - X)) and eigenvalues of a
+        stack, from one eigvalsh call over X and A - X (matrix by matrix)."""
+        eig_x, eig_gap = np.linalg.eigvalsh(np.concatenate([x, a - x])).reshape(2, len(x), -1)
+        return _min(eig_x[:, 0], eig_gap[:, 0]), eig_x
 
     # deterministic swap certificate
     if w[-1] - w[0] > 10.0 * tol.psd(scale):
@@ -742,7 +735,7 @@ def interval_set_falsifier(
         perm[:, [0, dim - 1]] = perm[:, [dim - 1, 0]]
         swap = u @ perm @ u.conj().T
         combined = _sym(swap.conj().T @ a @ swap)
-        margin = float(membership_margin(combined))
+        margin = float(membership(combined[None])[0][0])
         if margin < -tol.psd(scale):
             ce = Counterexample(
                 kind="interval-set",
@@ -762,9 +755,10 @@ def interval_set_falsifier(
         xs = [_sym(sqrt_a @ _rand_hermitian_arr(dim, 0.0, 1.0, rngs) @ sqrt_a) for _ in range(m)]
         combined = _combine_arr(coeffs, xs)
         inputs = {"xs": xs, "coeffs": coeffs, "bound": A}
-        scales = np.maximum(scale, _max_abs_eig(combined))
+        margins, eig = membership(combined)
+        scales = np.maximum(scale, np.max(np.abs(eig), axis=-1))
         rhs = np.broadcast_to(a, combined.shape)
-        return membership_margin(combined), scales, _stacked(inputs, combined, rhs)
+        return margins, scales, _stacked(inputs, combined, rhs)
 
     def draw(rngs, idxs, tracker):
         return _by_key([int(rng.integers(1, 5)) for rng in rngs], rngs, evaluate)

@@ -3,7 +3,10 @@
 Matrices travel as {"dim": n, "entries": [[[re, im], ...], ...]} row-major.
 Report files split into a deterministic `body` (identical bytes for
 identical command line and seed) and a `meta` section holding wall-clock
-data that is excluded from determinism comparisons.
+data that is excluded from determinism comparisons. Encoders emit JSON-native
+values only, so one `json.dumps` (`canonical_dumps`) serializes a report as
+it stands; `write_json` writes every CLI file, an unwritable path raising
+`InputError`.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ __all__ = [
     "load_matrix",
     "save_matrix",
     "canonical_dumps",
+    "write_json",
     "report_body_bytes",
     "counterexample_to_payload",
     "verdict_to_payload",
@@ -42,26 +46,19 @@ __all__ = [
 EVIDENCE_NOTE = "no-violation-found is sampling evidence, not a proof"
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):  # before int: bool is a subclass of int
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    return obj
-
-
-def _dumps(jsonable) -> str:
-    return json.dumps(jsonable, sort_keys=True, separators=(",", ":")) + "\n"
-
-
 def canonical_dumps(obj) -> str:
-    return _dumps(_jsonable(obj))
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def write_json(path, obj) -> None:
+    """Write `canonical_dumps(obj)` to `path`; a path that cannot be
+    written raises `InputError`."""
+    text = canonical_dumps(obj)
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
 
 
 def report_body_bytes(report: dict) -> bytes:
@@ -69,14 +66,15 @@ def report_body_bytes(report: dict) -> bytes:
     return canonical_dumps(report.get("body", report)).encode()
 
 
+def _pairs(arr) -> list:
+    """Nested [re, im] pairs of Python floats, from one `tolist`."""
+    a = np.ascontiguousarray(arr, dtype=np.complex128)
+    return a.view(np.float64).reshape(*a.shape, 2).tolist()
+
+
 def encode_complex_matrix(arr) -> dict:
-    a = np.asarray(arr, dtype=np.complex128)
-    if a.ndim == 1:
-        a = a.reshape(-1, 1)
-    return {
-        "dim": int(a.shape[0]),
-        "entries": [[[float(v.real), float(v.imag)] for v in row] for row in a],
-    }
+    rows, _ = np.shape(arr)
+    return {"dim": rows, "entries": _pairs(arr)}
 
 
 def decode_complex_matrix(payload) -> np.ndarray:
@@ -109,8 +107,7 @@ def load_matrix(path) -> HermitianMatrix:
 
 
 def save_matrix(path, H: HermitianMatrix) -> None:
-    with open(path, "w") as fh:
-        fh.write(canonical_dumps(encode_complex_matrix(H.array)))
+    write_json(path, encode_complex_matrix(H.array))
 
 
 def _number(value, dim=None) -> float:
@@ -283,7 +280,7 @@ def verdict_to_payload(verdict: TestVerdict, **context) -> dict:
 
 def witness_to_payload(witness: HullWitness) -> dict:
     return {
-        "eigenvalues": [float(v) for v in witness.eigenvalues],
+        "eigenvalues": witness.eigenvalues.tolist(),
         "blocks": [encode_complex_matrix(b.array) for b in witness.blocks],
     }
 
@@ -293,7 +290,7 @@ def certificate_to_payload(
 ) -> dict:
     return {
         "kind": "hull-certificate",
-        "vector": [[float(v.real), float(v.imag)] for v in cert.vector],
+        "vector": _pairs(cert.vector),
         "value": float(cert.value),
         "interval": [float(cert.interval[0]), float(cert.interval[1])],
         "margin": float(cert.margin),
@@ -330,10 +327,9 @@ def build_report(command: Sequence[str], seed, tol: ToleranceConfig, results: li
 
 
 def write_report(path, body: dict, meta: dict) -> dict:
-    report = _jsonable({"body": body, "meta": meta})
+    report = {"body": body, "meta": meta}
     if path is not None:
-        with open(path, "w") as fh:
-            fh.write(_dumps(report))
+        write_json(path, report)
     return report
 
 

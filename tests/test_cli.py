@@ -8,15 +8,19 @@ import numpy as np
 import pytest
 
 import cstarlab
-from cstarlab import HermitianMatrix, HermitianDefectError, InputError, cli
+from cstarlab import HermitianMatrix, HermitianDefectError, InputError, cli, io
 from cstarlab.cli import main
 from cstarlab.io import (
     canonical_dumps,
+    decode_complex_matrix,
+    encode_complex_matrix,
     load_matrix,
     load_report,
     report_body_bytes,
     save_matrix,
 )
+
+from conftest import non_native_leaves
 
 
 def write_json(path, obj):
@@ -64,6 +68,28 @@ class TestMatrixIO:
         save_matrix(p1, h)
         save_matrix(p2, load_matrix(p1))
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_encoding_round_trips_bit_exactly(self):
+        # strided views, a real array, signed zeros, subnormals and huge
+        # entries; the JSON is the per-entry [float(re), float(im)] encoding
+        base = np.empty((3, 3), dtype=np.complex128)
+        base.real = [[-0.0, 1e300, 1.0], [0.25, -1e300, 5e-324], [-5e-324, 0.1, -0.0]]
+        base.imag = [[5e-324, -0.0, 0.5], [-2.0, 0.0, -1e300], [1e300, -0.0, -5e-324]]
+        cases = {
+            "transposed": (base.T, '{"dim":3,"entries":[[[-0.0,5e-324],[0.25,-2.0],[-5e-324,1e+300]],'
+                           '[[1e+300,-0.0],[-1e+300,0.0],[0.1,-0.0]],'
+                           '[[1.0,0.5],[5e-324,-1e+300],[-0.0,-5e-324]]]}\n'),
+            "row-sliced": (base[::2], '{"dim":2,"entries":[[[-0.0,5e-324],[1e+300,-0.0],[1.0,0.5]],'
+                           '[[-5e-324,1e+300],[0.1,-0.0],[-0.0,-5e-324]]]}\n'),
+            "real": (base.real, '{"dim":3,"entries":[[[-0.0,0.0],[1e+300,0.0],[1.0,0.0]],'
+                     '[[0.25,0.0],[-1e+300,0.0],[5e-324,0.0]],'
+                     '[[-5e-324,0.0],[0.1,0.0],[-0.0,0.0]]]}\n'),
+        }
+        for name, (arr, pinned) in cases.items():
+            text = canonical_dumps(encode_complex_matrix(arr))
+            assert text == pinned, name
+            decoded = decode_complex_matrix(json.loads(text))
+            assert decoded.tobytes() == np.asarray(arr, dtype=np.complex128).tobytes(), name
 
 
 class TestClassify:
@@ -272,6 +298,20 @@ class TestHullCommands:
 
     def test_missing_file_exit(self, diag13):
         assert main(["hull", "member", "--t", diag13, "--x", "/nonexistent.json"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--function", "t^2", "--dims", "2", "--samples", "5", "--seed", "1"],
+        ["hull", "witness", "--t", "{t}", "--x", "{x}"],
+        ["hull", "sample", "--t", "{t}", "--seed", "1"],
+    ], ids=("classify", "hull witness", "hull sample"))
+    def test_unwritable_out_is_an_input_error(self, tmp_path, diag13, two_eye, capsys, argv):
+        # a directory that does not exist; exit 1 would read as a violation
+        out = str(tmp_path / "missing" / "r.json")
+        argv = [a.format(t=diag13, x=two_eye) for a in argv] + ["--out", out]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: cannot write {out}: ")
 
 
 class TestVerifyAndReport:
@@ -522,6 +562,47 @@ class TestDeterminism:
         parsed = vars(cli._parser().parse_args(run))
         assert "noise" not in parsed
         assert parsed == vars(cli.build_parser().parse_args(run))
+
+    def test_report_bodies_hold_json_native_leaves(self, tmp_path, monkeypatch):
+        # the body each command hands to io.write_report, which serializes
+        # it as it stands: violations, certificates and witnesses included
+        def matrix(name, values):
+            path = tmp_path / name
+            save_matrix(path, HermitianMatrix.diagonal(values))
+            return str(path)
+
+        spread, flat = matrix("spread.json", [0.5, 1.0, 4.0]), matrix("flat.json", [1.5, 1.5, 1.5])
+        t13, t14 = matrix("t13.json", [1.0, 3.0]), matrix("t14.json", [1.0, 4.0])
+        two, low, half = (matrix(f"x{i}.json", v) for i, v in
+                          enumerate(([2.0, 2.0], [0.0, 2.0], [0.5, 0.5])))
+        run = ["--samples", "30", "--seed", "7"]
+        suite = ["--dims", "2", *run]
+        cases = [
+            (["classify", "--function", "t^4", *suite], 1),
+            (["classify", "--function", "t^-1", *suite], 0),
+            (["jensen", "--mode", "isometry", "--function", "t^4", *suite], 0),
+            (["jensen", "--mode", "tuple", "--function", "t^4", *suite], 1),
+            (["jensen", "--mode", "map-family", "--function", "t^4", *suite], 1),
+            (["epigraph", "--function", "t^4", "--noise", "0", *suite], 1),
+            (["log-epigraph", "--function", "t^0.5", *suite], 1),
+            (["interval-set", "--a", spread, *run], 1),
+            (["interval-set", "--a", flat, *run], 0),
+            (["hull", "member", "--t", t13, "--x", two], 0),
+            (["hull", "member", "--t", t13, "--x", low], 1),
+            (["lch", "member", "--t", t14, "--x", two], 0),
+            (["lch", "member", "--t", t14, "--x", half], 1),
+        ]
+        bodies = []
+        write_report = io.write_report
+
+        def spy(path, body, meta):
+            bodies.append(body)
+            return write_report(path, body, meta)
+
+        monkeypatch.setattr(io, "write_report", spy)
+        for argv, code in cases:
+            assert main(argv) == code, argv
+            assert non_native_leaves(bodies.pop()) == [], argv
 
     def test_canonical_dumps_stable(self):
         assert canonical_dumps({"b": 1.5, "a": [1, 2]}) == '{"a":[1,2],"b":1.5}\n'

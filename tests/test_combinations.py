@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cstarlab import (
     CoefficientTuple,
@@ -22,6 +24,8 @@ from cstarlab import (
     split_sum_witness,
     validate_tuple,
 )
+from cstarlab.combinations import _combine_arr, _sample_families, _sample_tuple_arrs
+from cstarlab.hermitian import _rand_hermitian_arr, _sym
 
 from conftest import specnorm
 
@@ -313,3 +317,20 @@ class TestStackedMaps:
             KrausMap([np.zeros((2, 3, 3))], transpose=[True, False, True])
         with pytest.raises(InputError):
             KrausMap([np.eye(2)], transpose=[True])
+
+
+@settings(deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 3), st.integers(1, 3),
+       st.floats(-1e6, 1e6), st.floats(1e-9, 1e6))
+def test_combinations_keep_spectra_in_the_interval(seed, dim, m, n, lo, width):
+    # a C*-combination of operators with spectra in [lo, hi], or a unital
+    # positive-map image of them, has its spectrum in [lo, hi]: so the
+    # jensen and epigraph suites never apply f outside the sampled window
+    hi = lo + width
+    rngs = [np.random.default_rng((seed, j)) for j in range(n)]
+    xs = [_rand_hermitian_arr(dim, lo, hi, rngs) for _ in range(m)]
+    family, _ = _sample_families(dim, m, rngs)
+    band = 1e-12 * max(abs(lo), abs(hi))
+    for out in (_combine_arr(_sample_tuple_arrs(dim, m, rngs), xs), _sym(family.apply_arr(xs))):
+        eig = np.linalg.eigvalsh(out)
+        assert lo - band <= eig.min() and eig.max() <= hi + band

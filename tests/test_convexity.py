@@ -39,7 +39,7 @@ from cstarlab.io import (
     verdict_to_payload,
 )
 
-from conftest import specnorm
+from conftest import non_native_leaves, specnorm
 
 T1 = parse_function("t")
 T15 = parse_function("t^1.5")
@@ -339,6 +339,45 @@ def harmonic_sum_counterexample() -> Counterexample:
     return Counterexample(kind="harmonic-sum", dim=2, inputs={"xs": [z, z], "coeffs": coeffs,
                                                             "interval": (1.0 / 3.0, 1.2)},
                           lhs=z, rhs=HermitianMatrix.diagonal([1.2, 1.2]), violation=-0.8)
+
+
+# each suite's (violated, clean) verdict; the harmonic-sum closure is a
+# theorem, so its violated verdict carries the counterexample built by hand
+NATIVE_VERDICTS = {
+    "midpoint": (lambda: midpoint_convexity_test(T4, 2, 1000, seed=42),
+                 lambda: midpoint_convexity_test(T2, 2, 20, seed=1)),
+    "jensen tuple": (lambda: jensen_test(T4, "tuple", 2, 2, 1000, seed=42),
+                     lambda: jensen_test(T2, "tuple", 2, 2, 20, seed=1)),
+    "jensen map-family": (lambda: jensen_test(T4, "map-family", 2, 2, 1000, seed=43),
+                          lambda: jensen_test(T2, "map-family", 2, 2, 20, seed=1)),
+    "log-midpoint": (lambda: log_midpoint_test(T2, 2, 100, seed=0),
+                     lambda: log_midpoint_test(TINV, 2, 20, seed=1)),
+    "log-harmonic-jensen": (lambda: log_harmonic_jensen_test(T2, 2, 2, 100, seed=42),
+                            lambda: log_harmonic_jensen_test(TINV, 2, 2, 20, seed=1)),
+    "epigraph": (lambda: epigraph_closure_test(T4, 2, 2, 500, seed=42),
+                 lambda: epigraph_closure_test(T2, 2, 2, 20, seed=1)),
+    "log-epigraph": (lambda: log_epigraph_closure_test(T1, 2, 2, 200, seed=42),
+                     lambda: log_epigraph_closure_test(TINV, 2, 2, 20, seed=1, noise_scale=0.0)),
+    "interval-set": (lambda: interval_set_falsifier(HermitianMatrix.diagonal([2.0, 1.0]), seed=1),
+                     lambda: interval_set_falsifier(HermitianMatrix(2.0 * np.eye(3)), 20, seed=1)),
+    "sublevel": (lambda: sublevel_family_test([(parse_function("poly:1,0,-2,0,1"), 0.9)], 2, 2, 300,
+                                              seed=23),
+                 lambda: sublevel_family_test([(T2, 4.0), (TINV, 3.0)], 2, 2, 20, seed=1)),
+    "harmonic-sum": (lambda: TestVerdict("violated", samples_run=1, worst_margin=-0.8,
+                                         counterexample=harmonic_sum_counterexample()),
+                     lambda: harmonic_sum_closure_test(HermitianMatrix.diagonal([1.0, 3.0]),
+                                                       HermitianMatrix.diagonal([0.5, 2.0]), 20,
+                                                       seed=1)),
+}
+
+
+@pytest.mark.parametrize("violated", (True, False), ids=("violated", "clean"))
+@pytest.mark.parametrize("suite", NATIVE_VERDICTS)
+def test_verdict_payloads_hold_json_native_leaves(suite, violated):
+    # io serializes encoder output as it stands, with no second walk
+    verdict = NATIVE_VERDICTS[suite][0 if violated else 1]()
+    assert verdict.violated == violated
+    assert non_native_leaves(verdict_to_payload(verdict, suite=suite, dim=2)) == []
 
 
 @pytest.fixture(scope="module")
@@ -705,9 +744,11 @@ def _check_against_seed_sequences(seed, salt, chunks):
         rngs = convexity._sample_rngs(seed, salt, idxs)
         assert len(rngs) == len(idxs)
         for i, rng in zip(idxs, rngs):
-            # PCG64 reads its seed words straight from this buffer
-            row = rng.bit_generator.seed_seq.row
-            assert row.dtype == np.uint64 and row.shape == (4,) and row.flags.c_contiguous
+            if len(idxs) > 1:
+                # a stacked chunk's PCG64 reads its seed words straight from
+                # this buffer; a lone index gets numpy's own SeedSequence
+                row = rng.bit_generator.seed_seq.row
+                assert row.dtype == np.uint64 and row.shape == (4,) and row.flags.c_contiguous
             assert _draws(rng) == ref_draws[i]
 
 

@@ -25,9 +25,14 @@ process, so later runs reuse the parser that earlier ones built.
 
 Every violation's counterexample payload is passed through JSON, as
 `cstarlab verify` reads it, and rechecked with `recheck_payload`; the line
-`rechecked=<n> recheck_failed=<k>` counts them and the ones that failed or
-raised. The last lines give the call, violation, error and CLI counts and a
-combined digest over all lines before them.
+`rechecked=<n> recheck_failed=<k> non_native=<j>` counts them, the ones
+that failed or raised, and the leaves that are not exactly a str, int,
+float, bool or None (a tuple or a numpy scalar, say) in every payload
+digested and in every report body and witness payload the CLI runs hand to
+`cstarlab.io` before encoding. `cstarlab.io` passes encoder output straight
+to `json.dumps`, so the encoders must emit native values only. The last
+lines give the call, violation, error and CLI counts and a combined digest
+over all lines before them.
 
 Two source trees produce byte-identical verdicts iff their outputs match:
 
@@ -48,6 +53,7 @@ from io import StringIO
 
 import numpy as np
 
+import cstarlab.io
 from cstarlab import (
     HermitianMatrix,
     cli,
@@ -324,11 +330,36 @@ def cli_grid():
                                       str(SAMPLES), "--seed", str(2**64 - 1)], "report"
 
 
-def cli_lines():
-    """Yield one `<sha256>  cli <run> exit <code>` line per CLI run."""
+def non_native(obj) -> int:
+    """The leaves of `obj`, a tree of dicts with str keys and lists, that
+    are not exactly a str, int, float, bool or None; a key that is not a
+    str counts as one."""
+    if type(obj) is dict:
+        return sum(type(k) is not str for k in obj) + sum(map(non_native, obj.values()))
+    if type(obj) is list:
+        return sum(map(non_native, obj))
+    return type(obj) not in (str, int, float, bool, type(None))
+
+
+def cli_lines(count):
+    """Yield one `<sha256>  cli <run> exit <code>` line per CLI run, passing
+    each report body and witness payload the runs encode to `count`."""
+    write_report, witness_to_payload = cstarlab.io.write_report, cstarlab.io.witness_to_payload
+
+    def audited_write_report(path, body, meta):
+        count(body)
+        return write_report(path, body, meta)
+
+    def audited_witness_to_payload(witness):
+        payload = witness_to_payload(witness)
+        count(payload)
+        return payload
+
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
+        cstarlab.io.write_report = audited_write_report
+        cstarlab.io.witness_to_payload = audited_witness_to_payload
         try:
             for path, matrix in CLI_MATRICES.items():
                 save_matrix(path, matrix)
@@ -351,6 +382,7 @@ def cli_lines():
                             data = fh.read()
                 yield f"{hashlib.sha256(data).hexdigest()}  cli {name} exit {code}"
         finally:
+            cstarlab.io.write_report, cstarlab.io.witness_to_payload = write_report, witness_to_payload
             os.chdir(cwd)
 
 
@@ -381,9 +413,14 @@ def rechecks(payload: dict) -> bool:
 def main() -> int:
     combined = hashlib.sha256()
     counts = {"calls": 0, "violated": 0, "error": 0}
-    rechecked = {"rechecked": 0, "recheck_failed": 0}
+    rechecked = {"rechecked": 0, "recheck_failed": 0, "non_native": 0}
+
+    def count(obj):
+        rechecked["non_native"] += non_native(obj)
+
     for name, thunk in (*grid(), *long_grid(), *wide_seed_grid(), *cap_grid()):
         payload, outcome = body(thunk)
+        count(payload)
         if outcome == "violated":
             rechecked["rechecked"] += 1
             rechecked["recheck_failed"] += not rechecks(payload)
@@ -393,7 +430,7 @@ def main() -> int:
         combined.update((line + "\n").encode())
         counts["calls"] += 1
         counts[outcome] = counts.get(outcome, 0) + 1
-    for line in cli_lines():
+    for line in cli_lines(count):
         print(line)
         combined.update((line + "\n").encode())
         counts["cli"] = counts.get("cli", 0) + 1
