@@ -71,13 +71,11 @@ from .convexity import (
 )
 from .hull import (
     FeasibilityResult,
-    FunctionHull,
     HullCertificate,
     HullWitness,
     OracleResult,
     WitnessCheck,
     hull_membership,
-    hull_of_function,
     lch_membership,
     sample_hull_member,
     spectral_interval_oracle,

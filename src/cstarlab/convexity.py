@@ -18,7 +18,7 @@ come from one vectorized pass of numpy's SeedSequence hash over the chunk
 seeds itself from its row of them.
 
 All nine suites share one sampling loop, `_run_suite`, which owns the margin
-tracker, the per-sample generators, the stop at the first violation and
+bookkeeping, the per-sample generators, the stop at the first violation and
 the counterexample; a suite supplies only its `draw`. The six Loewner-order
 suites add the escalating window and lambda_min(rhs - lhs) via `_order_suite`.
 
@@ -103,11 +103,10 @@ SPREADS = (1.0, 4.0, 16.0)
 # 605 us for 8, and per sample 56, 37 and 33 us in chunks of 16, 64 and 256.
 # At the cap the largest stack, the Kraus array of a map family at dim 4 and
 # m 3, holds 3*3*256*4*4 complex entries, about 0.6 MB. A chunk whose
-# stacked draw raises reruns its samples alone, up to 255 of them; neither
-# perfbench workload raises one (its `convexity.resamples` reads 0).
+# stacked draw raises reruns its samples alone, up to 255 of them; a clean
+# run raises none.
 _FIRST_STACK = 16
 _CHUNK_CAP = 256
-_DOMAIN_RETRIES = 10  # draws of one sample before its domain violations fail the suite
 
 # per-suite salts for deriving sample seeds
 _SALT_MIDPOINT = 1
@@ -156,6 +155,8 @@ class TestVerdict:
     samples_run: int
     worst_margin: float
     boundary_samples: int = 0
+    # no suite redraws a sample (log-epigraph samples where f(X^{-1}) is
+    # defined), so this stays 0; report bodies keep the field
     resamples: int = 0
     counterexample: Counterexample | None = None
 
@@ -321,7 +322,6 @@ class _Tracker:
         self.tol = tol
         self.worst = math.inf
         self.boundary = 0
-        self.resamples = 0
         self.run = 0
 
     def classify(self, margin: float, scale: float) -> str:
@@ -348,24 +348,8 @@ class _Tracker:
             samples_run=self.run,
             worst_margin=self.worst if math.isfinite(self.worst) else 0.0,
             boundary_samples=self.boundary,
-            resamples=self.resamples,
             counterexample=counterexample,
         )
-
-
-def _retry_domain(tracker: _Tracker | None, build):
-    """Run `build` and retry on domain violations, counting resamples: only
-    log-epigraph does, as f(X^{-1}) can leave a bounded domain. A chunk of
-    several samples passes no tracker and is not retried: its error sends
-    every sample of the chunk back through a run of its own."""
-    if tracker is None:
-        return build()
-    for _ in range(_DOMAIN_RETRIES):
-        try:
-            return build()
-        except DomainError:
-            tracker.resamples += 1
-    raise NumericalError(f"domain violations persisted through {_DOMAIN_RETRIES} resampling attempts")
 
 
 def _require_seed(seed) -> int:
@@ -382,21 +366,20 @@ def _require_seed(seed) -> int:
 def _run_suite(tol: ToleranceConfig, seed: int, salt: int, samples: int, draw, **fixed_ce_fields):
     """The sampling loop of every suite.
 
-    `draw(rngs, idxs, tracker)` evaluates the samples `idxs` (a range), one
+    `draw(rngs, idxs)` evaluates the samples `idxs` (a range), one
     generator each, as one stack and returns `(margins, scales, sample)`:
     margins and scales of shape (n,), and `sample(j)` the stack's j-th
     `(inputs, lhs, rhs, function)` (see `_stacked`).
 
     Sample 0 runs alone: most violating suites stop there. After it, chunks
     of 16, 64 and then 256 samples (`_FIRST_STACK`, growing x4 up to
-    `_CHUNK_CAP`) are drawn as one stack, without a tracker, and classified
-    in index order; the first margin below the psd band at its scale builds
-    the counterexample from that stack, so later samples count nowhere. A
-    suite of 300 samples runs chunks of 1, 16, 64 and 219. A chunk of one,
-    and every sample of a chunk whose stacked draw raised, runs alone with
-    the tracker (which only log-epigraph uses, to resample on a domain
-    error), so errors surface at the sample and with the message of a
-    one-at-a-time loop; no other sample is evaluated twice.
+    `_CHUNK_CAP`) are drawn as one stack and classified in index order; the
+    first margin below the psd band at its scale builds the counterexample
+    from that stack, so later samples count nowhere. A suite of 300 samples
+    runs chunks of 1, 16, 64 and 219. Every sample of a chunk whose stacked
+    draw raised runs again alone, so errors surface at the sample and with
+    the message of a one-at-a-time loop; no other sample is evaluated
+    twice.
     `fixed_ce_fields` (kind, function, mode) complete the counterexample.
 
     Sample i draws the stream of `SeedSequence((seed, salt, i))` whatever its
@@ -404,24 +387,24 @@ def _run_suite(tol: ToleranceConfig, seed: int, salt: int, samples: int, draw, *
     else raises `InputError` before the first sample.
 
     Draws run with numpy's overflow and invalid-value warnings off: a
-    non-finite margin or scale raises `NumericalError` in the tracker, so
-    the warnings would only repeat that error on stderr.
+    non-finite margin or scale raises `NumericalError` when it is
+    classified, so the warnings would only repeat that error on stderr.
     """
     seed = _require_seed(seed)
 
-    def run(idxs, tracker):
+    def run(idxs):
         with np.errstate(over="ignore", invalid="ignore"):
-            return draw(_sample_rngs(seed, salt, idxs), idxs, tracker)
+            return draw(_sample_rngs(seed, salt, idxs), idxs)
 
     tr = _Tracker(tol)
     idx, size = 0, 1
     while idx < samples:
         stop = min(idx + size, samples)
         size = min(max(4 * size, _FIRST_STACK), _CHUNK_CAP)
-        stacks = (run(range(i, i + 1), tr) for i in range(idx, stop))
+        stacks = (run(range(i, i + 1)) for i in range(idx, stop))
         if stop - idx > 1:
             try:
-                stacks = [run(range(idx, stop), None)]
+                stacks = [run(range(idx, stop))]
             except Exception:
                 # whatever raised, user-supplied evaluators included, raises
                 # again from its own sample when the chunk runs alone below
@@ -472,15 +455,17 @@ def _min(p, q):
     return np.where(q < p, q, p)
 
 
-def _order_suite(f, tol, seed, salt, samples, evaluate, positive=False, **fixed_ce_fields):
+def _order_suite(f, tol, seed, salt, samples, evaluate, positive=False, interval=None,
+                 **fixed_ce_fields):
     """A suite checking lhs <= rhs in the Loewner order, with eigenvalues
-    drawn from the escalating window of f's domain (its positive part when
-    `positive`); `evaluate(rngs, lo, hi, tracker)` returns (inputs, lhs, rhs)
-    for a stack of samples, `lo` and `hi` holding each sample's window."""
+    drawn from the escalating window of `interval` (f's domain by default;
+    its positive part when `positive`); `evaluate(rngs, lo, hi)` returns
+    (inputs, lhs, rhs) for a stack of samples, `lo` and `hi` holding each
+    sample's window."""
 
-    windows_of = _round_windows(f.domain, samples, positive)
+    windows_of = _round_windows(f.domain if interval is None else interval, samples, positive)
 
-    def draw(rngs, idxs, tracker):
+    def draw(rngs, idxs):
         windows = windows_of(idxs)
         for lo, hi in set(windows):
             if positive and (lo >= hi or hi <= 0):
@@ -488,7 +473,7 @@ def _order_suite(f, tol, seed, salt, samples, evaluate, positive=False, **fixed_
             if lo >= hi:
                 raise InputError(f"domain {f.domain} is too small to sample")
         lo, hi = zip(*windows)
-        inputs, lhs, rhs = evaluate(rngs, lo, hi, tracker)
+        inputs, lhs, rhs = evaluate(rngs, lo, hi)
         # one LAPACK call for the three stacks; it works matrix by matrix, so
         # each eigenvalue is the one a call on its own stack would give
         eig_l, eig_r, eig_gap = np.linalg.eigvalsh(
@@ -523,7 +508,7 @@ def midpoint_convexity_test(
     if dim < 1:
         raise InputError("dim must be at least 1")
 
-    def evaluate(rngs, lo, hi, tracker):
+    def evaluate(rngs, lo, hi):
         xs = [_rand_hermitian_arr(dim, lo, hi, rngs) for _ in range(2)]
         return {"xs": xs}, *_midpoint_sides(f, xs)
 
@@ -553,7 +538,7 @@ def jensen_test(
     if dim < 1 or m < 1:
         raise InputError("dim and m must be at least 1")
 
-    def evaluate(rngs, lo, hi, tracker):
+    def evaluate(rngs, lo, hi):
         fams = _sample_families(dim, m, rngs) if mode == "map-family" else None
         coeffs = _sample_tuple_arrs(dim, m, rngs) if fams is None else None
         xs = [_rand_hermitian_arr(dim, lo, hi, rngs) for _ in range(m)]
@@ -580,7 +565,7 @@ def log_midpoint_test(
     if dim < 1:
         raise InputError("dim must be at least 1")
 
-    def evaluate(rngs, lo, hi, tracker):
+    def evaluate(rngs, lo, hi):
         x, y = (_rand_hermitian_arr(dim, lo, hi, rngs) for _ in range(2))
         lhs = _apply_arr(f, (x + y) / 2.0, positive=True)
         rhs = _geometric_mean_arr(_apply_arr(f, x, positive=True), _apply_arr(f, y, positive=True))
@@ -606,7 +591,7 @@ def log_harmonic_jensen_test(
     if dim < 1 or m < 1:
         raise InputError("dim and m must be at least 1")
 
-    def evaluate(rngs, lo, hi, tracker):
+    def evaluate(rngs, lo, hi):
         coeffs = _sample_tuple_arrs(dim, m, rngs)
         xs = [_rand_hermitian_arr(dim, lo, hi, rngs) for _ in range(m)]
         lhs = _apply_arr(f, _combine_arr(coeffs, xs))
@@ -641,7 +626,7 @@ def epigraph_closure_test(
     if not 0.0 <= noise_scale < math.inf:
         raise InputError(f"noise_scale must be finite and non-negative, got {noise_scale}")
 
-    def evaluate(rngs, lo, hi, tracker):
+    def evaluate(rngs, lo, hi):
         coeffs = _sample_tuple_arrs(dim, m, rngs)
         xs = [_rand_hermitian_arr(dim, lo, hi, rngs) for _ in range(m)]
         ys = [fx + _psd_noise(fx, dim, noise_scale, rngs) for fx in (_apply_arr(f, x) for x in xs)]
@@ -675,29 +660,35 @@ def log_epigraph_closure_test(
     noise_scale: float = 0.1,
 ) -> TestVerdict:
     """Closure of {(X, Y) positive: f(X^{-1}) <= Y} under componentwise
-    log-combinations (harmonic C*-mixing of both components)."""
+    log-combinations (harmonic C*-mixing of both components).
+
+    X is drawn from R = {t > 0: 1/t in dom f} unless dom f contains
+    (0, inf). The combined X_c^{-1} = sum C_i* X_i^{-1} C_i keeps its
+    spectrum in the hull of the spectra of the X_i^{-1}, so f(X_c^{-1}) is
+    defined whenever every f(X_i^{-1}) is."""
     if dim < 1 or m < 1:
         raise InputError("dim and m must be at least 1")
     if not 0.0 <= noise_scale < math.inf:
         raise InputError(f"noise_scale must be finite and non-negative, got {noise_scale}")
+    d = f.domain
+    interval = d  # dom f holds (0, inf), or has no positive part and sample 0 raises
+    if d.hi > 0.0 and (d.lo > 0.0 or d.hi < math.inf):
+        # each end of R keeps the flag of the end of dom f it inverts
+        interval = SpectrumInterval(1.0 / d.hi, 1.0 / d.lo if d.lo > 0.0 else math.inf,
+                                    open_lo=d.open_hi or d.hi == math.inf, open_hi=d.open_lo)
 
-    def evaluate(rngs, lo, hi, tracker):
+    def evaluate(rngs, lo, hi):
         coeffs = _sample_tuple_arrs(dim, m, rngs)
+        xs = [_rand_hermitian_arr(dim, lo, hi, rngs) for _ in range(m)]
+        fs = [_apply_arr(f, _inv_pd_arr(x), positive=True) for x in xs]
+        ys = [fx + _psd_noise(fx, dim, noise_scale, rngs) for fx in fs]
+        xc = _inv_pd_arr(_combine_arr(coeffs, [_inv_pd_arr(x) for x in xs]))
+        yc = _inv_pd_arr(_combine_arr(coeffs, [_inv_pd_arr(y) for y in ys]))
+        lhs = _apply_arr(f, _inv_pd_arr(xc), positive=True)
+        return {"xs": xs, "ys": ys, "coeffs": coeffs}, lhs, yc
 
-        def build():
-            xs = [_rand_hermitian_arr(dim, lo, hi, rngs) for _ in range(m)]
-            fs = [_apply_arr(f, _inv_pd_arr(x), positive=True) for x in xs]
-            ys = [fx + _psd_noise(fx, dim, noise_scale, rngs) for fx in fs]
-            xc = _inv_pd_arr(_combine_arr(coeffs, [_inv_pd_arr(x) for x in xs]))
-            yc = _inv_pd_arr(_combine_arr(coeffs, [_inv_pd_arr(y) for y in ys]))
-            lhs = _apply_arr(f, _inv_pd_arr(xc), positive=True)
-            return {"xs": xs, "ys": ys, "coeffs": coeffs}, lhs, yc
-
-        return _retry_domain(tracker, build)
-
-    return _order_suite(
-        f, tol, seed, _SALT_LOG_EPIGRAPH, samples, evaluate, positive=True, kind="log-epigraph"
-    )
+    return _order_suite(f, tol, seed, _SALT_LOG_EPIGRAPH, samples, evaluate, positive=True,
+                        interval=interval, kind="log-epigraph")
 
 
 def interval_set_falsifier(
@@ -760,7 +751,7 @@ def interval_set_falsifier(
         rhs = np.broadcast_to(a, combined.shape)
         return margins, scales, _stacked(inputs, combined, rhs)
 
-    def draw(rngs, idxs, tracker):
+    def draw(rngs, idxs):
         return _by_key([int(rng.integers(1, 5)) for rng in rngs], rngs, evaluate)
 
     return _run_suite(tol, seed, _SALT_INTERVAL, samples, draw, kind="interval-set")
@@ -835,8 +826,11 @@ def harmonic_sum_closure_test(
         zs = [_inv_pd_arr(_inv_pd_arr(_rand_hermitian_arr(dim, a1, b1, rngs))
                           + _inv_pd_arr(_rand_hermitian_arr(dim, a2, b2, rngs))) for _ in range(m)]
         combined = _log_combine_arr(coeffs, zs)
-        margins = _min(_mineig(combined - h_lo * eye), _mineig(h_hi * eye - combined))
-        scales = np.maximum(max(abs(h_lo), abs(h_hi)), _max_abs_eig(combined))
+        # one LAPACK call for the three stacks, matrix by matrix
+        eig_lo, eig_hi, eig = np.linalg.eigvalsh(np.concatenate(
+            [combined - h_lo * eye, h_hi * eye - combined, combined])).reshape(3, len(rngs), -1)
+        margins = _min(eig_lo[:, 0], eig_hi[:, 0])
+        scales = np.maximum(max(abs(h_lo), abs(h_hi)), np.max(np.abs(eig), axis=-1))
         bands = np.array([tol.psd(scale) for scale in scales.tolist()])
         inside = margins >= -bands
         if inside.any():
@@ -853,7 +847,7 @@ def harmonic_sum_closure_test(
         rhs = np.broadcast_to(h_hi * eye, combined.shape)
         return margins, scales, _stacked(inputs, combined, rhs)
 
-    def draw(rngs, idxs, tracker):
+    def draw(rngs, idxs):
         return _by_key([int(rng.integers(1, 4)) for rng in rngs], rngs, evaluate)
 
     return _run_suite(tol, seed, _SALT_HARMONIC, samples, draw, kind="harmonic-sum")
@@ -909,7 +903,7 @@ def sublevel_family_test(
 
     windows_of = _round_windows(joint, samples)
 
-    def draw(rngs, idxs, tracker):
+    def draw(rngs, idxs):
         windows = windows_of(idxs)
         if any(lo >= hi for lo, hi in set(windows)):
             raise InputError("joint domain is too small to sample")

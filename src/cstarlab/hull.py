@@ -10,9 +10,8 @@ blocks E_1 = (lam_n I - X)/gap and E_n = (X - lam_1 I)/gap form a witness,
 which is validated before `member` is returned and yields an honest
 `boundary` verdict when it fails. Every band follows the `ToleranceConfig`
 rule at the spectral scale of T and X. The log-convex hull reduces to the same
-decision through inversion, and the hull of f(T) through the functional
-calculus; every verdict carries the operands its witness or certificate
-refers to.
+decision through inversion; every verdict carries the operands its witness
+or certificate refers to.
 
 This module holds the hull decision and its proof objects only; the
 sampling suites, the harmonic-sum closure suite among them, live in
@@ -27,7 +26,6 @@ import numpy as np
 
 from .errors import DimensionMismatchError, InputError
 from .combinations import CoefficientTuple, _inv_pd_arr, apply_combination, validate_tuple
-from .functions import ScalarFunctionSpec
 from .hermitian import (
     DEFAULT_TOL,
     SCALE_FLOOR,
@@ -35,7 +33,6 @@ from .hermitian import (
     ToleranceConfig,
     _eigh,
     _require_pd,
-    apply_function,
 )
 
 __all__ = [
@@ -44,14 +41,12 @@ __all__ = [
     "WitnessCheck",
     "OracleResult",
     "FeasibilityResult",
-    "FunctionHull",
     "spectral_interval_oracle",
     "hull_membership",
     "two_point_witness",
     "sample_hull_member",
     "witness_to_tuple",
     "lch_membership",
-    "hull_of_function",
 ]
 
 
@@ -312,30 +307,3 @@ def lch_membership(
         raise DimensionMismatchError(f"dims {T.dim} and {X.dim} differ")
     _require_pd(tol, T=T, X=X)
     return hull_membership(*(HermitianMatrix._wrap(_inv_pd_arr(M.array)) for M in (T, X)), tol)
-
-
-@dataclass(frozen=True, eq=False)
-class FunctionHull:
-    """Descriptor of the hull of f(T): the ascending list f(lam_i)."""
-
-    eigenvalues: np.ndarray
-    transformed: HermitianMatrix
-
-    def __post_init__(self):
-        vals = np.asarray(self.eigenvalues, float)
-        vals.setflags(write=False)
-        object.__setattr__(self, "eigenvalues", vals)
-
-    def membership(self, X: HermitianMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> FeasibilityResult:
-        return hull_membership(self.transformed, X, tol)
-
-
-def hull_of_function(T: HermitianMatrix, f: ScalarFunctionSpec) -> FunctionHull:
-    """Hull descriptor for f(T) through the functional calculus; membership
-    queries delegate to `hull_membership` on f(T)."""
-    ft = apply_function(f, T)
-    return FunctionHull(
-        eigenvalues=np.linalg.eigvalsh(ft.array),
-        transformed=ft,
-    )
-

@@ -1,12 +1,16 @@
 import copy
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cstarlab import (
     CoefficientTuple,
     DimensionMismatchError,
+    DomainError,
     HermitianMatrix,
     InputError,
     NonPositiveError,
@@ -515,9 +519,13 @@ class TestLiteratureClassifications:
 CUT = ScalarFunctionSpec(
     "cut", SpectrumInterval(0.0, open_lo=True), lambda t: np.where(t > 0.03, 1.0 / t, -1.0)
 )
+# not operator log-convex, and non-positive below 0.03
+CUT_STEEP = ScalarFunctionSpec(
+    "cut-steep", SpectrumInterval(0.0, open_lo=True), lambda t: np.where(t > 0.03, t**-1.2, -1.0)
+)
 WELL = parse_function("poly:1,0,-2,0,1")
 HUGE = parse_function("poly:0,0,5e305")
-# f(X^{-1}) leaves the domain [0, 2] whenever X has an eigenvalue below 1/2
+# log-epigraph draws X with eigenvalues of at least 1/2, where f(X^{-1}) is defined
 BUMP = ScalarFunctionSpec("bump", SpectrumInterval(0.0, 2.0), lambda t: np.asarray(t, float) ** 2 + 1.0)
 N = 300
 CHUNKING_CASES = {
@@ -564,9 +572,12 @@ CHUNKING_CASES = {
     "log-midpoint at 0": (lambda: log_midpoint_test(T2, 2, N, seed=0), 1),
     "log-harmonic at 0": (lambda: log_harmonic_jensen_test(T2, 2, 2, N, seed=0), 1),
     "sublevel at 6 inside [1, 17)": (lambda: sublevel_family_test([(WELL, 0.9)], 2, 2, N, seed=23), 7),
-    # the stacked draws of [1, 17) and [17, 81) raise DomainError and rerun
-    # alone, where 39 retries in all come before the violation
-    "log-epigraph domain retries": (lambda: log_epigraph_closure_test(BUMP, 1, 2, N, seed=3), 53),
+    "log-epigraph bounded domain at 2 inside [1, 17)": (
+        lambda: log_epigraph_closure_test(BUMP, 1, 2, N, seed=3), 3),
+    # the stacked draw of [1, 17) raises NonPositiveError, and its rerun
+    # one sample at a time violates before the sample that raised
+    "log-midpoint rerun violates at 6 inside [1, 17)": (
+        lambda: log_midpoint_test(CUT_STEEP, 2, N, seed=0), 7),
     "interval-set swap certificate": (
         lambda: interval_set_falsifier(HermitianMatrix.diagonal([0.5, 1.0, 4.0]), N, seed=1), 0),
     # a positive-valued suite meets a non-positive value after clean samples,
@@ -651,9 +662,9 @@ def test_violation_is_built_from_the_chunk_that_found_it(name, monkeypatch):
         return sample_rngs(seed, salt, idxs)
 
     def spying(tol, seed, salt, samples, draw, **fields):
-        def spy(rngs, idxs, tracker):
+        def spy(rngs, idxs):
             try:
-                return draw(rngs, idxs, tracker)
+                return draw(rngs, idxs)
             except Exception:
                 raised.extend(idxs)
                 raise
@@ -664,7 +675,7 @@ def test_violation_is_built_from_the_chunk_that_found_it(name, monkeypatch):
     monkeypatch.setattr(convexity, "_run_suite", spying)
     verdict = call()
     assert verdict.violated and verdict.samples_run == expected
-    assert bool(raised) == (name == "log-epigraph domain retries")
+    assert bool(raised) == (name == "log-midpoint rerun violates at 6 inside [1, 17)")
     # only the samples of a chunk whose stacked draw raised run again alone
     assert {i for i in derived if derived.count(i) > 1} <= set(raised)
     assert sorted(set(derived)) == list(range(_chunk_end(expected - 1) if expected else 0))
@@ -691,6 +702,53 @@ def test_chunk_schedule(samples, chunks, monkeypatch):
     monkeypatch.setattr(convexity, "_CHUNK_CAP", 1)
     assert not midpoint_convexity_test(T2, 2, samples, seed=1).violated
     assert ranges == [(i, i + 1) for i in range(samples)]
+
+
+@st.composite
+def positive_part_domains(draw):
+    """Domains that do not contain (0, inf) but have a positive part of
+    some width: finite or infinite ends, open or closed, lo <= 0 or lo > 0."""
+    hi = draw(st.one_of(st.just(math.inf), st.floats(0.01, 100.0)))
+    if hi == math.inf:
+        lo = draw(st.floats(0.01, 100.0))
+    else:
+        lo = draw(st.one_of(st.just(-math.inf), st.floats(-100.0, 0.0), st.floats(0.0, hi / 2)))
+    return SpectrumInterval(lo, hi, open_lo=draw(st.booleans()), open_hi=draw(st.booleans()))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(positive_part_domains(), st.integers(1, 3), st.integers(1, 2), st.integers(0, 2**32 - 1))
+def test_log_epigraph_draws_where_f_of_the_inverse_is_defined(domain, dim, m, seed):
+    f = ScalarFunctionSpec("bump", domain, lambda t: np.asarray(t, float) ** 2 + 1.0)
+    drawn = []
+    rand_hermitian = convexity._rand_hermitian_arr
+
+    def recording(*args):
+        x = rand_hermitian(*args)
+        drawn.append(x)
+        return x
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(convexity, "_rand_hermitian_arr", recording)
+        try:
+            verdict = log_epigraph_closure_test(f, dim, m, 40, seed=seed)
+        except DomainError as exc:
+            pytest.fail(f"log-epigraph met a domain error on {domain}: {exc}")
+    assert verdict.resamples == 0
+    assert drawn
+    for x in drawn:
+        assert domain.contains(1.0 / np.linalg.eigvalsh(x)).all()
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(st.floats(-100.0, 0.0), st.one_of(st.just(math.inf), st.floats(0.0, 100.0)),
+       st.booleans(), st.booleans())
+def test_log_epigraph_without_a_positive_part_raises_at_sample_0(hi, width, open_lo, open_hi):
+    domain = SpectrumInterval(hi - width, hi, open_lo=open_lo, open_hi=open_hi)
+    f = ScalarFunctionSpec("neg", domain, lambda t: np.asarray(t, float) ** 2 + 1.0)
+    (error, message), drawn, _ = _outcome(lambda: log_epigraph_closure_test(f, 2, 2, N, seed=1))
+    assert error is InputError and message == f"domain {domain} has no positive part to sample"
+    assert drawn == 1
 
 
 def test_by_key_maps_each_sample_to_its_key_stack():

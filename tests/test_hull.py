@@ -11,9 +11,7 @@ from cstarlab import (
     harmonic_sum_closure_test,
     haar_unitary,
     hull_membership,
-    hull_of_function,
     lch_membership,
-    parse_function,
     sample_hermitian,
     sample_hull_member,
     sample_tuple,
@@ -270,24 +268,6 @@ class TestLchMembership:
     def test_requires_positive(self):
         with pytest.raises(NonPositiveError):
             lch_membership(HermitianMatrix(np.diag([1.0, 0.0])), HermitianMatrix.identity(2))
-
-
-class TestFunctionHull:
-    def test_square(self):
-        h = hull_of_function(HermitianMatrix(np.diag([1.0, 2.0])), parse_function("t^2"))
-        assert np.allclose(h.eigenvalues, [1.0, 4.0])
-        assert h.membership(HermitianMatrix(2.5 * np.eye(2))).status == "member"
-        assert h.membership(HermitianMatrix(5.0 * np.eye(2))).status == "non-member"
-
-    def test_constant_singleton(self):
-        h = hull_of_function(HermitianMatrix(np.diag([1.0, 2.0])), parse_function("const:3.0"))
-        assert np.allclose(h.eigenvalues, [3.0, 3.0])
-        assert h.membership(HermitianMatrix(3.0 * np.eye(2))).status == "member"
-        assert h.membership(HermitianMatrix(np.diag([3.0, 3.1]))).status == "non-member"
-
-    def test_inverse(self):
-        h = hull_of_function(HermitianMatrix(np.diag([1.0, 2.0])), parse_function("t^-1"))
-        assert np.allclose(h.eigenvalues, [0.5, 1.0])
 
 
 class TestHarmonicSumClosure:

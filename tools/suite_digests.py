@@ -4,17 +4,19 @@ over a fixed grid.
 Each line is `<sha256>  <call>` for one library call: the digest of the
 canonical JSON of `verdict_to_payload(verdict)` (or of the raised error's
 type and message). The grid covers all nine suites, including
-`sublevel_family_test` and `harmonic_sum_closure_test`, which no CLI command
-reaches, plus `embed_counterexample`, at a budget of 30 samples. A second
-grid reruns a subset of it at 300 samples (lines named `n300 ...`), so that
-clean runs walk the sampling engine's chunks of 1, 16, 64 and 219 and
-violations fall far from the first sample. A third reruns a smaller subset
-at 300 samples at two seeds of two 32-bit words, 2^63 + 12345 and 2^64 - 1
-(lines named `n300 seed<seed> ...`), since SEED = 7 seeds every sample from
-three words of entropy and the CLI's seeds reach 2^64 - 1. A fourth runs
-clean instances of the nine suites at 600 samples (lines named
-`n600 ...`), whose chunks end with two of the largest size, 256, and then
-a partial one of 7.
+`sublevel_family_test` and `harmonic_sum_closure_test`, which no CLI
+command reaches, plus `embed_counterexample`, at a budget of 30 samples,
+and runs log-epigraph also on the bounded domain [0, 2] (lines named
+`log-epigraph bump ...`). A second grid reruns a subset of it at 300
+samples (lines named `n300 ...`), so that clean runs walk the sampling
+engine's chunks of 1, 16, 64 and 219 and violations fall far from the first
+sample. A third reruns a smaller subset at 300 samples at two seeds of two
+32-bit words, 2^63 + 12345 and 2^64 - 1 (lines named
+`n300 seed<seed> ...`), since SEED = 7 seeds every sample from three
+words of entropy and the CLI's seeds reach 2^64 - 1. A fourth runs clean
+instances of the nine suites at 600 samples (lines named `n600 ...`),
+whose chunks end with two of the largest size, 256, and then a partial
+one of 7.
 
 A last grid (lines named `cli ...`) runs `cstarlab.cli.main` in a
 temporary directory on fixed matrix files and prints
@@ -54,6 +56,7 @@ from io import StringIO
 import numpy as np
 
 import cstarlab.io
+import cstarlab.recheck
 from cstarlab import (
     HermitianMatrix,
     cli,
@@ -98,6 +101,10 @@ MS = (1, 2, 3)
 NOISES = (0.0, 0.1)
 POINT = ScalarFunctionSpec("point", SpectrumInterval(1.0, 1.0), lambda t: np.asarray(t, float))
 NEGATIVE = ScalarFunctionSpec("neg", SpectrumInterval(hi=0.0), lambda t: np.asarray(t, float) ** 2)
+# a bounded domain, where log-epigraph samples X with spectrum in [1/2, inf)
+BUMP = ScalarFunctionSpec("bump", SpectrumInterval(0.0, 2.0), lambda t: np.asarray(t, float) ** 2 + 1.0)
+# functions outside the catalog that `parse_function` does not know
+OWN_FUNCTIONS = {f.label: f for f in (POINT, NEGATIVE, BUMP)}
 
 
 def _diag(*values) -> HermitianMatrix:
@@ -142,6 +149,12 @@ def grid():
     """Yield (name, thunk) for every call of the grid."""
     fns = [parse_function(label) for label in LABELS] + [POINT, NEGATIVE]
     yield from _function_calls(fns, DIMS, MS, NOISES, SAMPLES)
+    for dim in (1, 2, 3):
+        for m in MS:
+            for noise in NOISES:
+                yield f"log-epigraph {BUMP.label} d{dim} m{m} n{noise}", (
+                    lambda d=dim, m=m, z=noise: log_epigraph_closure_test(
+                        BUMP, d, m, SAMPLES, seed=SEED, noise_scale=z))
     t2 = parse_function("t^2")
     for name, thunk in (
         ("midpoint d0", lambda: midpoint_convexity_test(t2, 0, SAMPLES, seed=SEED)),
@@ -402,12 +415,17 @@ def body(thunk) -> tuple[dict, str]:
 
 def rechecks(payload: dict) -> bool:
     """Whether a violation's counterexample, read back from its JSON,
-    rechecks."""
+    rechecks; the recheck finds the grid's own functions by label beside
+    the catalog."""
     ce = json.loads(canonical_dumps(payload.get("counterexample", payload)))
+    parse = cstarlab.recheck.parse_function
+    cstarlab.recheck.parse_function = lambda label: OWN_FUNCTIONS.get(label) or parse(label)
     try:
         return recheck_payload(ce).ok
     except CstarlabError:
         return False
+    finally:
+        cstarlab.recheck.parse_function = parse
 
 
 def main() -> int:
