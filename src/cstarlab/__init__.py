@@ -11,7 +11,6 @@ from .errors import (
     DomainError,
     HermitianDefectError,
     InputError,
-    NonContractionError,
     NonPositiveError,
     NumericalError,
     UnboundedIntervalError,
@@ -42,17 +41,13 @@ from .combinations import (
     CoefficientTuple,
     FamilyCombination,
     KrausMap,
-    OperatorTuple,
     TupleValidation,
     UnitalMapFamily,
     apply_combination,
     apply_log_combination,
-    complete_contraction,
-    eigenvalue_scalarization_witness,
     positive_family_combination,
     sample_map_family,
     sample_tuple,
-    split_sum_witness,
     validate_tuple,
 )
 from .convexity import (

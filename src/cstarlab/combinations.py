@@ -3,8 +3,8 @@
 A coefficient tuple (C_1, ..., C_m) with sum C_i* C_i = I generalizes scalar
 convex weights; applying it to operators X_i forms sum C_i* X_i C_i, and the
 log variant forms (sum C_i* X_i^{-1} C_i)^{-1}. This module also builds the
-witness-style tuples used to reduce positive unital map families and
-eigenvalue scalarizations to plain C*-combinations.
+witness-style tuple that reduces a positive unital map family to a plain
+C*-combination.
 
 Positive maps (`KrausMap`) and unital families of them take stacks like
 the kernel's array helpers: operators of shape (..., d, d) with one
@@ -23,7 +23,6 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     InputError,
-    NonContractionError,
     NonPositiveError,
 )
 from .hermitian import (
@@ -42,7 +41,6 @@ __all__ = [
     "CoefficientTuple",
     "KrausMap",
     "UnitalMapFamily",
-    "OperatorTuple",
     "TupleValidation",
     "FamilyCombination",
     "validate_tuple",
@@ -50,9 +48,6 @@ __all__ = [
     "sample_map_family",
     "apply_combination",
     "apply_log_combination",
-    "complete_contraction",
-    "split_sum_witness",
-    "eigenvalue_scalarization_witness",
     "positive_family_combination",
 ]
 
@@ -88,31 +83,6 @@ class CoefficientTuple:
 
     def __repr__(self):
         return f"CoefficientTuple(dim={self.dim}, m={self.m})"
-
-
-@dataclass(frozen=True, eq=False)
-class OperatorTuple:
-    """A k-tuple of Hermitian matrices of equal dimension, combined
-    componentwise by coefficient tuples."""
-
-    components: tuple
-
-    def __init__(self, components: Sequence[HermitianMatrix]):
-        comps = tuple(components)
-        if not comps:
-            raise InputError("an operator tuple needs at least one component")
-        d = comps[0].dim
-        if any(c.dim != d for c in comps):
-            raise DimensionMismatchError("operator tuple components differ in dim")
-        object.__setattr__(self, "components", comps)
-
-    @property
-    def dim(self) -> int:
-        return self.components[0].dim
-
-    @property
-    def k(self) -> int:
-        return len(self.components)
 
 
 @dataclass(frozen=True, eq=False)
@@ -293,21 +263,10 @@ def _log_combine_arr(coeffs: Sequence[np.ndarray], xs: Sequence[np.ndarray]) -> 
     return _inv_pd_arr(inner, "combined inverse sum")
 
 
-def apply_combination(t: CoefficientTuple, xs):
-    """sum C_i* X_i C_i, applied componentwise when the X_i are operator
-    tuples. The output is re-symmetrized to absorb rounding drift."""
+def apply_combination(t: CoefficientTuple, xs: Sequence[HermitianMatrix]) -> HermitianMatrix:
+    """sum C_i* X_i C_i, re-symmetrized to absorb rounding drift."""
     if len(xs) != t.m:
         raise DimensionMismatchError(f"expected {t.m} operands, got {len(xs)}")
-    first = xs[0]
-    if isinstance(first, OperatorTuple):
-        k = first.k
-        if any(x.k != k or x.dim != t.dim for x in xs):
-            raise DimensionMismatchError("operator tuples must share shape and dim")
-        comps = []
-        for j in range(k):
-            arrs = [x.components[j].array for x in xs]
-            comps.append(HermitianMatrix._wrap(_combine_arr(t.coeffs, arrs)))
-        return OperatorTuple(comps)
     if any(x.dim != t.dim for x in xs):
         raise DimensionMismatchError("operand dim does not match tuple dim")
     return HermitianMatrix._wrap(_combine_arr(t.coeffs, [x.array for x in xs]))
@@ -324,63 +283,6 @@ def apply_log_combination(t: CoefficientTuple, xs: Sequence[HermitianMatrix]) ->
     if any(x.dim != t.dim for x in xs):
         raise DimensionMismatchError("operand dim does not match tuple dim")
     return HermitianMatrix._wrap(_log_combine_arr(t.coeffs, [x.array for x in xs]))
-
-
-def complete_contraction(C, tol: ToleranceConfig = DEFAULT_TOL) -> CoefficientTuple:
-    """Complete a contraction C to the pair (C, D) with D = (I - C*C)^(1/2),
-    which satisfies C*C + D*D = I."""
-    c = np.asarray(C, dtype=np.complex128)
-    if c.ndim != 2 or c.shape[0] != c.shape[1]:
-        raise InputError("expected a square matrix")
-    top = float(np.linalg.norm(c, 2))
-    if top > 1.0 + tol.construction_tol:
-        raise NonContractionError(f"largest singular value {top:.12f} exceeds 1")
-    gap = np.eye(c.shape[0]) - c.conj().T @ c
-    d = _sqrt_psd(_sym(gap))
-    return CoefficientTuple([c, d])
-
-
-def split_sum_witness(X: HermitianMatrix, Y: HermitianMatrix, tol: ToleranceConfig = DEFAULT_TOL):
-    """Contractions recovering each summand of S = X + Y by congruence:
-    C_1 = S^(-1/2) X^(1/2) and C_2 = S^(-1/2) Y^(1/2), so that
-    C_1*(X+Y)C_1 = X and C_2*(X+Y)C_2 = Y.
-
-    Each C_i is a contraction and C_1 C_1* + C_2 C_2* = I. Note the adjoint
-    placement: the sum C_i* C_i is NOT the identity unless X and Y commute,
-    so the pair is not a coefficient tuple; complete each contraction with
-    `complete_contraction` to embed it in one.
-    """
-    if X.dim != Y.dim:
-        raise DimensionMismatchError(f"dims {X.dim} and {Y.dim} differ")
-    for name, M in (("X", X), ("Y", Y)):
-        w = np.linalg.eigvalsh(M.array)
-        if w[0] < -tol.psd(float(np.max(np.abs(w)))):
-            raise NonPositiveError(f"{name} must be positive semidefinite (min eig {w[0]:.3e})")
-    s = X.array + Y.array
-    ws, us = _eigh(s)
-    if ws[0] <= tol.psd(float(ws[-1])):
-        raise NonPositiveError("X + Y is singular; witnesses are undefined")
-    s_inv_half = _sym((us * (1.0 / np.sqrt(ws))) @ us.conj().T)
-    c1 = s_inv_half @ _sqrt_psd(X.array)
-    c2 = s_inv_half @ _sqrt_psd(Y.array)
-    return c1, c2
-
-
-def eigenvalue_scalarization_witness(X: HermitianMatrix, k: int) -> CoefficientTuple:
-    """Coefficient tuple (U E_k1, ..., U E_kn) that maps n copies of X to
-    lambda_k I, where lambda_k is the k-th ascending eigenvalue (1-based)
-    and E_ki are the unit matrices in the eigenbasis U of X."""
-    n = X.dim
-    if not 1 <= k <= n:
-        raise InputError(f"eigenvalue index {k} out of range 1..{n}")
-    _, u = _eigh(X.array)
-    col = u[:, k - 1]
-    coeffs = []
-    for i in range(n):
-        c = np.zeros((n, n), dtype=np.complex128)
-        c[:, i] = col
-        coeffs.append(c)
-    return CoefficientTuple(coeffs)
 
 
 @dataclass(frozen=True, eq=False)

@@ -33,10 +33,6 @@ class NonPositiveError(CstarlabError):
     """An operand required to be strictly positive is not."""
 
 
-class NonContractionError(CstarlabError):
-    """A matrix required to be a contraction has norm above one."""
-
-
 class UnboundedIntervalError(CstarlabError):
     """Sampling from an unbounded interval without a scale override."""
 

@@ -189,11 +189,6 @@ class SpectralDecomposition:
     def dim(self) -> int:
         return self.eigenvalues.shape[0]
 
-    def projector(self, i: int) -> np.ndarray:
-        """Rank-one spectral projector onto the i-th eigenvector."""
-        v = self.unitary[:, i]
-        return np.outer(v, v.conj())
-
 
 @dataclass(frozen=True)
 class SpectrumInterval:

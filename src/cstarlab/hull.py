@@ -175,12 +175,14 @@ def _certificate(x: np.ndarray, lam_lo: float, lam_hi: float) -> HullCertificate
 
 
 def _closed_form(T: HermitianMatrix, X: HermitianMatrix, tol: ToleranceConfig):
-    """(lam, scale, degenerate, escape, witness), shared by `hull_membership`
-    and `two_point_witness`. For a degenerate T (gap <= DEFAULT_TOL.solver) the hull
-    is {lam I}, escape is the distance of X to it and the witness E_1 = I;
-    otherwise escape is the distance by which the spectrum of X leaves
-    [lam_min, lam_max] (negative inside) and the witness the two-point one.
-    The witness is None when escape exceeds the psd band, else unvalidated.
+    """(lam, scale, flat, escape, witness), shared by `hull_membership` and
+    `two_point_witness`. escape is the distance by which the spectrum of X
+    leaves [lam_min, lam_max] (negative inside). T counts as degenerate when
+    its gap is within `tol.solver`; then flat is max |w - mean(lam)| over the
+    eigenvalues w of X, the distance of X to the hull {lam I}, and the
+    witness E_1 = I. Otherwise flat is None and the witness the two-point
+    one. The witness is None when escape exceeds the psd band, else
+    unvalidated.
     """
     if T.dim != X.dim:
         raise DimensionMismatchError(f"dims {T.dim} and {X.dim} differ")
@@ -192,19 +194,18 @@ def _closed_form(T: HermitianMatrix, X: HermitianMatrix, tol: ToleranceConfig):
     eye = np.eye(dim, dtype=np.complex128)
     stack = np.zeros((lam.shape[0], dim, dim), np.complex128)
     gap = float(lam[-1] - lam[0])
-    degenerate = gap <= DEFAULT_TOL.solver(scale)
-    if degenerate:
-        center = float(np.mean(lam))
-        escape = float(np.max(np.abs(np.linalg.eigvalsh(x - center * eye))))
+    escape = float(max(lam[0] - w[0], w[-1] - lam[-1]))
+    flat = None
+    if gap <= tol.solver(scale):
+        flat = float(np.max(np.abs(w - np.mean(lam))))
         stack[0] = eye
     else:
-        escape = float(max(lam[0] - w[0], w[-1] - lam[-1]))
         stack[0] = (lam[-1] * eye - x) / gap
         stack[-1] = (x - lam[0] * eye) / gap
     if escape > tol.psd(scale):
-        return lam, scale, degenerate, escape, None
+        return lam, scale, flat, escape, None
     blocks = [HermitianMatrix._wrap(e) for e in stack]
-    return lam, scale, degenerate, escape, HullWitness(eigenvalues=lam, blocks=blocks)
+    return lam, scale, flat, escape, HullWitness(eigenvalues=lam, blocks=blocks)
 
 
 def hull_membership(
@@ -216,10 +217,10 @@ def hull_membership(
     with a separating eigenvector certificate. Otherwise the closed-form
     witness is built and validated: `member` if it passes, `boundary` if it
     fails, which is where ties inside the psd band land. For a degenerate T
-    the witness E_1 = I is validated too, but accepted only within the
-    solver tolerance of lam I, and the rest of the band is `boundary`.
+    (gap within `tol.solver`) the witness E_1 = I is validated too, but
+    accepted only within the solver band of lam I; the rest is `boundary`.
     """
-    lam, scale, degenerate, escape, witness = _closed_form(T, X, tol)
+    lam, scale, flat, escape, witness = _closed_form(T, X, tol)
     if witness is None:
         return FeasibilityResult(
             status="non-member",
@@ -229,9 +230,9 @@ def hull_membership(
             certificate=_certificate(X.array, lam[0], lam[-1]),
         )
     check = witness.validate(X)
-    if degenerate:
-        valid = escape <= tol.solver(scale)
-        residual = escape
+    if flat is not None:
+        valid = flat <= tol.solver(scale)
+        residual = flat
     else:
         valid = check.valid
         residual = max(check.sum_defect, check.moment_defect, -check.min_eig)
@@ -250,9 +251,9 @@ def two_point_witness(
 
     Raises InputError when X escapes the hull beyond the psd band. The
     witness is returned unvalidated; check it with `HullWitness.validate`."""
-    _, _, degenerate, escape, witness = _closed_form(T, X, tol)
+    _, _, flat, escape, witness = _closed_form(T, X, tol)
     if witness is None:
-        if degenerate:
+        if flat is not None:
             raise InputError("degenerate T: only lam I itself lies in the hull")
         raise InputError(f"X lies outside the hull interval (margin {-escape:.3e})")
     return witness

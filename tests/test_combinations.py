@@ -9,19 +9,14 @@ from cstarlab import (
     HermitianMatrix,
     InputError,
     KrausMap,
-    NonContractionError,
-    OperatorTuple,
     UnitalMapFamily,
     apply_combination,
     apply_log_combination,
-    complete_contraction,
     eig_hermitian,
-    eigenvalue_scalarization_witness,
     haar_unitary,
     positive_family_combination,
     sample_map_family,
     sample_tuple,
-    split_sum_witness,
     validate_tuple,
 )
 from cstarlab.combinations import _combine_arr, _sample_families, _sample_tuple_arrs
@@ -84,17 +79,6 @@ class TestApplyCombination:
         out = apply_combination(t, [HermitianMatrix.identity(3)] * 4)
         assert specnorm(out.array - np.eye(3)) < 1e-12
 
-    def test_componentwise_on_operator_tuples(self, rand_herm):
-        t = sample_tuple(2, 2, 3)
-        pairs = [
-            OperatorTuple([rand_herm(2, 0.0, 1.0, s), rand_herm(2, 0.0, 1.0, s + 10)])
-            for s in (1, 2)
-        ]
-        out = apply_combination(t, pairs)
-        for j in range(2):
-            direct = apply_combination(t, [p.components[j] for p in pairs])
-            assert specnorm(out.components[j].array - direct.array) < 1e-14
-
     def test_length_mismatch(self, rand_herm):
         with pytest.raises(DimensionMismatchError):
             apply_combination(sample_tuple(2, 2, 0), [rand_herm(2, 0.0, 1.0, 0)])
@@ -142,85 +126,6 @@ class TestApplyLogCombination:
             lo = apply_log_combination(t, xs)
             hi = apply_combination(t, xs)
             assert float(np.linalg.eigvalsh(hi.array - lo.array)[0]) > -1e-8
-
-
-class TestCompleteContraction:
-    def test_scalar_half(self):
-        t = complete_contraction(np.sqrt(0.5) * np.eye(2))
-        assert specnorm(t.coeffs[1] - np.sqrt(0.5) * np.eye(2)) < 1e-12
-
-    def test_zero(self):
-        t = complete_contraction(np.zeros((3, 3)))
-        assert specnorm(t.coeffs[1] - np.eye(3)) < 1e-15
-
-    def test_random_contraction(self):
-        rng = np.random.default_rng(12)
-        g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        c = g / (np.linalg.norm(g, 2) * 1.25)
-        t = complete_contraction(c)
-        d = t.coeffs[1]
-        assert specnorm(c.conj().T @ c + d.conj().T @ d - np.eye(3)) <= 1e-12
-        assert validate_tuple(t).ok
-
-    def test_rejects_expansion(self):
-        with pytest.raises(NonContractionError):
-            complete_contraction(2.0 * np.eye(2))
-
-
-class TestSplitSumWitness:
-    def test_equal_identities(self):
-        one = HermitianMatrix.identity(2)
-        c1, c2 = split_sum_witness(one, one)
-        assert specnorm(c1 - np.sqrt(0.5) * np.eye(2)) < 1e-12
-        assert specnorm(c2 - np.sqrt(0.5) * np.eye(2)) < 1e-12
-
-    def test_near_projections_reconstruct(self):
-        eps = 1e-4
-        x = HermitianMatrix(np.diag([1.0, 0.0]) + eps * np.eye(2))
-        y = HermitianMatrix(np.diag([0.0, 1.0]) + eps * np.eye(2))
-        c1, c2 = split_sum_witness(x, y)
-        s = x.array + y.array
-        assert specnorm(c1.conj().T @ s @ c1 - x.array) <= 1e-9
-        assert specnorm(c2.conj().T @ s @ c2 - y.array) <= 1e-9
-
-    def test_contractions_and_adjoint_normalization(self, rand_herm):
-        # the pair reconstructs the summands and is jointly co-isometric:
-        # sum C_i C_i* = I. The adjoint-flipped sum C_i* C_i only
-        # recovers I when X and Y commute.
-        for seed in range(8):
-            x = rand_herm(3, 0.1, 2.0, seed)
-            y = rand_herm(3, 0.1, 2.0, seed + 30)
-            c1, c2 = split_sum_witness(x, y)
-            assert np.linalg.norm(c1, 2) <= 1.0 + 1e-10
-            assert np.linalg.norm(c2, 2) <= 1.0 + 1e-10
-            co = c1 @ c1.conj().T + c2 @ c2.conj().T
-            assert specnorm(co - np.eye(3)) < 1e-12
-
-    def test_rejects_singular_sum(self):
-        z = HermitianMatrix.zero(2)
-        with pytest.raises(Exception):
-            split_sum_witness(z, z)
-
-
-class TestEigenvalueScalarization:
-    def test_two_by_two_min(self):
-        x = HermitianMatrix(np.diag([5.0, 2.0]))
-        t = eigenvalue_scalarization_witness(x, 1)
-        out = apply_combination(t, [x] * 2)
-        assert specnorm(out.array - 2.0 * np.eye(2)) < 1e-12
-
-    def test_all_indices_random(self, rand_herm):
-        x = rand_herm(3, -2.0, 2.0, 14)
-        lam = eig_hermitian(x).eigenvalues
-        for k in range(1, 4):
-            t = eigenvalue_scalarization_witness(x, k)
-            assert validate_tuple(t).defect <= 1e-12
-            out = apply_combination(t, [x] * 3)
-            assert specnorm(out.array - lam[k - 1] * np.eye(3)) < 1e-10
-
-    def test_index_range(self):
-        with pytest.raises(InputError):
-            eigenvalue_scalarization_witness(HermitianMatrix.identity(2), 3)
 
 
 class TestPositiveFamilyCombination:

@@ -90,8 +90,7 @@ TOO_SMALL_MSG = "domain [1.0, 1.0] is too small to sample"
            f"noise_scale must be finite and non-negative, got {z}")
           for s in (epigraph_closure_test, log_epigraph_closure_test)
           for z in (-1.0, float("nan"), float("inf"))],
-        *[(lambda s=s: ORDER_SUITES[s](POINT), InputError, TOO_SMALL_MSG)
-          for s in ("midpoint", "jensen", "epigraph")],
+        *[(lambda s=s: ORDER_SUITES[s](POINT), InputError, TOO_SMALL_MSG) for s in ORDER_SUITES],
         *[(lambda s=s: ORDER_SUITES[s](NONPOS), InputError, NO_POSITIVE_MSG)
           for s in ("log-midpoint", "log-harmonic", "log-epigraph")],
         (lambda: sublevel_family_test([], 2, 2, 10, seed=1), InputError,

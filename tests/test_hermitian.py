@@ -83,12 +83,6 @@ class TestEig:
         assert rel < 1e-10
         assert specnorm(d.unitary.conj().T @ d.unitary - np.eye(5)) < 1e-10
 
-    def test_projector_outer_product(self):
-        h = HermitianMatrix(np.diag([1.0, 2.0, 5.0]))
-        d = eig_hermitian(h)
-        total = sum(d.eigenvalues[i] * d.projector(i) for i in range(3))
-        assert np.allclose(total, h.array)
-
     def test_deterministic(self, rand_herm):
         h = rand_herm(4, -1.0, 1.0, 3)
         d1, d2 = eig_hermitian(h), eig_hermitian(h)

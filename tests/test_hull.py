@@ -18,7 +18,7 @@ from cstarlab import (
     spectral_interval_oracle,
     two_point_witness,
 )
-from cstarlab.convexity import _harmonic_decompose, _parallel_sum
+from cstarlab.convexity import _harmonic_split, _parallel_sum
 
 from conftest import specnorm
 
@@ -321,7 +321,9 @@ class TestHarmonicSumClosure:
             for _ in range(200):
                 uz = haar_unitary(2, rng)
                 z = (uz * rng.uniform(lo, hi, 2)) @ uz.conj().T
-                xs, ys, residual = _harmonic_decompose(z, a1, b1, a2, b2)
+                w, u = np.linalg.eigh(z)
+                xw, yw, residual = _harmonic_split(w, a1, b1, a2, b2)
+                xs, ys = (u * xw) @ u.conj().T, (u * yw) @ u.conj().T
                 assert residual < 1e-10
                 assert np.all(np.linalg.eigvalsh(xs) >= a1 - 1e-9)
                 assert np.all(np.linalg.eigvalsh(xs) <= b1 + 1e-9)

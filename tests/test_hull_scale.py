@@ -1,9 +1,13 @@
-"""Scale and unitary invariance of the hull decision, and the rejection of
-witnesses for the wrong input, as spot checks and hypothesis properties.
+"""Scale and unitary invariance of the hull decision, the rejection of
+witnesses for the wrong input, and proof objects that hold under every
+`--tol`, as spot checks and hypothesis properties.
 
 Operands are built exactly Hermitian as (a + a*)/2, so any scale passes the
 entrywise self-adjointness check of HermitianMatrix.
 """
+
+import argparse
+import json
 
 import numpy as np
 from hypothesis import HealthCheck, assume, given, settings
@@ -11,11 +15,14 @@ from hypothesis import strategies as st
 
 from cstarlab import (
     HermitianMatrix,
+    cli,
     haar_unitary,
     hull_membership,
+    recheck_payload,
     spectral_interval_oracle,
     two_point_witness,
 )
+from cstarlab.io import canonical_dumps, feasibility_to_payload
 
 PROPERTY = settings(
     max_examples=200,
@@ -100,6 +107,46 @@ def test_witness_rejects_input_outside_hull(case, c, push):
     witness = two_point_witness(scaled(t, c), scaled(x, c))
     assert witness.validate(scaled(x, c)).valid
     assert not witness.validate(scaled(x_out, c)).valid
+
+
+@st.composite
+def cli_tol_cases(draw):
+    """(tol, T, X) as `hull member --tol` sees them: the tolerances that
+    `cli._tolconfig` makes of a --tol in [1e-12, 1e-6]; T at scale c whose
+    gap is 0, anywhere up to 1e-6*c, within a few decades of the psd band
+    (and at most 1e-6*c), or ordinary; X with each eigenvalue at an end of
+    [lam_min, lam_max], inside it, or just outside it."""
+    tol = cli._tolconfig(argparse.Namespace(tol=10.0 ** draw(st.floats(-12.0, -6.0))))
+    dim = draw(st.integers(2, 4))
+    c = draw(scales)
+    lo = c * draw(st.sampled_from((-1.0, 1.0))) * draw(st.floats(0.5, 2.0))
+    tiny = st.floats(-16.0, -6.0).map(lambda e: 10.0**e)
+    near = st.floats(-1.0, 3.0).map(lambda e: min(tol.psd_tol * 10.0**e, 1e-6))
+    gap = c * draw(st.one_of(st.just(0.0), tiny, near, st.floats(1e-3, 2.0)))
+    inner = draw(st.lists(st.floats(0.0, 1.0), min_size=dim - 2, max_size=dim - 2))
+    push = st.floats(-13.0, -5.0).map(lambda e: c * 10.0**e)
+    eig = st.one_of(st.just(lo), st.just(lo + gap), st.floats(0.0, 1.0).map(lambda f: lo + f * gap),
+                    push.map(lambda d: lo - d), push.map(lambda d: lo + gap + d))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t = rotated(lo + gap * np.array([0.0, 1.0, *inner]), haar_unitary(dim, rng))
+    x = rotated(draw(st.lists(eig, min_size=dim, max_size=dim)), haar_unitary(dim, rng))
+    return tol, t, x
+
+
+@PROPERTY
+@given(cli_tol_cases())
+def test_proof_objects_hold_under_cli_tolerances(case):
+    # every non-member certificate rechecks after a JSON round trip, and
+    # every member witness validates, also for a T whose gap is within the
+    # solver band of --tol or just beyond it
+    tol, t, x = case
+    res = hull_membership(t, x, tol)
+    if res.status == "non-member":
+        payload = json.loads(canonical_dumps(feasibility_to_payload(res)["certificate"]))
+        result = recheck_payload(payload)
+        assert result.ok, result
+    elif res.status == "member":
+        assert res.witness.validate(x).valid
 
 
 def test_clear_member_at_large_scale():

@@ -12,7 +12,6 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from cstarlab import (
-    HermitianMatrix,
     NonPositiveError,
     geometric_mean,
     haar_unitary,
@@ -27,7 +26,6 @@ from cstarlab import (
     sample_hull_member,
     sample_tuple,
     spectral_interval_oracle,
-    split_sum_witness,
 )
 from cstarlab.io import (
     counterexample_to_payload,
@@ -115,18 +113,6 @@ def test_lch_membership_invariant_under_scaling(case, c):
     status = lch_membership(t, x).status
     assert status in ("member", "non-member")
     assert lch_membership(scaled(t, c), scaled(x, c)).status == status
-
-
-@PROPERTY
-@given(st.data(), st.booleans(), scales)
-def test_split_sum_witness_positivity_invariant_under_scaling(data, y_zero, c):
-    dim = data.draw(dims)
-    x = data.draw(edge_matrix(dim))
-    y = HermitianMatrix.zero(dim) if y_zero else data.draw(edge_matrix(dim))
-    w = np.linalg.eigvalsh(x.array + y.array)
-    assume(abs(w[0]) > 1e-6 * np.max(np.abs(w)))
-    expected = rejects(lambda: split_sum_witness(x, y))
-    assert rejects(lambda: split_sum_witness(scaled(x, c), scaled(y, c))) == expected
 
 
 def suite_fields(verdict):

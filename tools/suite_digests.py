@@ -288,6 +288,10 @@ CLI_MATRICES = {
     # 1e-8 from 2I: inside the psd band but beyond the solver band of the
     # degenerate T = 2I, so the verdict is `boundary` with a valid witness
     "x-flat-tie.json": _diag(2.0, 2.0, 2.0 + 1e-8),
+    # T's gap 5e-10 lies beyond the solver band of --tol 1e-11 and within
+    # the default one; X = lam_max I is a member either way
+    "t-near-flat.json": _diag(1.0, 1.0 + 5e-10),
+    "x-near-flat.json": _diag(1.0 + 5e-10, 1.0 + 5e-10),
     "a-spread.json": _rotated([0.5, 1.0, 4.0], 15),
     "a-flat.json": _diag(1.5, 1.5, 1.5),
 }
@@ -320,6 +324,9 @@ def cli_grid():
             "hull", "member", "--t", t, "--x", x, "--out", f"hull-{case}.json"], "report"
     yield "hull member tie tol 1e-6", [
         "hull", "member", "--t", "t.json", "--x", "x-tie.json", "--tol", "1e-6"], "report"
+    yield "hull member near-degenerate tol 1e-11", [
+        "hull", "member", "--t", "t-near-flat.json", "--x", "x-near-flat.json", "--tol", "1e-11",
+        "--out", "hull-near-flat.json"], "report"
     yield "hull witness member", [
         "hull", "witness", "--t", "t.json", "--x", "x-in.json", "--out", "witness.json"], "file"
     for case in ("non-member", "tie"):
@@ -337,7 +344,8 @@ def cli_grid():
                                    "--format", "json"], "stderr"
     yield "jensen tuple t^4 m2", ["jensen", "--function", "t^4", "--dims", "2", "--m", "2", *run,
                                   "--out", "jensen.json"], "report"
-    for report in ("jensen.json", "hull-non-member.json", "lch-non-member.json", "interval.json"):
+    for report in ("jensen.json", "hull-non-member.json", "lch-non-member.json", "interval.json",
+                   "hull-near-flat.json"):
         yield f"verify {report}", ["verify", "--report", report], "stdout"
     yield "classify t^2 seed 2^64-1", ["classify", "--function", "t^2", "--dims", "2", "--samples",
                                       str(SAMPLES), "--seed", str(2**64 - 1)], "report"
