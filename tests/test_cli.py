@@ -224,6 +224,24 @@ class TestHullCommands:
         )
         assert main(["hull", "member", "--t", diag13, "--x", outside]) == 1
 
+    @pytest.mark.parametrize("xe,code", [
+        ((1.0 + 5e-10, 1.0 + 5e-10), 0),
+        ((1.0 + 1.5e-9, 1.0 + 1.5e-9), 1),
+    ], ids=("lam-max", "escape"))
+    def test_member_near_degenerate_tol_verifies(self, tmp_path, xe, code):
+        # T's gap 5e-10 lies beyond the solver band of --tol 1e-11: X = lam_max I
+        # is a member, and an escape of 1e-9 is a non-member whose report verifies
+        def diag(values):
+            return {"dim": 2, "entries": [[[v if j == k else 0, 0] for k in range(2)]
+                                          for j, v in enumerate(values)]}
+
+        t = write_json(tmp_path / "T.json", diag([1.0, 1.0 + 5e-10]))
+        x = write_json(tmp_path / "X.json", diag(xe))
+        out = tmp_path / "r.json"
+        assert main(["hull", "member", "--t", t, "--x", x, "--tol", "1e-11",
+                     "--out", str(out)]) == code
+        assert main(["verify", "--report", str(out)]) == 0
+
     def test_tol_flag_widens_psd_band(self, tmp_path):
         # lam_max(X) exceeds lam_max(T) = 4 by 1.2e-6: outside the default
         # band of 4e-8, inside the band of 4e-6 that --tol 1e-6 sets, where

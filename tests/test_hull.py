@@ -1,12 +1,16 @@
+import json
+
 import numpy as np
 import pytest
 
 from cstarlab import (
+    DEFAULT_TOL,
     DimensionMismatchError,
     HermitianMatrix,
     InputError,
     NonPositiveError,
     SpectrumInterval,
+    ToleranceConfig,
     eig_hermitian,
     harmonic_sum_closure_test,
     haar_unitary,
@@ -15,12 +19,20 @@ from cstarlab import (
     sample_hermitian,
     sample_hull_member,
     sample_tuple,
+    recheck_payload,
     spectral_interval_oracle,
     two_point_witness,
 )
 from cstarlab.convexity import _harmonic_split, _parallel_sum
+from cstarlab.io import canonical_dumps, feasibility_to_payload
 
 from conftest import specnorm
+
+
+# the tolerances of `hull member --tol 1e-11`
+TOL_1E11 = ToleranceConfig(construction_tol=1e-12, psd_tol=1e-11, solver_tol=1e-11)
+# gap 5e-10: within the default solver band, beyond that of TOL_1E11
+NEAR_FLAT = (1.0, 1.0 + 5e-10)
 
 
 def herm_with_eigs(eigs, seed):
@@ -98,6 +110,38 @@ class TestHullMembership:
     def test_dim_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             hull_membership(HermitianMatrix.identity(2), HermitianMatrix.identity(3))
+
+    @pytest.mark.parametrize("tol", [DEFAULT_TOL, TOL_1E11], ids=("default", "tol-1e-11"))
+    @pytest.mark.parametrize("xe", [
+        (NEAR_FLAT[0],) * 2, (NEAR_FLAT[1],) * 2, NEAR_FLAT, (sum(NEAR_FLAT) / 2,) * 2,
+    ], ids=("lam-min", "lam-max", "t-itself", "center"))
+    def test_near_degenerate_t_members(self, tol, xe):
+        # a spectrum of X inside [lam_min, lam_max] is a member whether the
+        # gap of T falls within the solver band of tol (degenerate branch) or
+        # beyond it (two-point branch)
+        t = HermitianMatrix(np.diag(NEAR_FLAT))
+        x = HermitianMatrix(np.diag(xe))
+        res = hull_membership(t, x, tol)
+        assert res.status == "member"
+        assert res.witness.validate(x).valid
+
+    @pytest.mark.parametrize("xe,escape", [
+        ((NEAR_FLAT[0] - 1e-9, NEAR_FLAT[0]), 1e-9),
+        ((NEAR_FLAT[1] + 1e-9,) * 2, 1e-9),
+    ], ids=("below", "above"))
+    def test_near_degenerate_t_escape_certificate(self, xe, escape):
+        # an escape beyond the psd band of --tol 1e-11 is a non-member whose
+        # certificate measures that escape and rechecks after a JSON round
+        # trip; the default psd band of 1e-8 holds it as a tie
+        t = HermitianMatrix(np.diag(NEAR_FLAT))
+        x = HermitianMatrix(np.diag(xe))
+        res = hull_membership(t, x, TOL_1E11)
+        assert res.status == "non-member"
+        assert res.residual == res.certificate.margin
+        assert abs(res.certificate.margin - escape) < 1e-15
+        payload = json.loads(canonical_dumps(feasibility_to_payload(res)["certificate"]))
+        assert recheck_payload(payload).ok
+        assert hull_membership(t, x).status == "boundary"
 
     def test_agreement_with_oracle(self):
         rng = np.random.default_rng(99)
@@ -268,6 +312,58 @@ class TestLchMembership:
     def test_requires_positive(self):
         with pytest.raises(NonPositiveError):
             lch_membership(HermitianMatrix(np.diag([1.0, 0.0])), HermitianMatrix.identity(2))
+
+
+class TestHarmonicSplit:
+    CASES = {
+        "two-intervals": (0.5, 2.0, 1.0, 3.0),
+        "x-point": (1.5, 1.5, 1.0, 3.0),
+        "y-point": (0.5, 2.0, 2.0, 2.0),
+        "both-points": (2.0, 2.0, 3.0, 3.0),
+    }
+
+    @pytest.mark.parametrize("bounds", CASES.values(), ids=CASES.keys())
+    def test_inside_meets_parallel_sum(self, bounds):
+        # each eigenvalue w in [p(a1, a2), p(b1, b2)] splits into x in
+        # [a1, b1] and y in [a2, b2] on the diagonal path with p(x, y) = w
+        a1, b1, a2, b2 = bounds
+        lo, hi = _parallel_sum(a1, a2), _parallel_sum(b1, b2)
+        w = np.linspace(lo, hi, 7)
+        xs, ys, residual = _harmonic_split(w, a1, b1, a2, b2)
+        assert residual < 1e-14
+        assert np.allclose(_parallel_sum(xs, ys), w, rtol=0.0, atol=1e-14)
+        assert np.all((a1 <= xs) & (xs <= b1)) and np.all((a2 <= ys) & (ys <= b2))
+        # one path parameter t places both x and y
+        if b1 > a1 and b2 > a2:
+            assert np.allclose((xs - a1) / (b1 - a1), (ys - a2) / (b2 - a2), atol=1e-12)
+        assert np.all(np.diff(xs) >= 0.0) and np.all(np.diff(ys) >= 0.0)
+
+    @pytest.mark.parametrize("side", ("below", "above"))
+    def test_outside_clips_to_path_end(self, side):
+        # an eigenvalue outside the interval splits at the nearer end of the
+        # path, and its residual is its distance from that end
+        a1, b1, a2, b2 = self.CASES["two-intervals"]
+        lo, hi = _parallel_sum(a1, a2), _parallel_sum(b1, b2)
+        w = np.array([lo - 0.25]) if side == "below" else np.array([hi + 0.25])
+        xs, ys, residual = _harmonic_split(w, a1, b1, a2, b2)
+        end = (a1, a2) if side == "below" else (b1, b2)
+        assert (xs[0], ys[0]) == pytest.approx(end, abs=1e-14)
+        assert residual == pytest.approx(0.25, abs=1e-14)
+
+    def test_stacked_spectra_one_residual_each(self):
+        # a stack of spectra returns one residual per spectrum, the same as
+        # splitting each spectrum alone
+        a1, b1, a2, b2 = self.CASES["two-intervals"]
+        lo, hi = _parallel_sum(a1, a2), _parallel_sum(b1, b2)
+        rng = np.random.default_rng(31)
+        w = np.sort(rng.uniform(lo - 0.1, hi + 0.1, (5, 3)), axis=-1)
+        xs, ys, residual = _harmonic_split(w, a1, b1, a2, b2)
+        assert xs.shape == ys.shape == (5, 3) and residual.shape == (5,)
+        for row, r in zip(w, residual):
+            assert _harmonic_split(row, a1, b1, a2, b2)[2] == r
+        # each residual is the row's largest distance from [lo, hi]
+        outside = np.max(np.maximum(lo - w, w - hi).clip(min=0.0), axis=-1)
+        assert np.allclose(residual, outside, rtol=0.0, atol=1e-14)
 
 
 class TestHarmonicSumClosure:
