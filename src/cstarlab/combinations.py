@@ -29,9 +29,10 @@ from .hermitian import (
     DEFAULT_TOL,
     HermitianMatrix,
     ToleranceConfig,
+    _Draws,
     _eigh,
     _from_eig,
-    _haar_columns,
+    _haar_from,
     _seeded_rng,
     _sqrt_psd,
     _sym,
@@ -182,12 +183,22 @@ def validate_tuple(t: CoefficientTuple, tol: ToleranceConfig = DEFAULT_TOL) -> T
     return TupleValidation(ok=defect <= tol.construction_tol, defect=defect)
 
 
-def _sample_tuple_arrs(dim: int, m: int, rngs) -> list[np.ndarray]:
-    """One coefficient tuple per generator, as m stacks of (dim x dim) blocks."""
+def _tuple_blocks(g: np.ndarray, m: int) -> list[np.ndarray]:
+    """The m coefficient stacks of the tuples drawn as `g`, Ginibre normals
+    of shape (n, 2, m*dim, dim)."""
     # Haar isometry of shape (m*dim) x dim, sliced into m square blocks;
     # the stacked isometry gives sum C_i* C_i = I exactly
-    q = _haar_columns(m * dim, dim, rngs)
+    q = _haar_from(g)
+    dim = q.shape[-1]
     return [q[..., i * dim : (i + 1) * dim, :] for i in range(m)]
+
+
+def _sample_tuple_arrs(dim: int, m: int, rngs) -> list[np.ndarray]:
+    """One coefficient tuple per generator, as m stacks of (dim x dim) blocks."""
+    draws = _Draws(len(rngs))
+    g = draws.normal(2, m * dim, dim)
+    draws.run(rngs)
+    return _tuple_blocks(g, m)
 
 
 def sample_tuple(dim: int, m: int, rng_seed) -> CoefficientTuple:
@@ -212,27 +223,49 @@ def sample_map_family(dim: int, m: int, rng_seed, transpose_prob: float = 0.5) -
 
 
 def _sample_families(dim: int, m: int, rngs, transpose_prob: float = 0.5):
-    """One `sample_map_family` draw per generator, as `(family, sizes)`: a
-    family of m stacked maps, each with `_MAX_KRAUS` operators that are zero
-    past a sample's count, and `sizes[j, i]`, the count of map i in sample
-    j. Each generator draws the sizes, then its isometry (the samples are
-    stacked by total size), then the flags."""
-    n = len(rngs)
-    sizes = np.array([[int(rng.integers(1, _MAX_KRAUS + 1)) for _ in range(m)] for rng in rngs])
-    totals = sizes.sum(axis=1)
-    kraus = np.zeros((m, _MAX_KRAUS, n, dim, dim), dtype=np.complex128)
-    for total in dict.fromkeys(totals.tolist()):
-        group = np.flatnonzero(totals == total)
-        # the group's isometries, as in `_sample_tuple_arrs`, cut into blocks
-        blocks = _haar_columns(total * dim, dim, [rngs[j] for j in group])
-        blocks = blocks.reshape(len(group), total, dim, dim)
-        for pos, j in enumerate(group):
-            at = 0
-            for i, size in enumerate(sizes[j].tolist()):
-                kraus[i, :size, j] = blocks[pos, at : at + size]
-                at += size
-    flips = np.array([[rng.random() < transpose_prob for _ in range(m)] for rng in rngs])
-    return UnitalMapFamily([KrausMap(kraus[i], flips[:, i]) for i in range(m)]), sizes
+    """One `sample_map_family` draw per generator, as `(family, sizes)` (see
+    `_family_draws`)."""
+    draws = _Draws(len(rngs))
+    families = _family_draws(draws, dim, m, transpose_prob)
+    draws.run(rngs)
+    return families()
+
+
+def _family_draws(draws: _Draws, dim: int, m: int, transpose_prob: float = 0.5):
+    """Queue one `sample_map_family` draw per sample of `draws`; returns
+    `families()`, which builds them once the draws have run, as `(family,
+    sizes)`: a family of m stacked maps, each with `_MAX_KRAUS` operators
+    that are zero past a sample's count, and `sizes[j, i]`, the count of
+    map i in sample j. Each generator draws the sizes, then its isometry,
+    then the flags."""
+    n = draws.n
+    counts, normals = [None] * n, [None] * n
+
+    def isometry(j, rng):
+        counts[j] = [int(rng.integers(1, _MAX_KRAUS + 1)) for _ in range(m)]
+        normals[j] = rng.standard_normal((2, sum(counts[j]) * dim, dim))
+
+    draws.step(isometry)
+    flags = draws.uniform(m)
+
+    def families():
+        sizes = np.array(counts)
+        totals = sizes.sum(axis=1)
+        kraus = np.zeros((m, _MAX_KRAUS, n, dim, dim), dtype=np.complex128)
+        for total in dict.fromkeys(totals.tolist()):
+            # the group's isometries, as in `_tuple_blocks`, cut into blocks
+            # and placed at (map, operator, sample) in sample and map order
+            group = np.flatnonzero(totals == total)
+            g = np.array([normals[j] for j in group])
+            size = sizes[group].ravel()
+            starts = np.repeat(np.cumsum(size) - size, size)
+            maps = np.repeat(np.tile(np.arange(m), len(group)), size)
+            kraus[maps, np.arange(len(maps)) - starts, np.repeat(group, total)] = (
+                _haar_from(g).reshape(-1, dim, dim))
+        flips = flags < transpose_prob
+        return UnitalMapFamily([KrausMap(kraus[i], flips[:, i]) for i in range(m)]), sizes
+
+    return families
 
 
 def _family_at(fams, j: int) -> UnitalMapFamily:
@@ -259,7 +292,7 @@ def _inv_pd_arr(a: np.ndarray, what: str = "operand") -> np.ndarray:
 
 
 def _log_combine_arr(coeffs: Sequence[np.ndarray], xs: Sequence[np.ndarray]) -> np.ndarray:
-    inner = _combine_arr(coeffs, [_inv_pd_arr(x) for x in xs])
+    inner = _combine_arr(coeffs, _inv_pd_arr(np.asarray(xs)))
     return _inv_pd_arr(inner, "combined inverse sum")
 
 

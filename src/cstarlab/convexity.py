@@ -23,13 +23,22 @@ the counterexample; a suite supplies only its `draw`. The six Loewner-order
 suites add the escalating window and lambda_min(rhs - lhs) via `_order_suite`.
 
 The loop evaluates sample 0 alone, then chunks of 16, 64 and 256
-consecutive indices (see `_CHUNK_CAP` for the measured reason). Within a
-chunk each sample makes its own draws from its own generator, in the same
-order as when it runs alone; the linear algebra then runs once over the
-stacked (n, d, d) arrays, which numpy computes matrix by matrix exactly as
-for one matrix. The first violation builds its counterexample from the
-stack that found it, so a verdict (samples, margins, counterexample,
-errors) is the same for every schedule.
+consecutive indices (see `_CHUNK_CAP` for the measured reason). Draws are
+stage-stacked. Within a chunk, each sample's generator makes all of that
+sample's draws in one pass (`hermitian._Draws`), in the order of a sample
+run alone: coefficient tuple, then each operand's Ginibre matrix and
+eigenvalues, then noise. The draws land in preallocated buffers, and each
+kernel stage then runs once over the whole stack: the m operands of n
+samples form one (m, n, d, d) array, so one QR, one eigendecomposition per
+functional calculus or inverse and one `eigvalsh` for noise serve the
+chunk. numpy computes a stack matrix by matrix exactly as for one matrix,
+and an error names the first matrix that fails, as one call per matrix
+would. `_Tracker` classifies a chunk with array operations, and the
+order suites decompose lhs and rhs for a scale only where the band
+decision depends on it (see `_order_suite`). The first violation builds
+its counterexample from the stack that found it, so a verdict (samples,
+margins, counterexample, errors) is the same for every schedule and
+byte-identical to one sample at a time.
 """
 
 from __future__ import annotations
@@ -52,26 +61,29 @@ from .errors import (
 )
 from .combinations import (
     _combine_arr,
+    _family_draws,
     _inv_pd_arr,
     _log_combine_arr,
-    _sample_families,
     _sample_tuple_arrs,
+    _tuple_blocks,
 )
 from .functions import ScalarFunctionSpec
 from .hermitian import (
     DEFAULT_TOL,
+    SCALE_FLOOR,
     HermitianMatrix,
     SpectrumInterval,
     ToleranceConfig,
+    _Draws,
     _apply_arr,
     _eigh,
     _from_eig,
     _geometric_mean_arr,
-    _ginibre,
     _haar_columns,
+    _hermitians_from,
     _max_abs_eig,
     _mineig,
-    _rand_hermitian_arr,
+    _rand_hermitians,
     _require_pd,
     _sym,
 )
@@ -96,14 +108,14 @@ SPREADS = (1.0, 4.0, 16.0)
 
 # Chunk sizes: sample 0 runs alone, then stacks grow x4 from _FIRST_STACK up
 # to _CHUNK_CAP. A stacked chunk pays a fixed cost (seed words, a generator
-# per sample, about a hundred numpy and LAPACK calls) that a chunk of 2 to 8
-# does not absorb: warm, with one OpenBLAS thread on a 2-vCPU x86 host, a
-# jensen tuple chunk at dim 3, m 2 takes about 410 us for 2 samples and
-# 605 us for 8, and per sample 56, 37 and 33 us in chunks of 16, 64 and 256.
+# per sample, a few dozen numpy calls) that a chunk of 2 to 8 does not
+# absorb: warm, with one OpenBLAS thread on a 2-vCPU x86 host, a jensen
+# tuple chunk at dim 3, m 2 takes about 375 us for 2 samples and 560 us
+# for 8, and per sample 46, 32 and 25 us in chunks of 16, 64 and 256.
 # At the cap the largest stack, the Kraus array of a map family at dim 4 and
-# m 3, holds 3*3*256*4*4 complex entries, about 0.6 MB. A chunk whose
-# stacked draw raises reruns its samples alone, up to 255 of them; a clean
-# run raises none.
+# m 3, holds 3*3*256*4*4 complex entries, about 0.6 MB; an operand stack
+# holds m*256*d*d. A chunk whose stacked draw raises reruns its samples
+# alone, up to 255 of them; a clean run raises none.
 _FIRST_STACK = 16
 _CHUNK_CAP = 256
 
@@ -314,6 +326,11 @@ def _window(domain: SpectrumInterval, spread: float, positive: bool = False):
     return lo_f + pad, hi_f - pad
 
 
+def _bands(tol: ToleranceConfig, scales: np.ndarray) -> np.ndarray:
+    """`tol.psd(scale)` for each scale of an array."""
+    return tol.psd_tol * np.maximum(scales, SCALE_FLOOR)
+
+
 class _Tracker:
     """Margin bookkeeping shared by all suites."""
 
@@ -323,23 +340,30 @@ class _Tracker:
         self.boundary = 0
         self.run = 0
 
-    def classify(self, margin: float, scale: float) -> str:
-        """Count the next sample (index `run`, as samples are classified in
-        index order) and sort it as `violated`, a boundary tie or `ok`. A
-        non-finite margin or scale fails every comparison or makes the band
-        infinite, so it raises rather than pass as a clean sample."""
-        if not (math.isfinite(margin) and math.isfinite(scale)):
-            raise NumericalError(
-                f"sample {self.run} has margin {margin} at scale {scale}; both must be finite"
-            )
-        self.run += 1
-        self.worst = min(self.worst, margin)
-        thr = self.tol.psd(scale)
-        if margin < -thr:
-            return "violated"
-        if margin < thr:
-            self.boundary += 1
-        return "ok"
+    def classify(self, margins: np.ndarray, scales: np.ndarray) -> int | None:
+        """Count the samples of a chunk (the next indices from `run` on, as
+        chunks are classified in index order) up to the first violation and
+        return its position in the chunk, or None. A sample is `violated`
+        below the psd band at its scale, a boundary tie inside it, and `ok`
+        above it. A non-finite margin or scale fails every comparison or
+        makes the band infinite, so it raises rather than pass as a clean
+        sample, unless a violation comes first."""
+        bands = _bands(self.tol, scales)
+        finite = np.isfinite(margins) & np.isfinite(scales)
+        violated = (margins < -bands) & finite
+        stops = np.flatnonzero(violated | ~finite)
+        stop = int(stops[0]) if stops.size else None
+        if stop is not None and not violated[stop]:
+            raise NumericalError(f"sample {self.run + stop} has margin {float(margins[stop])} at "
+                                 f"scale {float(scales[stop])}; both must be finite")
+        end = len(margins) if stop is None else stop + 1
+        self.run += end
+        # Python's min folded over the chunk keeps the first of equal minima
+        low = float(margins[int(np.argmin(margins[:end]))])
+        if low < self.worst:
+            self.worst = low
+        self.boundary += int(np.count_nonzero(((margins < bands) & ~violated)[:end]))
+        return stop
 
     def verdict(self, counterexample: Counterexample | None = None) -> TestVerdict:
         return TestVerdict(
@@ -368,7 +392,9 @@ def _run_suite(tol: ToleranceConfig, seed: int, salt: int, samples: int, draw, *
     `draw(rngs, idxs)` evaluates the samples `idxs` (a range), one
     generator each, as one stack and returns `(margins, scales, sample)`:
     margins and scales of shape (n,), and `sample(j)` the stack's j-th
-    `(inputs, lhs, rhs, function)` (see `_stacked`).
+    `(inputs, lhs, rhs, function)` (see `_stacked`). A scale need only
+    classify its margin as the sample's exact scale would (see
+    `_order_suite`).
 
     Sample 0 runs alone: most violating suites stop there. After it, chunks
     of 16, 64 and then 256 samples (`_FIRST_STACK`, growing x4 up to
@@ -409,13 +435,13 @@ def _run_suite(tol: ToleranceConfig, seed: int, salt: int, samples: int, draw, *
                 # again from its own sample when the chunk runs alone below
                 pass
         for margins, scales, sample in stacks:
-            for j, (margin, scale) in enumerate(zip(margins.tolist(), scales.tolist())):
-                if tr.classify(margin, scale) == "violated":
-                    inputs, lhs, rhs, function = sample(j)
-                    if function is not None:
-                        fixed_ce_fields["function"] = function
-                    return tr.verdict(Counterexample(dim=lhs.dim, inputs=inputs, lhs=lhs, rhs=rhs,
-                                                     violation=margin, **fixed_ce_fields))
+            j = tr.classify(margins, scales)
+            if j is not None:
+                inputs, lhs, rhs, function = sample(j)
+                if function is not None:
+                    fixed_ce_fields["function"] = function
+                return tr.verdict(Counterexample(dim=lhs.dim, inputs=inputs, lhs=lhs, rhs=rhs,
+                                                 violation=float(margins[j]), **fixed_ce_fields))
         idx = stop
     return tr.verdict()
 
@@ -460,7 +486,16 @@ def _order_suite(f, tol, seed, salt, samples, evaluate, positive=False, interval
     drawn from the escalating window of `interval` (f's domain by default;
     its positive part when `positive`); `evaluate(rngs, lo, hi)` returns
     (inputs, lhs, rhs) for a stack of samples, `lo` and `hi` holding each
-    sample's window."""
+    sample's window.
+
+    The margin is lambda_min(rhs - lhs) and the scale max(||lhs||, ||rhs||)
+    in the spectral norm. That scale lies in [F / sqrt(d), F], with F the
+    larger Frobenius norm, and only a margin whose size lies between the psd
+    bands at those bounds (each widened by a relative 1e-9 for rounding)
+    can be classified differently by different scales in between. So lhs
+    and rhs are decomposed only for such a sample, or one whose margin or
+    bounds are not finite; every other sample takes the upper bound as its
+    scale, which classifies it as the exact scale would."""
 
     windows_of = _round_windows(f.domain if interval is None else interval, samples, positive)
 
@@ -471,14 +506,22 @@ def _order_suite(f, tol, seed, salt, samples, evaluate, positive=False, interval
                 raise InputError(f"domain {f.domain} has no positive part to sample")
             if lo >= hi:
                 raise InputError(f"domain {f.domain} is too small to sample")
-        lo, hi = zip(*windows)
+        lo, hi = np.array(windows).T
         inputs, lhs, rhs = evaluate(rngs, lo, hi)
-        # one LAPACK call for the three stacks; it works matrix by matrix, so
-        # each eigenvalue is the one a call on its own stack would give
-        eig_l, eig_r, eig_gap = np.linalg.eigvalsh(
-            np.concatenate([lhs, rhs, rhs - lhs])).reshape(3, len(rngs), -1)
-        scale = np.maximum(np.max(np.abs(eig_l), axis=-1), np.max(np.abs(eig_r), axis=-1))
-        return eig_gap[:, 0], scale, _stacked(inputs, lhs, rhs)
+        margins = np.linalg.eigvalsh(rhs - lhs)[:, 0]
+        # the upper bound F, the scale of every sample not decomposed below
+        scales = np.maximum(np.linalg.norm(lhs, axis=(-2, -1)), np.linalg.norm(rhs, axis=(-2, -1)))
+        size = np.abs(margins)
+        exact = ~(np.isfinite(margins) & np.isfinite(scales))
+        exact |= ((size >= _bands(tol, scales / math.sqrt(lhs.shape[-1])) * (1.0 - 1e-9))
+                  & (size <= _bands(tol, scales) * (1.0 + 1e-9)))
+        if exact.any():
+            # one LAPACK call for both stacks; it works matrix by matrix, so
+            # each eigenvalue is the one a call on its own stack would give
+            eig_l, eig_r = np.linalg.eigvalsh(
+                np.concatenate([lhs[exact], rhs[exact]])).reshape(2, -1, lhs.shape[-1])
+            scales[exact] = np.maximum(np.max(np.abs(eig_l), axis=-1), np.max(np.abs(eig_r), axis=-1))
+        return margins, scales, _stacked(inputs, lhs, rhs)
 
     return _run_suite(tol, seed, salt, samples, draw, function=f.label, **fixed_ce_fields)
 
@@ -486,13 +529,28 @@ def _order_suite(f, tol, seed, salt, samples, evaluate, positive=False, interval
 def _midpoint_sides(f: ScalarFunctionSpec, xs):
     """(f((X+Y)/2), (f(X)+f(Y))/2)."""
     x, y = xs
-    return _apply_arr(f, (x + y) / 2.0), (_apply_arr(f, x) + _apply_arr(f, y)) / 2.0
+    lhs = _apply_arr(f, (x + y) / 2.0)
+    fx, fy = _apply_arr(f, np.asarray(xs))
+    return lhs, (fx + fy) / 2.0
 
 
 def _jensen_sides(f: ScalarFunctionSpec, coeffs, xs):
     """(f(sum C_i* X_i C_i), sum C_i* f(X_i) C_i)."""
     lhs = _apply_arr(f, _combine_arr(coeffs, xs))
-    return lhs, _combine_arr(coeffs, [_apply_arr(f, x) for x in xs])
+    return lhs, _combine_arr(coeffs, _apply_arr(f, np.asarray(xs)))
+
+
+def _tuple_draws(rngs, dim: int, m: int, lo, hi, noise: bool = False, count: int | None = None):
+    """One pass of draws per sample: a coefficient tuple of m blocks,
+    `count` (by default m) operands with eigenvalues in [lo, hi] (see
+    `_hermitians_from`) and, with `noise`, m Ginibre draws for `_psd_noise`.
+    Returns (coeffs, xs, noise normals or None)."""
+    draws = _Draws(len(rngs))
+    t = draws.normal(2, m * dim, dim)
+    g, r = draws.hermitians(m if count is None else count, dim)
+    z = draws.normals(m, 2, dim, dim) if noise else None
+    draws.run(rngs)
+    return _tuple_blocks(t, m), _hermitians_from(g, r, lo, hi), z
 
 
 def midpoint_convexity_test(
@@ -508,7 +566,7 @@ def midpoint_convexity_test(
         raise InputError("dim must be at least 1")
 
     def evaluate(rngs, lo, hi):
-        xs = [_rand_hermitian_arr(dim, lo, hi, rngs) for _ in range(2)]
+        xs = _rand_hermitians(2, dim, lo, hi, rngs)
         return {"xs": xs}, *_midpoint_sides(f, xs)
 
     return _order_suite(f, tol, seed, _SALT_MIDPOINT, samples, evaluate, kind="midpoint")
@@ -538,14 +596,17 @@ def jensen_test(
         raise InputError("dim and m must be at least 1")
 
     def evaluate(rngs, lo, hi):
-        fams = _sample_families(dim, m, rngs) if mode == "map-family" else None
-        coeffs = _sample_tuple_arrs(dim, m, rngs) if fams is None else None
-        xs = [_rand_hermitian_arr(dim, lo, hi, rngs) for _ in range(m)]
-        if fams is None:
+        if mode != "map-family":
+            coeffs, xs, _ = _tuple_draws(rngs, dim, m, lo, hi)
             return {"xs": xs, "coeffs": coeffs}, *_jensen_sides(f, coeffs, xs)
+        draws = _Draws(len(rngs))
+        families = _family_draws(draws, dim, m)
+        g, r = draws.hermitians(m, dim)
+        draws.run(rngs)
+        fams, xs = families(), _hermitians_from(g, r, lo, hi)
         fam = fams[0]
         lhs = _apply_arr(f, _sym(fam.apply_arr(xs)))
-        rhs = _sym(fam.apply_arr([_apply_arr(f, x) for x in xs]))
+        rhs = _sym(fam.apply_arr(_apply_arr(f, xs)))
         return {"xs": xs, "maps": fams}, lhs, rhs
 
     return _order_suite(f, tol, seed, _SALT_JENSEN, samples, evaluate, kind="jensen", mode=mode)
@@ -565,10 +626,11 @@ def log_midpoint_test(
         raise InputError("dim must be at least 1")
 
     def evaluate(rngs, lo, hi):
-        x, y = (_rand_hermitian_arr(dim, lo, hi, rngs) for _ in range(2))
+        xs = _rand_hermitians(2, dim, lo, hi, rngs)
+        x, y = xs
         lhs = _apply_arr(f, (x + y) / 2.0, positive=True)
-        rhs = _geometric_mean_arr(_apply_arr(f, x, positive=True), _apply_arr(f, y, positive=True))
-        return {"xs": [x, y]}, lhs, rhs
+        rhs = _geometric_mean_arr(*_apply_arr(f, xs, positive=True))
+        return {"xs": xs}, lhs, rhs
 
     return _order_suite(
         f, tol, seed, _SALT_LOG_MIDPOINT, samples, evaluate, positive=True, kind="log-midpoint"
@@ -591,10 +653,9 @@ def log_harmonic_jensen_test(
         raise InputError("dim and m must be at least 1")
 
     def evaluate(rngs, lo, hi):
-        coeffs = _sample_tuple_arrs(dim, m, rngs)
-        xs = [_rand_hermitian_arr(dim, lo, hi, rngs) for _ in range(m)]
+        coeffs, xs, _ = _tuple_draws(rngs, dim, m, lo, hi)
         lhs = _apply_arr(f, _combine_arr(coeffs, xs))
-        inner = _combine_arr(coeffs, [_inv_pd_arr(_apply_arr(f, x, positive=True)) for x in xs])
+        inner = _combine_arr(coeffs, _inv_pd_arr(_apply_arr(f, xs, positive=True)))
         return {"xs": xs, "coeffs": coeffs}, lhs, _inv_pd_arr(inner)
 
     return _order_suite(
@@ -626,26 +687,30 @@ def epigraph_closure_test(
         raise InputError(f"noise_scale must be finite and non-negative, got {noise_scale}")
 
     def evaluate(rngs, lo, hi):
-        coeffs = _sample_tuple_arrs(dim, m, rngs)
-        xs = [_rand_hermitian_arr(dim, lo, hi, rngs) for _ in range(m)]
-        ys = [fx + _psd_noise(fx, dim, noise_scale, rngs) for fx in (_apply_arr(f, x) for x in xs)]
+        coeffs, xs, z = _tuple_draws(rngs, dim, m, lo, hi, noise=noise_scale > 0.0)
+        fxs = _apply_arr(f, xs)
+        ys = fxs + _psd_noise(fxs, noise_scale, z)
         lhs = _apply_arr(f, _combine_arr(coeffs, xs))
         return {"xs": xs, "ys": ys, "coeffs": coeffs}, lhs, _combine_arr(coeffs, ys)
 
     return _order_suite(f, tol, seed, _SALT_EPIGRAPH, samples, evaluate, kind="epigraph")
 
 
-def _psd_noise(ref: np.ndarray, dim: int, noise_scale: float, rngs) -> np.ndarray:
-    """G G*, one Ginibre G per generator, scaled to `noise_scale` times the
-    norm of the matching `ref`; zero where G G* vanishes."""
+def _psd_noise(ref: np.ndarray, noise_scale: float, z: np.ndarray | None) -> np.ndarray:
+    """G G* for each Ginibre G drawn as the normals `z` (shape (..., 2, d,
+    d)), scaled to `noise_scale` times the norm of the matching matrix of
+    `ref`; zero where G G* vanishes, and everywhere when `noise_scale` is 0
+    (no normals drawn)."""
     if noise_scale <= 0.0:
-        return np.zeros((len(rngs), dim, dim), dtype=np.complex128)
-    g = _ginibre(dim, dim, rngs)
+        return np.zeros(ref.shape, dtype=np.complex128)
+    g = z[..., 0, :, :] + 1j * z[..., 1, :, :]
     n = g @ g.conj().mT
-    top = _max_abs_eig(n)
+    # one LAPACK call for both stacks, matrix by matrix
+    top, norm = np.max(np.abs(np.linalg.eigvalsh(np.concatenate([n, ref]))), axis=-1).reshape(
+        2, *ref.shape[:-2])
     flat = top == 0.0
-    factor = noise_scale * _max_abs_eig(ref) / np.where(flat, 1.0, top)
-    return np.where(flat[:, None, None], 0.0, n * factor[:, None, None])
+    factor = noise_scale * norm / np.where(flat, 1.0, top)
+    return np.where(flat[..., None, None], 0.0, n * factor[..., None, None])
 
 
 def log_epigraph_closure_test(
@@ -677,12 +742,12 @@ def log_epigraph_closure_test(
                                     open_lo=d.open_hi or d.hi == math.inf, open_hi=d.open_lo)
 
     def evaluate(rngs, lo, hi):
-        coeffs = _sample_tuple_arrs(dim, m, rngs)
-        xs = [_rand_hermitian_arr(dim, lo, hi, rngs) for _ in range(m)]
-        fs = [_apply_arr(f, _inv_pd_arr(x), positive=True) for x in xs]
-        ys = [fx + _psd_noise(fx, dim, noise_scale, rngs) for fx in fs]
-        xc = _inv_pd_arr(_combine_arr(coeffs, [_inv_pd_arr(x) for x in xs]))
-        yc = _inv_pd_arr(_combine_arr(coeffs, [_inv_pd_arr(y) for y in ys]))
+        coeffs, xs, z = _tuple_draws(rngs, dim, m, lo, hi, noise=noise_scale > 0.0)
+        x_inv = _inv_pd_arr(xs)
+        fs = _apply_arr(f, x_inv, positive=True)
+        ys = fs + _psd_noise(fs, noise_scale, z)
+        xc = _inv_pd_arr(_combine_arr(coeffs, x_inv))
+        yc = _inv_pd_arr(_combine_arr(coeffs, _inv_pd_arr(ys)))
         lhs = _apply_arr(f, _inv_pd_arr(xc), positive=True)
         return {"xs": xs, "ys": ys, "coeffs": coeffs}, lhs, yc
 
@@ -740,9 +805,9 @@ def interval_set_falsifier(
     sqrt_a = _from_eig(u, np.sqrt(np.clip(w, 0.0, None)))
 
     def evaluate(m, rngs):
-        coeffs = _sample_tuple_arrs(dim, m, rngs)
+        coeffs, ws, _ = _tuple_draws(rngs, dim, m, 0.0, 1.0)
         # sqrt(A) W sqrt(A) with W in [0, I] is a member of [0, A]
-        xs = [_sym(sqrt_a @ _rand_hermitian_arr(dim, 0.0, 1.0, rngs) @ sqrt_a) for _ in range(m)]
+        xs = _sym(sqrt_a @ ws @ sqrt_a)
         combined = _combine_arr(coeffs, xs)
         inputs = {"xs": xs, "coeffs": coeffs, "bound": A}
         margins, eig = membership(combined)
@@ -821,16 +886,18 @@ def harmonic_sum_closure_test(
     eye = np.eye(dim, dtype=np.complex128)
 
     def evaluate(m, rngs):
-        coeffs = _sample_tuple_arrs(dim, m, rngs)
-        zs = [_inv_pd_arr(_inv_pd_arr(_rand_hermitian_arr(dim, a1, b1, rngs))
-                          + _inv_pd_arr(_rand_hermitian_arr(dim, a2, b2, rngs))) for _ in range(m)]
+        # each Z_i = (X_i^{-1} + Y_i^{-1})^{-1}, X_i drawn in [a1, b1], then Y_i in [a2, b2]
+        coeffs, xys, _ = _tuple_draws(rngs, dim, m, [[a1], [a2]] * m, [[b1], [b2]] * m,
+                                      count=2 * m)
+        inv = _inv_pd_arr(xys)
+        zs = _inv_pd_arr(inv[0::2] + inv[1::2])
         combined = _log_combine_arr(coeffs, zs)
         # one LAPACK call for the three stacks, matrix by matrix
         eig_lo, eig_hi, eig = np.linalg.eigvalsh(np.concatenate(
             [combined - h_lo * eye, h_hi * eye - combined, combined])).reshape(3, len(rngs), -1)
         margins = _min(eig_lo[:, 0], eig_hi[:, 0])
         scales = np.maximum(max(abs(h_lo), abs(h_hi)), np.max(np.abs(eig), axis=-1))
-        bands = np.array([tol.psd(scale) for scale in scales.tolist()])
+        bands = _bands(tol, scales)
         inside = margins >= -bands
         if inside.any():
             # constructive expressibility: split the spectrum of each combined element inside

@@ -10,6 +10,7 @@ as on that matrix alone; a stack of one is the single-matrix case.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -253,18 +254,28 @@ def loewner_leq(
 def _apply_arr(f, a: np.ndarray, positive: bool = False) -> np.ndarray:
     """Functional calculus on a raw array; with `positive`, f must be
     strictly positive on the spectrum. Every eigenvalue must lie in f's
-    domain; the first one that does not (in stack order, ascending within a
-    matrix) is named by the DomainError."""
+    domain and f must be finite there. On a stack, the first matrix that
+    fails raises, as a call on each matrix in turn would; a DomainError
+    names its first eigenvalue outside the domain, in ascending order."""
     w, u = _eigh(a)
+    return _from_eig(u, _f_of(f, w, positive))
+
+
+def _f_of(f, w: np.ndarray, positive: bool) -> np.ndarray:
+    """f on the eigenvalues `w` of a matrix, or of a stack of them (one row
+    each), checked as `_apply_arr` says."""
     inside = f.domain.contains(w)
-    if not inside.all():
+    fw = np.asarray(f.evaluator(w), dtype=float) if inside.all() else None
+    if fw is not None and np.all(np.isfinite(fw)) and not (positive and np.any(fw <= 0.0)):
+        return fw
+    if w.ndim > 1:
+        for wi in w.reshape(-1, w.shape[-1]):
+            _f_of(f, wi, positive)  # raises at the first matrix that fails
+    if fw is None:
         raise DomainError(float(w[~inside][0]), str(f.domain), f.label)
-    fw = np.asarray(f.evaluator(w), dtype=float)
     if not np.all(np.isfinite(fw)):
         raise NumericalError(f"{f.label} produced non-finite values")
-    if positive and np.any(fw <= 0.0):
-        raise NonPositiveError(f"{f.label} is not positive on the sampled spectrum")
-    return _from_eig(u, fw)
+    raise NonPositiveError(f"{f.label} is not positive on the sampled spectrum")
 
 
 def apply_function(f, H: HermitianMatrix) -> HermitianMatrix:
@@ -308,21 +319,105 @@ def geometric_mean(
     return HermitianMatrix._wrap(_geometric_mean_arr(A.array, B.array))
 
 
-def _ginibre(rows: int, cols: int, rngs) -> np.ndarray:
-    """One complex Ginibre (rows x cols) matrix from each generator, stacked;
-    each generator draws the real parts, then the imaginary parts."""
-    parts = np.array([rng.standard_normal((2, rows, cols)) for rng in rngs])
-    return parts[:, 0] + 1j * parts[:, 1]
+class _Draws:
+    """The draws of one stack of samples, one generator per sample, made in a
+    single pass over the generators.
+
+    Each method queues draws in the order one generator makes them and
+    returns the buffers that `run` fills, with one entry per sample along
+    the axis of size n. `run` has each generator fill its entry of every
+    queued block in turn: normals as `standard_normal` of that shape draws
+    them, uniforms on [0, 1) as `random` does, and a queued callable
+    `step(j, rng)` draws what depends on earlier draws."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self._blocks = []  # (kind, buffer): True normal, False uniform, None a step
+
+    def _queue(self, kind, out):
+        self._blocks.append((kind, out))
+        return out
+
+    def normal(self, *shape) -> np.ndarray:
+        """Normals of `shape` per sample, in an (n, *shape) buffer."""
+        return self._queue(True, np.empty((self.n, *shape)))
+
+    def normals(self, count: int, *shape) -> np.ndarray:
+        """`count` blocks of normals of `shape` per sample, one after the
+        other, in a (count, n, *shape) buffer."""
+        out = np.empty((count, self.n, *shape))
+        for block in out:
+            self._queue(True, block)
+        return out
+
+    def uniform(self, *shape) -> np.ndarray:
+        """Uniforms on [0, 1) of `shape` per sample, in an (n, *shape) buffer."""
+        return self._queue(False, np.empty((self.n, *shape)))
+
+    def hermitians(self, count: int, dim: int):
+        """The draws of `count` random Hermitian matrices per sample (see
+        `_hermitians_from`), each a Ginibre matrix, real parts then imaginary
+        parts, and then its `dim` uniforms: buffers (count, n, 2, dim, dim)
+        and (count, n, dim)."""
+        g = np.empty((count, self.n, 2, dim, dim))
+        r = np.empty((count, self.n, dim))
+        for gi, ri in zip(g, r):
+            self._queue(True, gi)
+            self._queue(False, ri)
+        return g, r
+
+    def step(self, step) -> None:
+        """Queue `step(j, rng)`, called with each sample's index and generator."""
+        self._queue(None, step)
+
+    def run(self, rngs) -> None:
+        # a fill's stream does not depend on how it is split, so consecutive
+        # blocks of one kind take one call per generator into a joint
+        # buffer, which is then copied out to them
+        calls, joints = [], []
+        for kind, group in itertools.groupby(self._blocks, key=lambda block: block[0]):
+            outs = [out for _, out in group]
+            if kind is None:
+                calls += [(None, step) for step in outs]
+            elif len(outs) == 1:
+                calls.append((kind, list(outs[0])))
+            else:
+                joint = np.empty((self.n, sum(out.size for out in outs) // self.n))
+                calls.append((kind, list(joint)))
+                joints.append((joint, outs))
+        for j, rng in enumerate(rngs):
+            normal, uniform = rng.standard_normal, rng.random
+            for kind, outs in calls:
+                if kind:
+                    normal(out=outs[j])
+                elif kind is None:
+                    outs(j, rng)
+                else:
+                    uniform(out=outs[j])
+        for joint, outs in joints:
+            at = 0
+            for out in outs:
+                size = out.size // self.n
+                out[...] = joint[:, at : at + size].reshape(out.shape)
+                at += size
 
 
-def _haar_columns(rows: int, cols: int, rngs) -> np.ndarray:
-    """Haar-distributed orthonormal columns, one (rows x cols) matrix per
-    generator: QR of a complex Ginibre matrix, with the phases of diag(R)
-    moved into Q."""
-    q, r = np.linalg.qr(_ginibre(rows, cols, rngs))
+def _haar_from(g: np.ndarray) -> np.ndarray:
+    """Haar-distributed orthonormal columns from Ginibre normals of shape
+    (..., 2, rows, cols), real parts then imaginary parts: QR of the complex
+    matrix, with the phases of diag(R) moved into Q."""
+    q, r = np.linalg.qr(g[..., 0, :, :] + 1j * g[..., 1, :, :])
     d = np.diagonal(r, axis1=-2, axis2=-1).copy()
     d[d == 0] = 1.0  # measure-zero guard
     return q * (d / np.abs(d))[..., None, :]
+
+
+def _haar_columns(rows: int, cols: int, rngs) -> np.ndarray:
+    """One Haar (rows x cols) matrix of orthonormal columns per generator."""
+    draws = _Draws(len(rngs))
+    g = draws.normal(2, rows, cols)
+    draws.run(rngs)
+    return _haar_from(g)
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -362,7 +457,7 @@ def sample_hermitian(
     if lo + pad > hi - pad:
         pad = (hi - lo) / 4.0
     rng = _seeded_rng(rng_seed)
-    return HermitianMatrix._wrap(_rand_hermitian_arr(dim, lo + pad, hi - pad, [rng])[0])
+    return HermitianMatrix._wrap(_rand_hermitians(1, dim, lo + pad, hi - pad, [rng])[0, 0])
 
 
 def _seeded_rng(seed) -> np.random.Generator:
@@ -372,12 +467,25 @@ def _seeded_rng(seed) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed))
 
 
-def _rand_hermitian_arr(dim: int, lo, hi, rngs) -> np.ndarray:
-    """Internal sampler on raw arrays, one matrix per generator: a Haar
-    eigenbasis, then eigenvalues uniform in [lo, hi]. `lo` and `hi` are
-    numbers or sequences with one entry per generator."""
-    u = _haar_columns(dim, dim, rngs)
-    if np.isscalar(lo):
-        lo, hi = [lo] * len(rngs), [hi] * len(rngs)
-    w = np.array([rng.uniform(a, b, size=dim) for rng, a, b in zip(rngs, lo, hi)])
-    return _from_eig(u, w)
+def _hermitians_from(g: np.ndarray, r: np.ndarray, lo, hi) -> np.ndarray:
+    """The one random Hermitian sampler, on the buffers of
+    `_Draws.hermitians`: a Haar eigenbasis from each Ginibre draw and
+    eigenvalues lo + (hi - lo) * r, which is numpy's `uniform(lo, hi)` bit
+    for bit. `lo` and `hi` are numbers or arrays that broadcast against the
+    (count, n) stack: one entry per sample, say, or (count, 1) for one per
+    operand."""
+    lo, hi = np.asarray(lo, float)[..., None], np.asarray(hi, float)[..., None]
+    width = hi - lo
+    if not np.isfinite(width).all():
+        raise OverflowError("high - low range exceeds valid bounds")  # as numpy's uniform
+    return _from_eig(_haar_from(g), lo + width * r)
+
+
+def _rand_hermitians(count: int, dim: int, lo, hi, rngs) -> np.ndarray:
+    """`count` random Hermitian matrices per generator as a (count, n, dim,
+    dim) stack: for each in turn a Haar eigenbasis, then eigenvalues uniform
+    in [lo, hi] (see `_hermitians_from`)."""
+    draws = _Draws(len(rngs))
+    g, r = draws.hermitians(count, dim)
+    draws.run(rngs)
+    return _hermitians_from(g, r, lo, hi)

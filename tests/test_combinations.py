@@ -20,7 +20,7 @@ from cstarlab import (
     validate_tuple,
 )
 from cstarlab.combinations import _combine_arr, _sample_families, _sample_tuple_arrs
-from cstarlab.hermitian import _rand_hermitian_arr, _sym
+from cstarlab.hermitian import _rand_hermitians, _sym
 
 from conftest import specnorm
 
@@ -233,7 +233,7 @@ def test_combinations_keep_spectra_in_the_interval(seed, dim, m, n, lo, width):
     # jensen and epigraph suites never apply f outside the sampled window
     hi = lo + width
     rngs = [np.random.default_rng((seed, j)) for j in range(n)]
-    xs = [_rand_hermitian_arr(dim, lo, hi, rngs) for _ in range(m)]
+    xs = _rand_hermitians(m, dim, lo, hi, rngs)
     family, _ = _sample_families(dim, m, rngs)
     band = 1e-12 * max(abs(lo), abs(hi))
     for out in (_combine_arr(_sample_tuple_arrs(dim, m, rngs), xs), _sym(family.apply_arr(xs))):

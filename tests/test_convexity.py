@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cstarlab import (
+    DEFAULT_TOL,
     CoefficientTuple,
     DimensionMismatchError,
     DomainError,
@@ -720,15 +721,15 @@ def positive_part_domains(draw):
 def test_log_epigraph_draws_where_f_of_the_inverse_is_defined(domain, dim, m, seed):
     f = ScalarFunctionSpec("bump", domain, lambda t: np.asarray(t, float) ** 2 + 1.0)
     drawn = []
-    rand_hermitian = convexity._rand_hermitian_arr
+    hermitians_from = convexity._hermitians_from
 
     def recording(*args):
-        x = rand_hermitian(*args)
+        x = hermitians_from(*args)
         drawn.append(x)
         return x
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(convexity, "_rand_hermitian_arr", recording)
+        mp.setattr(convexity, "_hermitians_from", recording)
         try:
             verdict = log_epigraph_closure_test(f, dim, m, 40, seed=seed)
         except DomainError as exc:
@@ -863,3 +864,134 @@ def test_numpy_integer_seeds_run_as_python_ints(suite):
 
     assert body(np.uint64(2**64 - 1)) == body(2**64 - 1)
     assert body(np.int32(7)) == body(7)
+
+
+def _python_min(values):
+    worst = math.inf
+    for v in values:
+        worst = min(worst, v)
+    return worst
+
+
+@pytest.mark.parametrize("first, second", [(0.0, -0.0), (-0.0, 0.0)])
+def test_tracker_keeps_the_first_of_tied_zeros(first, second):
+    tr = convexity._Tracker(DEFAULT_TOL)
+    assert tr.classify(np.array([1.0, first, second]), np.ones(3)) is None
+    assert math.copysign(1.0, tr.worst) == math.copysign(1.0, _python_min([1.0, first, second]))
+    assert math.copysign(1.0, tr.worst) == math.copysign(1.0, first)
+    # a tie in a later chunk keeps the earlier minimum as well
+    assert tr.classify(np.array([second]), np.ones(1)) is None
+    assert math.copysign(1.0, tr.worst) == math.copysign(1.0, first)
+    assert tr.run == 4
+
+
+@pytest.mark.parametrize("bad_margin, bad_scale", [(math.nan, 1.0), (-math.inf, 1.0),
+                                                   (0.5, math.inf), (0.5, math.nan)])
+def test_tracker_raises_at_the_run_index_of_a_non_finite_sample(bad_margin, bad_scale):
+    tr = convexity._Tracker(DEFAULT_TOL)
+    assert tr.classify(np.array([1e-9, 0.5]), np.ones(2)) is None
+    assert tr.boundary == 1
+    margins = np.array([1e-9, 1.0, bad_margin, -5.0])
+    scales = np.array([1.0, 1.0, bad_scale, 1.0])
+    with pytest.raises(NumericalError) as err:
+        tr.classify(margins, scales)
+    assert str(err.value) == (f"sample 4 has margin {bad_margin} at scale {bad_scale}; "
+                              "both must be finite")
+
+
+def test_tracker_counts_boundary_samples_only_before_the_violation():
+    tr = convexity._Tracker(DEFAULT_TOL)
+    assert tr.classify(np.array([2e-9]), np.ones(1)) is None
+    # the violation at position 2 comes before the NaN, so it is reported
+    margins = np.array([1e-9, 0.25, -1.0, 5e-9, math.nan])
+    assert tr.classify(margins, np.ones(5)) == 2
+    assert (tr.run, tr.boundary, tr.worst) == (4, 2, -1.0)
+    # the band scales with each sample's scale: -1e-9 is a boundary tie at
+    # scale 1 and a violation at scale 1e-2
+    tr = convexity._Tracker(DEFAULT_TOL)
+    assert tr.classify(np.array([-1e-9, -1e-9]), np.array([1.0, 1e-2])) == 1
+    assert (tr.run, tr.boundary, tr.worst) == (2, 1, -1e-9)
+
+
+def _exact_verdict(lhs, rhs, tol=DEFAULT_TOL):
+    """(status, samples_run, boundary_samples, worst_margin) from each
+    sample's exact scale max(||lhs||, ||rhs||), one sample at a time."""
+    margins = np.linalg.eigvalsh(rhs - lhs)[:, 0].tolist()
+    scales = np.maximum(np.max(np.abs(np.linalg.eigvalsh(lhs)), axis=-1),
+                        np.max(np.abs(np.linalg.eigvalsh(rhs)), axis=-1)).tolist()
+    worst, boundary = math.inf, 0
+    for run, (margin, scale) in enumerate(zip(margins, scales), start=1):
+        worst = min(worst, margin)
+        if margin < -tol.psd(scale):
+            return "violated", run, boundary, worst
+        boundary += margin < tol.psd(scale)
+    return "no-violation-found", len(margins), boundary, worst
+
+
+def _near_band_stub(c):
+    """An `evaluate` for `_order_suite` and the (lhs, rhs) stacks it made, in
+    sample order: rhs - lhs has smallest eigenvalue t * 1e-8 * c, with |t| in
+    [0.75, 1.15], and the scale (about c) lies between the Frobenius bounds
+    0.69 c and 1.2 c, so the band decision needs the exact scale. One sample
+    in twenty has t < 0."""
+    made = []
+
+    def evaluate(rngs, lo, hi):
+        lhs, rhs = [], []
+        for rng in rngs:
+            g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+            u, _ = np.linalg.qr(g)
+            t = rng.uniform(0.75, 1.15) * (-1.0 if rng.random() < 0.05 else 1.0)
+            left = (u * (c * np.array([1.0, 0.5, 0.2]))) @ u.conj().T
+            gap = (u * (c * np.array([t * 1e-8, 0.1, 0.1]))) @ u.conj().T
+            lhs.append((left + left.conj().T) / 2.0)
+            rhs.append(lhs[-1] + (gap + gap.conj().T) / 2.0)
+        made.append((np.array(lhs), np.array(rhs)))
+        return {}, made[-1][0], made[-1][1]
+
+    return evaluate, made
+
+
+@pytest.mark.parametrize("c", [1e-12, 1.0, 1e12, 1e160])
+def test_scales_decomposed_on_demand_decide_as_exact_scales(c):
+    statuses, differs = set(), False
+    for seed in range(8):
+        evaluate, made = _near_band_stub(c)
+        verdict = convexity._order_suite(T1, DEFAULT_TOL, seed, 99, 120, evaluate, kind="midpoint")
+        lhs = np.concatenate([left for left, _ in made])
+        rhs = np.concatenate([right for _, right in made])
+        status, run, boundary, worst = _exact_verdict(lhs[: verdict.samples_run],
+                                                      rhs[: verdict.samples_run])
+        assert (verdict.status, verdict.samples_run, verdict.boundary_samples,
+                verdict.worst_margin) == (status, run, boundary, worst)
+        statuses.add(status)
+        # a scale at either Frobenius bound would decide some sample otherwise
+        with np.errstate(over="ignore"):
+            fro = np.maximum(np.linalg.norm(lhs, axis=(-2, -1)), np.linalg.norm(rhs, axis=(-2, -1)))
+        differs |= np.isfinite(fro).all() and _classified(lhs, rhs, fro) != (status, run, boundary)
+    assert statuses == {"violated", "no-violation-found"}
+    assert differs or c == 1e160  # there every Frobenius norm overflows
+
+
+def _classified(lhs, rhs, scales):
+    tr = convexity._Tracker(DEFAULT_TOL)
+    stop = tr.classify(np.linalg.eigvalsh(rhs - lhs)[:, 0], scales)
+    return ("no-violation-found" if stop is None else "violated"), tr.run, tr.boundary
+
+
+def test_a_nan_margin_names_the_exact_scale():
+    # rhs - lhs overflows to -inf at sample 20, so its margin is NaN; its
+    # Frobenius bounds are infinite, so the exact scale 1e308 is computed
+    def evaluate(rngs, lo, hi):
+        lhs = np.array([np.diag([1.0, 2.0, 3.0]).astype(complex)] * len(rngs))
+        rhs = 2.0 * lhs
+        for j, rng in enumerate(rngs):
+            if rng.bit_generator.state == sample_20.bit_generator.state:
+                lhs[j] = np.diag([1e308, 1.0, 1.0])
+                rhs[j] = np.diag([-1e308, 2.0, 2.0])
+        return {}, lhs, rhs
+
+    sample_20 = convexity._sample_rngs(3, 99, range(20, 21))[0]
+    with pytest.raises(NumericalError) as err:
+        convexity._order_suite(T1, DEFAULT_TOL, 3, 99, 60, evaluate, kind="midpoint")
+    assert str(err.value) == "sample 20 has margin nan at scale 1e+308; both must be finite"

@@ -1,0 +1,146 @@
+"""The falsifiers' draws keep the stream of the sampler they replaced.
+
+The reference functions below are the former samplers, kept here only: one
+`standard_normal` call per generator for each Ginibre matrix, one
+`uniform(lo, hi, dim)` call per generator for each Hermitian operand, and
+one Haar QR per operand. The stacked single-pass draws must give the same
+arrays bit for bit and leave every generator in the same state.
+"""
+
+import numpy as np
+import pytest
+
+from cstarlab.combinations import _MAX_KRAUS, _sample_families
+from cstarlab.convexity import _sample_rngs, _tuple_draws
+from cstarlab.hermitian import _rand_hermitians
+
+CHUNKS = (1, 16, 219)
+
+
+def ref_haar_columns(rows, cols, rngs):
+    parts = np.array([rng.standard_normal((2, rows, cols)) for rng in rngs])
+    q, r = np.linalg.qr(parts[:, 0] + 1j * parts[:, 1])
+    d = np.diagonal(r, axis1=-2, axis2=-1).copy()
+    d[d == 0] = 1.0
+    return q * (d / np.abs(d))[..., None, :]
+
+
+def ref_rand_hermitian(dim, lo, hi, rngs):
+    u = ref_haar_columns(dim, dim, rngs)
+    if np.isscalar(lo):
+        lo, hi = [lo] * len(rngs), [hi] * len(rngs)
+    w = np.array([rng.uniform(a, b, size=dim) for rng, a, b in zip(rngs, lo, hi)])
+    a = (u * w[..., None, :]) @ u.conj().mT
+    return (a + a.conj().mT) / 2.0
+
+
+def ref_sample_families(dim, m, rngs, transpose_prob):
+    sizes = np.array([[int(rng.integers(1, _MAX_KRAUS + 1)) for _ in range(m)] for rng in rngs])
+    totals = sizes.sum(axis=1)
+    kraus = np.zeros((m, _MAX_KRAUS, len(rngs), dim, dim), dtype=np.complex128)
+    for total in dict.fromkeys(totals.tolist()):
+        group = np.flatnonzero(totals == total)
+        blocks = ref_haar_columns(total * dim, dim, [rngs[j] for j in group])
+        blocks = blocks.reshape(len(group), total, dim, dim)
+        for pos, j in enumerate(group):
+            at = 0
+            for i, size in enumerate(sizes[j].tolist()):
+                kraus[i, :size, j] = blocks[pos, at : at + size]
+                at += size
+    flips = np.array([[rng.random() < transpose_prob for _ in range(m)] for rng in rngs])
+    return kraus, flips, sizes
+
+
+def twin_rngs(n, seed):
+    """Two lists of generators with identical streams."""
+    return [_sample_rngs(seed, 2, range(1, 1 + n)) for _ in range(2)]
+
+
+def assert_same(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()
+
+
+def assert_same_states(rngs, ref_rngs):
+    assert [r.bit_generator.state for r in rngs] == [r.bit_generator.state for r in ref_rngs]
+
+
+def windows(n, seed):
+    """Per-sample windows: ordinary, negative, and as narrow as 1e-12."""
+    rng = np.random.default_rng(seed)
+    lo = rng.uniform(-50.0, 50.0, n)
+    width = 10.0 ** rng.uniform(-12.0, 2.0, n)
+    return lo, lo + width
+
+
+@pytest.mark.parametrize("n", CHUNKS)
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("count", [1, 2, 3, 4])
+def test_hermitians_match_the_former_sampler(count, dim, n):
+    seed = 100 * count + 10 * dim + n
+    per_sample = windows(n, seed)
+    for lo, hi in [(0.5, 4.0), (-3.5, -0.25), (1.0, 1.0 + 1e-12), per_sample]:
+        rngs, ref_rngs = twin_rngs(n, seed)
+        got = _rand_hermitians(count, dim, lo, hi, rngs)
+        want = np.array([ref_rand_hermitian(dim, lo, hi, ref_rngs) for _ in range(count)])
+        assert_same(got, want)
+        assert_same_states(rngs, ref_rngs)
+
+
+@pytest.mark.parametrize("n", CHUNKS)
+@pytest.mark.parametrize("dim, m", [(1, 1), (2, 3), (3, 2), (4, 1)])
+def test_one_pass_of_tuple_operands_and_noise_matches(dim, m, n):
+    lo, hi = windows(n, 7 * n + dim)
+    for noise in (False, True):
+        rngs, ref_rngs = twin_rngs(n, 31 * dim + m)
+        coeffs, xs, z = _tuple_draws(rngs, dim, m, lo, hi, noise=noise)
+        q = ref_haar_columns(m * dim, dim, ref_rngs)
+        for i, c in enumerate(coeffs):
+            assert_same(c, q[:, i * dim : (i + 1) * dim])
+        assert_same(xs, [ref_rand_hermitian(dim, lo, hi, ref_rngs) for _ in range(m)])
+        if noise:
+            assert_same(z, [[rng.standard_normal((2, dim, dim)) for rng in ref_rngs]
+                            for _ in range(m)])
+        else:
+            assert z is None
+        assert_same_states(rngs, ref_rngs)
+
+
+@pytest.mark.parametrize("n", CHUNKS)
+def test_harmonic_operand_pairs_match(n):
+    # harmonic-sum draws X_i in [a1, b1], then Y_i in [a2, b2], for each i
+    dim, m, (a1, b1), (a2, b2) = 2, 3, (1.0, 5.0), (0.3, 1.2)
+    rngs, ref_rngs = twin_rngs(n, 5)
+    _, xys, _ = _tuple_draws(rngs, dim, m, [[a1], [a2]] * m, [[b1], [b2]] * m, count=2 * m)
+    ref_haar_columns(m * dim, dim, ref_rngs)
+    want = []
+    for _ in range(m):
+        want += [ref_rand_hermitian(dim, a1, b1, ref_rngs), ref_rand_hermitian(dim, a2, b2, ref_rngs)]
+    assert_same(xys, want)
+    assert_same_states(rngs, ref_rngs)
+
+
+@pytest.mark.parametrize("n", CHUNKS)
+@pytest.mark.parametrize("dim, m", [(1, 1), (2, 2), (3, 3), (4, 2)])
+def test_map_families_match_the_former_sampler(dim, m, n):
+    for prob in (0.0, 0.5, 1.0):
+        rngs, ref_rngs = twin_rngs(n, 11 * dim + m)
+        family, sizes = _sample_families(dim, m, rngs, prob)
+        kraus, flips, ref_sizes = ref_sample_families(dim, m, ref_rngs, prob)
+        assert_same(sizes, ref_sizes)
+        for i, phi in enumerate(family.maps):
+            assert_same(phi.kraus, kraus[i])
+            assert_same(phi.transpose, flips[:, i])
+        assert_same_states(rngs, ref_rngs)
+
+
+def test_uniform_is_lo_plus_width_times_random():
+    # numpy's uniform(lo, hi, k) is lo + (hi - lo) * random(k), bit for bit
+    pick = np.random.default_rng(2024)
+    for trial in range(10_000):
+        lo = pick.standard_normal() * 10.0 ** pick.integers(-12, 13)
+        hi = lo + abs(pick.standard_normal()) * 10.0 ** pick.integers(-12, 13) * (trial % 10 != 0)
+        k = int(pick.integers(1, 6))
+        a, b = np.random.default_rng(trial), np.random.default_rng(trial)
+        assert_same(lo + (hi - lo) * a.random(k), b.uniform(lo, hi, k))

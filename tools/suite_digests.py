@@ -27,14 +27,16 @@ process, so later runs reuse the parser that earlier ones built.
 
 Every violation's counterexample payload is passed through JSON, as
 `cstarlab verify` reads it, and rechecked with `recheck_payload`; the line
-`rechecked=<n> recheck_failed=<k> non_native=<j>` counts them, the ones
-that failed or raised, and the leaves that are not exactly a str, int,
-float, bool or None (a tuple or a numpy scalar, say) in every payload
-digested and in every report body and witness payload the CLI runs hand to
-`cstarlab.io` before encoding. `cstarlab.io` passes encoder output straight
-to `json.dumps`, so the encoders must emit native values only. The last
-lines give the call, violation, error and CLI counts and a combined digest
-over all lines before them.
+`rechecked=<n> recheck_failed=<k> non_native=<j> cli_verify_failed=<v>`
+counts them, the ones that failed or raised, the leaves that are not
+exactly a str, int, float, bool or None (a tuple or a numpy scalar, say) in
+every payload digested and in every report body and witness payload the CLI
+runs hand to `cstarlab.io` before encoding, and the CLI `verify` runs that
+exit non-zero, so that a report that stops verifying through the CLI shows
+there and not only in its digest line. `cstarlab.io` passes encoder output
+straight to `json.dumps`, so the encoders must emit native values only. The
+last lines give the call, violation, error and CLI counts and a combined
+digest over all lines before them.
 
 Two source trees produce byte-identical verdicts iff their outputs match:
 
@@ -363,8 +365,9 @@ def non_native(obj) -> int:
 
 
 def cli_lines(count):
-    """Yield one `<sha256>  cli <run> exit <code>` line per CLI run, passing
-    each report body and witness payload the runs encode to `count`."""
+    """Yield `(run, code, line)` per CLI run, `line` being `<sha256>  cli
+    <run> exit <code>`, passing each report body and witness payload the
+    runs encode to `count`."""
     write_report, witness_to_payload = cstarlab.io.write_report, cstarlab.io.witness_to_payload
 
     def audited_write_report(path, body, meta):
@@ -401,7 +404,7 @@ def cli_lines(count):
                     else:
                         with open(out, "rb") as fh:
                             data = fh.read()
-                yield f"{hashlib.sha256(data).hexdigest()}  cli {name} exit {code}"
+                yield name, code, f"{hashlib.sha256(data).hexdigest()}  cli {name} exit {code}"
         finally:
             cstarlab.io.write_report, cstarlab.io.witness_to_payload = write_report, witness_to_payload
             os.chdir(cwd)
@@ -439,7 +442,7 @@ def rechecks(payload: dict) -> bool:
 def main() -> int:
     combined = hashlib.sha256()
     counts = {"calls": 0, "violated": 0, "error": 0}
-    rechecked = {"rechecked": 0, "recheck_failed": 0, "non_native": 0}
+    rechecked = {"rechecked": 0, "recheck_failed": 0, "non_native": 0, "cli_verify_failed": 0}
 
     def count(obj):
         rechecked["non_native"] += non_native(obj)
@@ -456,7 +459,8 @@ def main() -> int:
         combined.update((line + "\n").encode())
         counts["calls"] += 1
         counts[outcome] = counts.get(outcome, 0) + 1
-    for line in cli_lines(count):
+    for name, code, line in cli_lines(count):
+        rechecked["cli_verify_failed"] += name.startswith("verify ") and code != 0
         print(line)
         combined.update((line + "\n").encode())
         counts["cli"] = counts.get("cli", 0) + 1
