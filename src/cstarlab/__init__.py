@@ -39,13 +39,11 @@ from .functions import (
 )
 from .combinations import (
     CoefficientTuple,
-    FamilyCombination,
     KrausMap,
     TupleValidation,
     UnitalMapFamily,
     apply_combination,
     apply_log_combination,
-    positive_family_combination,
     sample_map_family,
     sample_tuple,
     validate_tuple,
@@ -53,7 +51,6 @@ from .combinations import (
 from .convexity import (
     Counterexample,
     TestVerdict,
-    embed_counterexample,
     epigraph_closure_test,
     harmonic_sum_closure_test,
     interval_set_falsifier,

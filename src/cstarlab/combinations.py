@@ -2,9 +2,8 @@
 
 A coefficient tuple (C_1, ..., C_m) with sum C_i* C_i = I generalizes scalar
 convex weights; applying it to operators X_i forms sum C_i* X_i C_i, and the
-log variant forms (sum C_i* X_i^{-1} C_i)^{-1}. This module also builds the
-witness-style tuple that reduces a positive unital map family to a plain
-C*-combination.
+log variant forms (sum C_i* X_i^{-1} C_i)^{-1}. A unital family of positive
+maps Phi_i generalizes the tuple in turn, forming sum Phi_i(X_i).
 
 Positive maps (`KrausMap`) and unital families of them take stacks like
 the kernel's array helpers: operators of shape (..., d, d) with one
@@ -34,7 +33,6 @@ from .hermitian import (
     _from_eig,
     _haar_from,
     _seeded_rng,
-    _sqrt_psd,
     _sym,
 )
 
@@ -43,13 +41,11 @@ __all__ = [
     "KrausMap",
     "UnitalMapFamily",
     "TupleValidation",
-    "FamilyCombination",
     "validate_tuple",
     "sample_tuple",
     "sample_map_family",
     "apply_combination",
     "apply_log_combination",
-    "positive_family_combination",
 ]
 
 
@@ -142,7 +138,13 @@ class UnitalMapFamily:
         d = ms[0].dim
         if any(m.dim != d for m in ms):
             raise DimensionMismatchError("maps in a family must share one dim")
-        _require_unital(sum(m.unit_image() for m in ms), tol)
+        # each unit image sum_i Phi_i(I) of the stack must be I within
+        # construction_tol (spectral norm)
+        units = sum(m.unit_image() for m in ms)
+        defects = np.linalg.norm(units - np.eye(d), 2, axis=(-2, -1))
+        bad = defects > tol.construction_tol
+        if np.any(bad):
+            raise InputError(f"family is not unital: defect {defects[bad][0]:.3e}")
         object.__setattr__(self, "maps", ms)
 
     @property
@@ -156,15 +158,6 @@ class UnitalMapFamily:
     def apply_arr(self, xs: Sequence[np.ndarray]) -> np.ndarray:
         """sum Phi_i(X_i)."""
         return sum(phi.apply_arr(x) for phi, x in zip(self.maps, xs))
-
-
-def _require_unital(units: np.ndarray, tol: ToleranceConfig) -> None:
-    """Raise unless each unit image sum_i Phi_i(I) of the stack is I within
-    construction_tol (spectral norm)."""
-    defects = np.linalg.norm(units - np.eye(units.shape[-1]), 2, axis=(-2, -1))
-    bad = defects > tol.construction_tol
-    if np.any(bad):
-        raise InputError(f"family is not unital: defect {defects[bad][0]:.3e}")
 
 
 @dataclass(frozen=True)
@@ -316,45 +309,3 @@ def apply_log_combination(t: CoefficientTuple, xs: Sequence[HermitianMatrix]) ->
     if any(x.dim != t.dim for x in xs):
         raise DimensionMismatchError("operand dim does not match tuple dim")
     return HermitianMatrix._wrap(_log_combine_arr(t.coeffs, [x.array for x in xs]))
-
-
-@dataclass(frozen=True, eq=False)
-class FamilyCombination:
-    """Value of sum Phi_i(X_i) together with the coefficient tuple and the
-    scalar inputs that reproduce it as a plain C*-combination."""
-
-    value: HermitianMatrix
-    equivalent_tuple: CoefficientTuple
-    scalars: tuple  # lambda_(i,j), aligned with equivalent_tuple.coeffs
-
-
-def positive_family_combination(
-    fam: UnitalMapFamily,
-    xs: Sequence[HermitianMatrix],
-    tol: ToleranceConfig = DEFAULT_TOL,
-) -> FamilyCombination:
-    """sum Phi_i(X_i) for a unital family, plus the equivalent coefficient
-    tuple C_ij = sqrt(Phi_i(P_ij)) over the spectral projections of each X_i.
-
-    Applying the returned tuple to the scalar matrices lambda_ij I
-    reproduces the value, which embeds map-family combinations into
-    coefficient-tuple combinations.
-    """
-    if len(xs) != fam.m:
-        raise DimensionMismatchError(f"expected {fam.m} operands, got {len(xs)}")
-    if any(x.dim != fam.dim for x in xs):
-        raise DimensionMismatchError("operand dim does not match family dim")
-    _require_unital(sum(m.unit_image() for m in fam.maps), tol)
-    coeffs = []
-    scalars = []
-    for phi, x in zip(fam.maps, xs):
-        w, u = _eigh(x.array)
-        # projs[j] is the spectral projector v v* of the eigenvector v = u[:, j]
-        projs = u.T[:, :, None] * u.T.conj()[:, None, :]
-        coeffs.extend(_sqrt_psd(_sym(phi.apply_arr(projs))))
-        scalars.extend(w.tolist())
-    return FamilyCombination(
-        value=HermitianMatrix._wrap(fam.apply_arr([x.array for x in xs])),
-        equivalent_tuple=CoefficientTuple(coeffs),
-        scalars=tuple(scalars),
-    )

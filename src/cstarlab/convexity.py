@@ -54,7 +54,6 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
-    DomainError,
     InputError,
     NonPositiveError,
     NumericalError,
@@ -64,7 +63,6 @@ from .combinations import (
     _family_draws,
     _inv_pd_arr,
     _log_combine_arr,
-    _sample_tuple_arrs,
     _tuple_blocks,
 )
 from .functions import ScalarFunctionSpec
@@ -79,10 +77,9 @@ from .hermitian import (
     _eigh,
     _from_eig,
     _geometric_mean_arr,
-    _haar_columns,
+    _haar_from,
     _hermitians_from,
     _max_abs_eig,
-    _mineig,
     _rand_hermitians,
     _require_pd,
     _sym,
@@ -101,7 +98,6 @@ __all__ = [
     "interval_set_falsifier",
     "sublevel_family_test",
     "harmonic_sum_closure_test",
-    "embed_counterexample",
 ]
 
 SPREADS = (1.0, 4.0, 16.0)
@@ -526,20 +522,6 @@ def _order_suite(f, tol, seed, salt, samples, evaluate, positive=False, interval
     return _run_suite(tol, seed, salt, samples, draw, function=f.label, **fixed_ce_fields)
 
 
-def _midpoint_sides(f: ScalarFunctionSpec, xs):
-    """(f((X+Y)/2), (f(X)+f(Y))/2)."""
-    x, y = xs
-    lhs = _apply_arr(f, (x + y) / 2.0)
-    fx, fy = _apply_arr(f, np.asarray(xs))
-    return lhs, (fx + fy) / 2.0
-
-
-def _jensen_sides(f: ScalarFunctionSpec, coeffs, xs):
-    """(f(sum C_i* X_i C_i), sum C_i* f(X_i) C_i)."""
-    lhs = _apply_arr(f, _combine_arr(coeffs, xs))
-    return lhs, _combine_arr(coeffs, _apply_arr(f, np.asarray(xs)))
-
-
 def _tuple_draws(rngs, dim: int, m: int, lo, hi, noise: bool = False, count: int | None = None):
     """One pass of draws per sample: a coefficient tuple of m blocks,
     `count` (by default m) operands with eigenvalues in [lo, hi] (see
@@ -567,7 +549,10 @@ def midpoint_convexity_test(
 
     def evaluate(rngs, lo, hi):
         xs = _rand_hermitians(2, dim, lo, hi, rngs)
-        return {"xs": xs}, *_midpoint_sides(f, xs)
+        x, y = xs
+        lhs = _apply_arr(f, (x + y) / 2.0)
+        fx, fy = _apply_arr(f, xs)
+        return {"xs": xs}, lhs, (fx + fy) / 2.0
 
     return _order_suite(f, tol, seed, _SALT_MIDPOINT, samples, evaluate, kind="midpoint")
 
@@ -598,7 +583,8 @@ def jensen_test(
     def evaluate(rngs, lo, hi):
         if mode != "map-family":
             coeffs, xs, _ = _tuple_draws(rngs, dim, m, lo, hi)
-            return {"xs": xs, "coeffs": coeffs}, *_jensen_sides(f, coeffs, xs)
+            lhs = _apply_arr(f, _combine_arr(coeffs, xs))
+            return {"xs": xs, "coeffs": coeffs}, lhs, _combine_arr(coeffs, _apply_arr(f, xs))
         draws = _Draws(len(rngs))
         families = _family_draws(draws, dim, m)
         g, r = draws.hermitians(m, dim)
@@ -919,6 +905,37 @@ def harmonic_sum_closure_test(
     return _run_suite(tol, seed, _SALT_HARMONIC, samples, draw, kind="harmonic-sum")
 
 
+def _sublevel_draws(rngs, dim: int, m: int, windows, feasible):
+    """One pass of draws per sample: a coefficient tuple of m blocks, then
+    for each of m operands its eigenvalues and its Haar eigenbasis. Each
+    eigenvalue is the first `uniform(lo, hi)` in the sample's window
+    `windows[j]` that is `feasible`; more than 200 * dim rejections for one
+    operand raise. Returns (coeffs, xs)."""
+
+    def eigenvalues(out, j, rng):
+        lo, hi = windows[j]
+        k = rejects = 0
+        while k < dim:
+            t = float(rng.uniform(lo, hi))
+            if feasible(t):
+                out[j, k] = t
+                k += 1
+            else:
+                rejects += 1
+                if rejects > 200 * dim:
+                    raise InputError("sublevel bounds are infeasible over the sampled window")
+
+    draws = _Draws(len(rngs))
+    c = draws.normal(2, m * dim, dim)
+    eigs = np.empty((m, len(rngs), dim))
+    g = []
+    for out in eigs:
+        draws.step(functools.partial(eigenvalues, out))
+        g.append(draws.normal(2, dim, dim))
+    draws.run(rngs)
+    return _tuple_blocks(c, m), _from_eig(_haar_from(np.stack(g)), eigs)
+
+
 def sublevel_family_test(
     family: Sequence[tuple[ScalarFunctionSpec, float]],
     dim: int,
@@ -948,23 +965,6 @@ def sublevel_family_test(
     def feasible(t: float) -> bool:
         return all(float(f.evaluator(np.array([t]))[0]) <= bound for f, bound in family)
 
-    def draw_eigs(rng, lo, hi):
-        eigs = []
-        rejects = 0
-        while len(eigs) < dim:
-            t = float(rng.uniform(lo, hi))
-            if feasible(t):
-                eigs.append(t)
-            else:
-                rejects += 1
-                if rejects > 200 * dim:
-                    raise InputError("sublevel bounds are infeasible over the sampled window")
-        return eigs
-
-    def draw_members(rngs, windows):
-        eigs = [draw_eigs(rng, lo, hi) for rng, (lo, hi) in zip(rngs, windows)]
-        return _from_eig(_haar_columns(dim, dim, rngs), np.array(eigs))
-
     bounds = np.array([float(b) for _, b in family])
 
     windows_of = _round_windows(joint, samples)
@@ -973,8 +973,7 @@ def sublevel_family_test(
         windows = windows_of(idxs)
         if any(lo >= hi for lo, hi in set(windows)):
             raise InputError("joint domain is too small to sample")
-        coeffs = _sample_tuple_arrs(dim, m, rngs)
-        xs = [draw_members(rngs, windows) for _ in range(m)]
+        coeffs, xs = _sublevel_draws(rngs, dim, m, windows, feasible)
         combined = _combine_arr(coeffs, xs)
         fxs = np.stack([_apply_arr(f, combined) for f, _ in family])
         margins = bounds[:, None] - np.linalg.eigvalsh(fxs)[..., -1]
@@ -988,48 +987,3 @@ def sublevel_family_test(
         return margins[worst, each], scale, _stacked(inputs, fx_bad, rhs, labels)
 
     return _run_suite(tol, seed, _SALT_SUBLEVEL, samples, draw, kind="sublevel")
-
-
-def embed_counterexample(ce: Counterexample, f: ScalarFunctionSpec, scalar: float) -> Counterexample:
-    """Lift a midpoint or coefficient-tuple Jensen counterexample one
-    dimension up by direct sum with a fixed scalar in f's domain.
-
-    Operator convexity is inherited by compressions, so a violation at dim d
-    embeds into dim d+1; the embedded instance is rebuilt and rechecked from
-    scratch rather than assumed.
-    """
-    if ce.kind not in ("midpoint", "jensen"):
-        raise InputError(f"embedding is not defined for kind {ce.kind!r}")
-    if ce.kind == "jensen" and "coeffs" not in ce.inputs:
-        raise InputError("only coefficient-tuple jensen counterexamples embed")
-    if not f.domain.contains(scalar):
-        raise DomainError(scalar, str(f.domain), f.label)
-
-    def grow(x: np.ndarray, corner: complex) -> np.ndarray:
-        d = x.shape[0]
-        out = np.zeros((d + 1, d + 1), dtype=np.complex128)
-        out[:d, :d] = x
-        out[d, d] = corner
-        return out
-
-    xs = [grow(x.array, scalar) for x in ce.inputs["xs"]]
-    inputs = {"xs": [HermitianMatrix._wrap(x) for x in xs]}
-    if ce.kind == "midpoint":
-        lhs, rhs = _midpoint_sides(f, xs)
-    else:
-        coeffs = [grow(c, 1.0 if i == 0 else 0.0) for i, c in enumerate(ce.inputs["coeffs"])]
-        inputs["coeffs"] = coeffs
-        lhs, rhs = _jensen_sides(f, coeffs, xs)
-    violation = float(_mineig(rhs - lhs))
-    if not violation < 0:
-        raise NumericalError("embedded instance no longer violates the inequality")
-    return Counterexample(
-        kind=ce.kind,
-        dim=ce.dim + 1,
-        function=ce.function,
-        mode=ce.mode,
-        inputs=inputs,
-        lhs=HermitianMatrix._wrap(lhs),
-        rhs=HermitianMatrix._wrap(rhs),
-        violation=violation,
-    )

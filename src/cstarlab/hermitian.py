@@ -3,7 +3,7 @@ functional calculus, the matrix geometric mean, and seeded sampling.
 
 All matrices are dense complex n x n arrays. Every operation is a pure
 function of its inputs; returned arrays are marked read-only. The private
-array helpers (`_sym`, `_apply_arr`, `_haar_columns`, ...) also take stacks
+array helpers (`_sym`, `_apply_arr`, `_haar_from`, ...) also take stacks
 of matrices, shape (..., n, n), and act on each matrix of the stack exactly
 as on that matrix alone; a stack of one is the single-matrix case.
 """
@@ -67,11 +67,6 @@ def _eigh(a: np.ndarray):
 def _max_abs_eig(a: np.ndarray):
     """Largest absolute eigenvalue of each matrix of the stack."""
     return np.max(np.abs(np.linalg.eigvalsh(a)), axis=-1)
-
-
-def _mineig(a: np.ndarray):
-    """Smallest eigenvalue of each matrix of the stack."""
-    return np.linalg.eigvalsh(a)[..., 0]
 
 
 def _from_eig(u: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -412,17 +407,9 @@ def _haar_from(g: np.ndarray) -> np.ndarray:
     return q * (d / np.abs(d))[..., None, :]
 
 
-def _haar_columns(rows: int, cols: int, rngs) -> np.ndarray:
-    """One Haar (rows x cols) matrix of orthonormal columns per generator."""
-    draws = _Draws(len(rngs))
-    g = draws.normal(2, rows, cols)
-    draws.run(rngs)
-    return _haar_from(g)
-
-
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Ginibre matrix."""
-    return _haar_columns(dim, dim, [rng])[0]
+    return _haar_from(rng.standard_normal((2, dim, dim)))
 
 
 def sample_hermitian(
@@ -436,8 +423,8 @@ def sample_hermitian(
 
     Eigenvalues are drawn uniformly from the interval shrunk by a relative
     margin of 1e-6, in a Haar-random eigenbasis. An unbounded interval
-    requires an explicit sampling `scale`, which replaces the missing
-    endpoint(s) at distance `scale`.
+    requires an explicit sampling `scale`, finite and positive, which
+    replaces the missing endpoint(s) at distance `scale`.
     """
     if dim < 1:
         raise InputError("dimension must be at least 1")
@@ -447,6 +434,8 @@ def sample_hermitian(
             raise UnboundedIntervalError(
                 f"interval {spectrum} is unbounded; pass a sampling scale"
             )
+        if not 0.0 < scale < math.inf:
+            raise InputError(f"sampling scale must be finite and positive, got {scale}")
         if not math.isfinite(lo) and not math.isfinite(hi):
             lo, hi = -scale, scale
         elif not math.isfinite(hi):

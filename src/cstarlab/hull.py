@@ -28,7 +28,6 @@ from .errors import DimensionMismatchError, InputError
 from .combinations import CoefficientTuple, _inv_pd_arr, apply_combination, validate_tuple
 from .hermitian import (
     DEFAULT_TOL,
-    SCALE_FLOOR,
     HermitianMatrix,
     ToleranceConfig,
     _eigh,
@@ -284,12 +283,12 @@ def witness_to_tuple(T: HermitianMatrix, witness: HullWitness) -> CoefficientTup
     lam, u = _eigh(T.array)
     if lam.shape[0] != witness.eigenvalues.shape[0]:
         raise InputError("witness length does not match the spectrum of T")
-    scale = max(float(np.max(np.abs(lam))), SCALE_FLOOR)
     coeffs = []
     for i, block in enumerate(witness.blocks):
         w, v = _eigh(block.array)
         for k in range(len(w)):
-            if w[k] <= 1e-14 * scale:
+            # the blocks sum to I, so they are dimensionless whatever T's scale
+            if w[k] <= 1e-14:
                 continue
             x = np.sqrt(w[k]) * v[:, k]
             coeffs.append(np.outer(u[:, i], x.conj()))

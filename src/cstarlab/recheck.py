@@ -184,7 +184,10 @@ def recheck_payload(payload: dict) -> RecheckResult:
     certificates it is the negated escape `margin`, and the certificate's
     stored `value` and `interval` must also match their recomputation.
     Passing requires a negative recomputation within a factor of two of the
-    stored magnitude. A malformed payload raises `InputError`.
+    stored magnitude. A malformed payload raises `InputError`. A payload's
+    function is rebuilt from its label by `parse_function`, so only
+    counterexamples of catalog and inline labels can be rechecked; one from
+    a suite run on a custom `ScalarFunctionSpec` raises `InputError`.
     """
     payload = decode_payload(payload)
     if payload["kind"] == "hull-certificate":

@@ -19,7 +19,6 @@ from cstarlab import (
     ScalarFunctionSpec,
     SpectrumInterval,
     TestVerdict,
-    embed_counterexample,
     epigraph_closure_test,
     harmonic_sum_closure_test,
     hull_membership,
@@ -478,21 +477,6 @@ class TestCertificates:
 
 
 class TestMonotoneFalsification:
-    def test_embedding_preserves_violation(self):
-        for f in (T4,):
-            ce = midpoint_convexity_test(f, 2, 1000, seed=42).counterexample
-            lifted = embed_counterexample(ce, f, scalar=0.5)
-            assert lifted.dim == 3
-            assert lifted.violation < 0
-            assert lifted.violation <= ce.violation * 0.5 or lifted.violation < -1e-8
-            recheck_ok(lifted)
-
-    def test_embedding_jensen(self):
-        ce = jensen_test(T4, "tuple", 2, 2, 1000, seed=42).counterexample
-        lifted = embed_counterexample(ce, T4, scalar=0.25)
-        assert lifted.dim == 3
-        recheck_ok(lifted)
-
     def test_embedded_found_by_higher_dim_run(self):
         # a fresh search one dimension up also finds a violation
         v = midpoint_convexity_test(T4, 3, 1000, seed=42)

@@ -230,6 +230,13 @@ class TestSampling:
         h = sample_hermitian(2, SpectrumInterval(0.0, np.inf), 1, scale=4.0)
         w = eig_hermitian(h).eigenvalues
         assert np.all(w > 0.0) and np.all(w < 4.0)
+        for interval in (SpectrumInterval(0.0, np.inf), SpectrumInterval(), SpectrumInterval(hi=1.0)):
+            for scale in (np.inf, np.nan, -1.0, 0.0):
+                with pytest.raises(InputError, match="sampling scale must be finite and positive"):
+                    sample_hermitian(2, interval, 1, scale=scale)
+        # a bounded interval never uses the scale
+        h = sample_hermitian(2, SpectrumInterval(0.0, 1.0), 1, scale=-1.0)
+        assert h.array.tobytes() == sample_hermitian(2, SpectrumInterval(0.0, 1.0), 1).array.tobytes()
 
 
 class TestTolerances:

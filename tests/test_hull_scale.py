@@ -10,10 +10,11 @@ import argparse
 import json
 
 import numpy as np
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from cstarlab import (
+    DEFAULT_TOL,
     HermitianMatrix,
     cli,
     haar_unitary,
@@ -21,8 +22,12 @@ from cstarlab import (
     recheck_payload,
     spectral_interval_oracle,
     two_point_witness,
+    validate_tuple,
+    witness_to_tuple,
 )
 from cstarlab.io import canonical_dumps, feasibility_to_payload
+
+from conftest import specnorm
 
 PROPERTY = settings(
     max_examples=200,
@@ -72,8 +77,16 @@ def expected_status(t, x) -> str:
     return "member" if spectral_interval_oracle(t, x).margin > 0 else "non-member"
 
 
+# block eigenvalues of 5e-4 in the witness of a member at scale 1e12
+SMALL_BLOCKS = (HermitianMatrix.diagonal([1.0, 2.0, 3.0]),
+                HermitianMatrix.diagonal([1.001, 1.5, 2.999]), 2.0)
+
+
 @PROPERTY
 @given(hull_cases(), scales)
+@example(SMALL_BLOCKS, 1e-12)
+@example(SMALL_BLOCKS, 1.0)
+@example(SMALL_BLOCKS, 1e12)
 def test_verdict_invariant_under_scaling(case, c):
     t, x, _ = case
     expected = expected_status(t, x)
@@ -81,7 +94,15 @@ def test_verdict_invariant_under_scaling(case, c):
     res = hull_membership(scaled(t, c), scaled(x, c))
     assert res.status == expected
     if expected == "member":
-        assert res.witness.validate(scaled(x, c)).valid
+        ct, cx = scaled(t, c), scaled(x, c)
+        assert res.witness.validate(cx).valid
+        # the explicit tuple keeps every block at every scale: sum C* C = I
+        # and sum C* (cT) C = cX within the psd band at the operands' scale
+        tup = witness_to_tuple(ct, res.witness)
+        assert validate_tuple(tup).ok
+        moment = sum(k.conj().T @ ct.array @ k for k in tup.coeffs)
+        scale = max(specnorm(ct.array), specnorm(cx.array))
+        assert specnorm(moment - cx.array) <= DEFAULT_TOL.psd(scale)
 
 
 @PROPERTY

@@ -4,19 +4,17 @@ over a fixed grid.
 Each line is `<sha256>  <call>` for one library call: the digest of the
 canonical JSON of `verdict_to_payload(verdict)` (or of the raised error's
 type and message). The grid covers all nine suites, including
-`sublevel_family_test` and `harmonic_sum_closure_test`, which no CLI
-command reaches, plus `embed_counterexample`, at a budget of 30 samples,
-and runs log-epigraph also on the bounded domain [0, 2] (lines named
-`log-epigraph bump ...`). A second grid reruns a subset of it at 300
-samples (lines named `n300 ...`), so that clean runs walk the sampling
-engine's chunks of 1, 16, 64 and 219 and violations fall far from the first
-sample. A third reruns a smaller subset at 300 samples at two seeds of two
-32-bit words, 2^63 + 12345 and 2^64 - 1 (lines named
-`n300 seed<seed> ...`), since SEED = 7 seeds every sample from three
+`sublevel_family_test` and `harmonic_sum_closure_test`, which no CLI command
+reaches, at a budget of 30 samples, and runs log-epigraph also on the
+bounded domain [0, 2] (lines named `log-epigraph bump ...`). A second grid
+reruns a subset of it at 300 samples (lines named `n300 ...`), so that clean
+runs walk the sampling engine's chunks of 1, 16, 64 and 219 and violations
+fall far from the first sample. A third reruns a smaller subset at 300
+samples at two seeds of two 32-bit words, 2^63 + 12345 and 2^64 - 1 (lines
+named `n300 seed<seed> ...`), since SEED = 7 seeds every sample from three
 words of entropy and the CLI's seeds reach 2^64 - 1. A fourth runs clean
-instances of the nine suites at 600 samples (lines named `n600 ...`),
-whose chunks end with two of the largest size, 256, and then a partial
-one of 7.
+instances of the nine suites at 600 samples (lines named `n600 ...`), whose
+chunks end with two of the largest size, 256, and then a partial one of 7.
 
 A last grid (lines named `cli ...`) runs `cstarlab.cli.main` in a
 temporary directory on fixed matrix files and prints
@@ -36,7 +34,9 @@ exit non-zero, so that a report that stops verifying through the CLI shows
 there and not only in its digest line. `cstarlab.io` passes encoder output
 straight to `json.dumps`, so the encoders must emit native values only. The
 last lines give the call, violation, error and CLI counts and a combined
-digest over all lines before them.
+digest over all lines before them. The tool exits 1 when any of
+`recheck_failed`, `non_native` or `cli_verify_failed` is not 0, and 0
+otherwise.
 
 Two source trees produce byte-identical verdicts iff their outputs match:
 
@@ -62,7 +62,6 @@ import cstarlab.recheck
 from cstarlab import (
     HermitianMatrix,
     cli,
-    embed_counterexample,
     epigraph_closure_test,
     harmonic_sum_closure_test,
     interval_set_falsifier,
@@ -79,7 +78,6 @@ from cstarlab.functions import ScalarFunctionSpec
 from cstarlab.hermitian import SpectrumInterval
 from cstarlab.io import (
     canonical_dumps,
-    counterexample_to_payload,
     load_report,
     report_body_bytes,
     save_matrix,
@@ -208,14 +206,6 @@ def grid():
     }
     for name, (a, b) in pairs.items():
         yield f"harmonic-sum {name}", lambda a=a, b=b: harmonic_sum_closure_test(a, b, SAMPLES, seed=SEED)
-
-    t4 = parse_function("t^4")
-    for dim in (2, 3):
-        for scalar in (0.25, 0.5, 2.0):
-            yield f"embed midpoint d{dim} s{scalar}", (
-                lambda d=dim, s=scalar: _embedded(midpoint_convexity_test(t4, d, 1000, seed=42), t4, s))
-            yield f"embed jensen d{dim} s{scalar}", (
-                lambda d=dim, s=scalar: _embedded(jensen_test(t4, "tuple", d, 2, 1000, seed=42), t4, s))
 
 
 def long_grid():
@@ -410,25 +400,19 @@ def cli_lines(count):
             os.chdir(cwd)
 
 
-def _embedded(verdict, f, scalar):
-    return embed_counterexample(verdict.counterexample, f, scalar)
-
-
 def body(thunk) -> tuple[dict, str]:
     try:
-        result = thunk()
+        verdict = thunk()
     except CstarlabError as exc:
         return {"error": type(exc).__name__, "message": str(exc)}, "error"
-    if hasattr(result, "status"):
-        return verdict_to_payload(result), result.status
-    return counterexample_to_payload(result), "violated"
+    return verdict_to_payload(verdict), verdict.status
 
 
 def rechecks(payload: dict) -> bool:
     """Whether a violation's counterexample, read back from its JSON,
     rechecks; the recheck finds the grid's own functions by label beside
     the catalog."""
-    ce = json.loads(canonical_dumps(payload.get("counterexample", payload)))
+    ce = json.loads(canonical_dumps(payload["counterexample"]))
     parse = cstarlab.recheck.parse_function
     cstarlab.recheck.parse_function = lambda label: OWN_FUNCTIONS.get(label) or parse(label)
     try:
@@ -469,7 +453,7 @@ def main() -> int:
     combined.update((line + "\n").encode())
     print(" ".join(f"{k}={v}" for k, v in counts.items()))
     print(f"combined {combined.hexdigest()}")
-    return 0
+    return int(any(rechecked[k] for k in ("recheck_failed", "non_native", "cli_verify_failed")))
 
 
 if __name__ == "__main__":
