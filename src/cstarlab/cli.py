@@ -5,6 +5,12 @@ conflict), 2 input error (an unreadable input or an unwritable --out
 included), 3 numerical indeterminacy. Every randomized
 subcommand takes an explicit --seed; identical command lines with identical
 seeds produce byte-identical report bodies.
+
+Building the parser imports only argparse and `errors`; each command
+imports the modules it uses when it runs, so `hull member` never loads the
+falsifiers and the suites never load `recheck`. Commands call the suites,
+the hull decisions and io through module attributes
+(`convexity.jensen_test`), so patching those attributes reaches the CLI.
 """
 
 from __future__ import annotations
@@ -14,12 +20,7 @@ import functools
 import sys
 import time
 
-from . import convexity, hull, io
 from .errors import CstarlabError, InputError, NumericalError
-from .combinations import sample_tuple
-from .functions import parse_function
-from .hermitian import DEFAULT_TOL, ToleranceConfig
-from .recheck import recheck_payload
 
 EXIT_PASS = 0
 EXIT_VIOLATION = 1
@@ -57,7 +58,9 @@ def _dims_arg(text: str) -> list:
     return dims
 
 
-def _tolconfig(args) -> ToleranceConfig:
+def _tolconfig(args):
+    from .hermitian import DEFAULT_TOL, ToleranceConfig
+
     t = getattr(args, "tol", None)
     if t is None:
         return DEFAULT_TOL
@@ -69,6 +72,8 @@ def _tolconfig(args) -> ToleranceConfig:
 
 
 def _emit(args, body: dict, summary: str) -> None:
+    from . import io
+
     meta = {
         "duration_seconds": time.perf_counter() - args._t0,
         "created_unix": time.time(),
@@ -95,6 +100,9 @@ def _common_flags(p):
 
 
 def cmd_classify(args) -> int:
+    from . import convexity, io
+    from .functions import parse_function
+
     f = parse_function(args.function)
     tol = _tolconfig(args)
     results = []
@@ -165,6 +173,9 @@ def cmd_classify(args) -> int:
 
 
 def _run_suite_command(args, runner, suite_name, **extra) -> int:
+    from . import io
+    from .functions import parse_function
+
     f = parse_function(args.function)
     tol = _tolconfig(args)
     results = []
@@ -182,6 +193,8 @@ def _run_suite_command(args, runner, suite_name, **extra) -> int:
 
 
 def cmd_jensen(args) -> int:
+    from . import convexity
+
     m = 1 if args.mode == "isometry" else args.m
     return _run_suite_command(
         args,
@@ -195,6 +208,8 @@ def cmd_jensen(args) -> int:
 
 
 def cmd_epigraph(args) -> int:
+    from . import convexity
+
     return _run_suite_command(
         args,
         lambda f, dim, tol: convexity.epigraph_closure_test(
@@ -206,6 +221,8 @@ def cmd_epigraph(args) -> int:
 
 
 def cmd_log_epigraph(args) -> int:
+    from . import convexity
+
     return _run_suite_command(
         args,
         lambda f, dim, tol: convexity.log_epigraph_closure_test(
@@ -217,6 +234,8 @@ def cmd_log_epigraph(args) -> int:
 
 
 def cmd_interval_set(args) -> int:
+    from . import convexity, io
+
     tol = _tolconfig(args)
     A = io.load_matrix(args.a)
     verdict = convexity.interval_set_falsifier(A, args.samples, seed=args.seed, tol=tol)
@@ -232,6 +251,8 @@ def _hull_exit(status: str) -> int:
 
 
 def _membership_command(args, decide, label: str) -> int:
+    from . import io
+
     tol = _tolconfig(args)
     res = decide(io.load_matrix(args.t), io.load_matrix(args.x), tol)
     body = io.build_report(_echo(args), None, tol, [io.feasibility_to_payload(res)])
@@ -240,14 +261,20 @@ def _membership_command(args, decide, label: str) -> int:
 
 
 def cmd_hull_member(args) -> int:
+    from . import hull
+
     return _membership_command(args, hull.hull_membership, "hull membership")
 
 
 def cmd_lch_member(args) -> int:
+    from . import hull
+
     return _membership_command(args, hull.lch_membership, "log-convex hull membership")
 
 
 def cmd_hull_witness(args) -> int:
+    from . import hull, io
+
     tol = _tolconfig(args)
     res = hull.hull_membership(io.load_matrix(args.t), io.load_matrix(args.x), tol)
     if res.status == "member":
@@ -264,6 +291,9 @@ def cmd_hull_witness(args) -> int:
 
 
 def cmd_hull_sample(args) -> int:
+    from . import hull, io
+    from .combinations import sample_tuple
+
     T = io.load_matrix(args.t)
     t = sample_tuple(T.dim, args.m, args.seed)
     member = hull.sample_hull_member(T, t)
@@ -272,7 +302,18 @@ def cmd_hull_sample(args) -> int:
     return EXIT_PASS
 
 
+def recheck_payload(payload: dict):
+    """`recheck.recheck_payload`, importing `recheck` on the first call.
+    `verify` calls it through this module attribute, so patching
+    `cli.recheck_payload` reaches every payload."""
+    from .recheck import recheck_payload
+
+    return recheck_payload(payload)
+
+
 def cmd_verify(args) -> int:
+    from . import io
+
     report = io.load_report(args.report)
     payloads = []
     for entry in report["body"].get("results", []):
@@ -305,6 +346,8 @@ def _number(entry: dict, i: int, name: str, field: str) -> float:
 
 
 def cmd_report(args) -> int:
+    from . import io
+
     report = io.load_report(args.infile)
     body = report["body"]
     command = body.get("command", [])

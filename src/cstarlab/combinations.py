@@ -111,6 +111,15 @@ class KrausMap:
         object.__setattr__(self, "kraus", mats)
         object.__setattr__(self, "transpose", bool(flags) if len(shape) == 2 else flags)
 
+    @classmethod
+    def _wrap(cls, kraus: tuple, transpose) -> "KrausMap":
+        """`__init__` for read-only complex operators the package built, and
+        their flags as `__init__` stores them: no copy and no checks."""
+        k = object.__new__(cls)
+        object.__setattr__(k, "kraus", kraus)
+        object.__setattr__(k, "transpose", transpose)
+        return k
+
     @property
     def dim(self) -> int:
         return self.kraus[0].shape[-1]
@@ -146,6 +155,13 @@ class UnitalMapFamily:
         if np.any(bad):
             raise InputError(f"family is not unital: defect {defects[bad][0]:.3e}")
         object.__setattr__(self, "maps", ms)
+
+    @classmethod
+    def _wrap(cls, maps: tuple) -> "UnitalMapFamily":
+        """`__init__` for a family the package built unital: no check."""
+        fam = object.__new__(cls)
+        object.__setattr__(fam, "maps", maps)
+        return fam
 
     @property
     def dim(self) -> int:
@@ -255,8 +271,12 @@ def _family_draws(draws: _Draws, dim: int, m: int, transpose_prob: float = 0.5):
             maps = np.repeat(np.tile(np.arange(m), len(group)), size)
             kraus[maps, np.arange(len(maps)) - starts, np.repeat(group, total)] = (
                 _haar_from(g).reshape(-1, dim, dim))
+        # unital by construction (blocks of isometries), so the maps share
+        # `kraus` and skip the constructors' copies and unitality check
+        kraus.setflags(write=False)
         flips = flags < transpose_prob
-        return UnitalMapFamily([KrausMap(kraus[i], flips[:, i]) for i in range(m)]), sizes
+        return UnitalMapFamily._wrap(tuple(KrausMap._wrap(tuple(kraus[i]), flips[:, i])
+                                           for i in range(m))), sizes
 
     return families
 
@@ -264,8 +284,9 @@ def _family_draws(draws: _Draws, dim: int, m: int, transpose_prob: float = 0.5):
 def _family_at(fams, j: int) -> UnitalMapFamily:
     """Sample j of `_sample_families`, each map cut to its own operators."""
     fam, sizes = fams
-    return UnitalMapFamily([KrausMap([a[j] for a in phi.kraus[:size]], phi.transpose[j])
-                            for phi, size in zip(fam.maps, sizes[j].tolist())])
+    return UnitalMapFamily._wrap(tuple(
+        KrausMap._wrap(tuple(a[j] for a in phi.kraus[:size]), bool(phi.transpose[j]))
+        for phi, size in zip(fam.maps, sizes[j].tolist())))
 
 
 def _combine_arr(coeffs: Sequence[np.ndarray], xs: Sequence[np.ndarray]) -> np.ndarray:

@@ -268,8 +268,10 @@ def _seed_words(seed: int, salt: int, idxs: range) -> np.ndarray:
 
 @functools.cache
 def _words_class():
-    """`_Words`, built on first use so that importing cstarlab does not
-    import numpy.random."""
+    """`_Words`, built on first use. Its base class lives in numpy.random,
+    about 10 ms to import, so importing this module leaves numpy.random to
+    the first suite that draws, like the package root and the CLI parser,
+    which import no numpy at all."""
     from numpy.random.bit_generator import ISeedSequence
 
     class _Words(ISeedSequence):

@@ -424,7 +424,8 @@ def sample_hermitian(
     Eigenvalues are drawn uniformly from the interval shrunk by a relative
     margin of 1e-6, in a Haar-random eigenbasis. An unbounded interval
     requires an explicit sampling `scale`, finite and positive, which
-    replaces the missing endpoint(s) at distance `scale`.
+    replaces the missing endpoint(s) at distance `scale`; a window whose
+    width overflows a float is rejected.
     """
     if dim < 1:
         raise InputError("dimension must be at least 1")
@@ -442,6 +443,8 @@ def sample_hermitian(
             hi = lo + scale
         else:
             lo = hi - scale
+    if not math.isfinite(hi - lo):
+        raise InputError(f"sampling window [{lo}, {hi}] has no finite width")
     pad = 1e-6 * max(hi - lo, abs(lo), abs(hi))
     if lo + pad > hi - pad:
         pad = (hi - lo) / 4.0

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import cstarlab
-from cstarlab import HermitianMatrix, HermitianDefectError, InputError, cli, io
+from cstarlab import HermitianDefectError, HermitianMatrix, InputError, cli, convexity, hull, io
 from cstarlab.cli import main
 from cstarlab.io import (
     canonical_dumps,
@@ -624,6 +624,45 @@ class TestDeterminism:
 
     def test_canonical_dumps_stable(self):
         assert canonical_dumps({"b": 1.5, "a": [1, 2]}) == '{"a":[1,2],"b":1.5}\n'
+
+
+class TestPatchPoints:
+    """Commands reach recheck, the suites and the hull decisions through
+    module attributes read when they run, so a patched attribute (a
+    profiler's or a tracer's wrapper) sees every call."""
+
+    @staticmethod
+    def spy(monkeypatch, module, name) -> list:
+        calls, original = [], getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+        return calls
+
+    def test_verify_calls_the_patched_recheck(self, tmp_path, monkeypatch):
+        out = tmp_path / "r.json"
+        assert main(["jensen", "--function", "t^4", "--dims", "2,3", "--samples", "30",
+                     "--seed", "7", "--out", str(out)]) == 1
+        payloads = [e["counterexample"] for e in load_report(out)["body"]["results"]
+                    if e.get("counterexample")]
+        assert payloads
+        calls = self.spy(monkeypatch, cli, "recheck_payload")
+        assert main(["verify", "--report", str(out)]) == 0
+        assert [args[0] for args in calls] == payloads
+
+    def test_jensen_calls_the_patched_suite(self, monkeypatch):
+        calls = self.spy(monkeypatch, convexity, "jensen_test")
+        assert main(["jensen", "--mode", "map-family", "--function", "t^2", "--dims", "2,3",
+                     "--m", "3", "--samples", "10", "--seed", "7"]) == 0
+        assert [args[1:4] for args in calls] == [("map-family", 2, 3), ("map-family", 3, 3)]
+
+    def test_hull_member_calls_the_patched_decision(self, diag13, two_eye, monkeypatch):
+        calls = self.spy(monkeypatch, hull, "hull_membership")
+        assert main(["hull", "member", "--t", diag13, "--x", two_eye]) == 0
+        assert [args[0].array.tolist() for args in calls] == [[[1, 0], [0, 3]]]
 
 
 def test_console_entry_point():

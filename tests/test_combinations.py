@@ -176,6 +176,26 @@ class TestStackedMaps:
                 mixed += sum(0 < phi.transpose.sum() < 8 for phi in fam.maps)
         assert (mixed > 0) == (prob == 0.5)
 
+    def test_sampled_families_match_the_public_constructors(self):
+        # the sampler builds its families without the constructors' copy
+        # and unitality check; the families must be the ones they would build
+        from cstarlab.combinations import _family_at
+
+        for dim, m, prob in ((1, 1, 0.5), (2, 3, 0.5), (4, 2, 1.0)):
+            fams = _sample_families(dim, m, [np.random.default_rng((dim, j)) for j in range(5)],
+                                    prob)
+            for fam in (fams[0], *(_family_at(fams, j) for j in range(5))):
+                checked = UnitalMapFamily([KrausMap(phi.kraus, phi.transpose)
+                                           for phi in fam.maps])
+                for phi, ref in zip(fam.maps, checked.maps):
+                    assert type(phi.transpose) is type(ref.transpose)
+                    assert np.array_equal(phi.transpose, ref.transpose)
+                    assert len(phi.kraus) == len(ref.kraus)
+                    for a, b in zip(phi.kraus, ref.kraus):
+                        assert a.dtype == b.dtype and a.shape == b.shape
+                        assert a.flags.c_contiguous and not a.flags.writeable
+                        assert a.tobytes() == b.tobytes()
+
     def test_map_on_a_stack_matches_each_operand(self):
         phi = sample_map_family(3, 2, 11, transpose_prob=1.0).maps[0]
         g = np.random.default_rng(12).standard_normal((4, 3, 3, 2))

@@ -238,6 +238,16 @@ class TestSampling:
         h = sample_hermitian(2, SpectrumInterval(0.0, 1.0), 1, scale=-1.0)
         assert h.array.tobytes() == sample_hermitian(2, SpectrumInterval(0.0, 1.0), 1).array.tobytes()
 
+    @pytest.mark.parametrize("interval, scale", [
+        (SpectrumInterval(-1e308, 1e308), None),
+        (SpectrumInterval(1e308, np.inf), 1e308),
+        (SpectrumInterval(hi=-1e308), 1e308),
+    ])
+    def test_window_of_overflowing_width_is_an_input_error(self, interval, scale):
+        # the width hi - lo of these finite windows overflows to inf
+        with pytest.raises(InputError, match="has no finite width"):
+            sample_hermitian(2, interval, 1, scale=scale)
+
 
 class TestTolerances:
     def test_relative_with_floor(self):
