@@ -43,13 +43,23 @@ Two source trees produce byte-identical verdicts iff their outputs match:
     PYTHONPATH=<tree>/src python3 tools/suite_digests.py > digests.txt
 
 Digests depend on the LAPACK build, so compare runs on one machine only.
+With `--record` the output starts with `# <field>: <value>` lines naming
+that environment (`environment()`); `tests/suite_digests.txt` holds that
+output, and `tests/test_suite_digests.py` runs `run()` in-process and
+compares it with the file line by line wherever the environment matches.
+After a deliberate body change, rewrite the file with
+
+    PYTHONPATH=src python3 tools/suite_digests.py --record > tests/suite_digests.txt
 """
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import hashlib
 import json
 import os
+import platform
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -423,13 +433,19 @@ def rechecks(payload: dict) -> bool:
         cstarlab.recheck.parse_function = parse
 
 
-def main() -> int:
+def run() -> tuple[list[str], int]:
+    """The tool's output lines, in order, and its exit code."""
+    lines = []
     combined = hashlib.sha256()
     counts = {"calls": 0, "violated": 0, "error": 0}
     rechecked = {"rechecked": 0, "recheck_failed": 0, "non_native": 0, "cli_verify_failed": 0}
 
     def count(obj):
         rechecked["non_native"] += non_native(obj)
+
+    def emit(line):
+        lines.append(line)
+        combined.update((line + "\n").encode())
 
     for name, thunk in (*grid(), *long_grid(), *wide_seed_grid(), *cap_grid()):
         payload, outcome = body(thunk)
@@ -438,23 +454,66 @@ def main() -> int:
             rechecked["rechecked"] += 1
             rechecked["recheck_failed"] += not rechecks(payload)
         digest = hashlib.sha256(canonical_dumps(payload).encode()).hexdigest()
-        line = f"{digest}  {name}"
-        print(line)
-        combined.update((line + "\n").encode())
+        emit(f"{digest}  {name}")
         counts["calls"] += 1
         counts[outcome] = counts.get(outcome, 0) + 1
     for name, code, line in cli_lines(count):
         rechecked["cli_verify_failed"] += name.startswith("verify ") and code != 0
-        print(line)
-        combined.update((line + "\n").encode())
+        emit(line)
         counts["cli"] = counts.get("cli", 0) + 1
-    line = " ".join(f"{k}={v}" for k, v in rechecked.items())
-    print(line)
-    combined.update((line + "\n").encode())
-    print(" ".join(f"{k}={v}" for k, v in counts.items()))
-    print(f"combined {combined.hexdigest()}")
-    return int(any(rechecked[k] for k in ("recheck_failed", "non_native", "cli_verify_failed")))
+    emit(" ".join(f"{k}={v}" for k, v in rechecked.items()))
+    lines.append(" ".join(f"{k}={v}" for k, v in counts.items()))
+    lines.append(f"combined {combined.hexdigest()}")
+    return lines, int(any(rechecked[k] for k in ("recheck_failed", "non_native", "cli_verify_failed")))
+
+
+def environment() -> dict:
+    """What the digests depend on beyond the source tree: numpy's version,
+    the name, version and build options of the BLAS numpy was built with,
+    the machine, and the OpenBLAS core kernel chosen at run time (a
+    DYNAMIC_ARCH build picks it per CPU; `unreadable` where the library or
+    its `get_corename` cannot be found)."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "numpy": np.__version__,
+        "blas": json.dumps({k: blas.get(k) for k in ("name", "version", "openblas configuration")},
+                           sort_keys=True),
+        "machine": platform.machine(),
+        "openblas core": _openblas_core(),
+    }
+
+
+def _openblas_core() -> str:
+    """The core name OpenBLAS reports for this CPU, from the library that
+    numpy's wheel bundles (loading it again returns the loaded instance)."""
+    root = os.path.dirname(np.__file__)
+    for path in sorted(glob.glob(os.path.join(root, os.pardir, "numpy.libs", "*openblas*"))
+                       + glob.glob(os.path.join(root, ".dylibs", "*openblas*"))):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for symbol in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
+                       "openblas_get_corename"):
+            get = getattr(lib, symbol, None)
+            if get is not None:
+                get.restype = ctypes.c_char_p
+                return get().decode()
+    return "unreadable"
+
+
+def header() -> list[str]:
+    """`# <field>: <value>` for each field of `environment()`."""
+    return [f"# {k}: {v}" for k, v in environment().items()]
+
+
+def main(argv: list[str]) -> int:
+    if argv not in ([], ["--record"]):
+        sys.exit("usage: suite_digests.py [--record]")
+    lines, code = run()
+    print("\n".join(header() * bool(argv) + lines))
+    return code
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))
