@@ -220,27 +220,28 @@ def sample_tuple(dim: int, m: int, rng_seed) -> CoefficientTuple:
 
 
 _MAX_KRAUS = 3  # Kraus operators per sampled map, at most
+_TRANSPOSE_PROB = 0.5  # chance that a sampled map is transposed
 
 
-def sample_map_family(dim: int, m: int, rng_seed, transpose_prob: float = 0.5) -> UnitalMapFamily:
+def sample_map_family(dim: int, m: int, rng_seed) -> UnitalMapFamily:
     """Random unital family of positive maps: Kraus blocks cut from one tall
-    isometry, each map transposed with the given probability."""
+    isometry, each map transposed with probability `_TRANSPOSE_PROB`."""
     if dim < 1 or m < 1:
         raise InputError("dim and m must be at least 1")
     rng = _seeded_rng(rng_seed)
-    return _family_at(_sample_families(dim, m, [rng], transpose_prob), 0)
+    return _family_at(_sample_families(dim, m, [rng]), 0)
 
 
-def _sample_families(dim: int, m: int, rngs, transpose_prob: float = 0.5):
+def _sample_families(dim: int, m: int, rngs):
     """One `sample_map_family` draw per generator, as `(family, sizes)` (see
     `_family_draws`)."""
     draws = _Draws(len(rngs))
-    families = _family_draws(draws, dim, m, transpose_prob)
+    families = _family_draws(draws, dim, m)
     draws.run(rngs)
     return families()
 
 
-def _family_draws(draws: _Draws, dim: int, m: int, transpose_prob: float = 0.5):
+def _family_draws(draws: _Draws, dim: int, m: int):
     """Queue one `sample_map_family` draw per sample of `draws`; returns
     `families()`, which builds them once the draws have run, as `(family,
     sizes)`: a family of m stacked maps, each with `_MAX_KRAUS` operators
@@ -274,7 +275,7 @@ def _family_draws(draws: _Draws, dim: int, m: int, transpose_prob: float = 0.5):
         # unital by construction (blocks of isometries), so the maps share
         # `kraus` and skip the constructors' copies and unitality check
         kraus.setflags(write=False)
-        flips = flags < transpose_prob
+        flips = flags < _TRANSPOSE_PROB
         return UnitalMapFamily._wrap(tuple(KrausMap._wrap(tuple(kraus[i]), flips[:, i])
                                            for i in range(m))), sizes
 
@@ -310,13 +311,18 @@ def _log_combine_arr(coeffs: Sequence[np.ndarray], xs: Sequence[np.ndarray]) -> 
     return _inv_pd_arr(inner, "combined inverse sum")
 
 
-def apply_combination(t: CoefficientTuple, xs: Sequence[HermitianMatrix]) -> HermitianMatrix:
-    """sum C_i* X_i C_i, re-symmetrized to absorb rounding drift."""
+def _operands(t: CoefficientTuple, xs: Sequence[HermitianMatrix]) -> list[np.ndarray]:
+    """The arrays of `xs`, which must be t.m operands of t's dim."""
     if len(xs) != t.m:
         raise DimensionMismatchError(f"expected {t.m} operands, got {len(xs)}")
     if any(x.dim != t.dim for x in xs):
         raise DimensionMismatchError("operand dim does not match tuple dim")
-    return HermitianMatrix._wrap(_combine_arr(t.coeffs, [x.array for x in xs]))
+    return [x.array for x in xs]
+
+
+def apply_combination(t: CoefficientTuple, xs: Sequence[HermitianMatrix]) -> HermitianMatrix:
+    """sum C_i* X_i C_i, re-symmetrized to absorb rounding drift."""
+    return HermitianMatrix._wrap(_combine_arr(t.coeffs, _operands(t, xs)))
 
 
 def apply_log_combination(t: CoefficientTuple, xs: Sequence[HermitianMatrix]) -> HermitianMatrix:
@@ -325,8 +331,4 @@ def apply_log_combination(t: CoefficientTuple, xs: Sequence[HermitianMatrix]) ->
     The inner sum is bounded below by a positive multiple of the identity,
     so the outer inverse always exists for valid input.
     """
-    if len(xs) != t.m:
-        raise DimensionMismatchError(f"expected {t.m} operands, got {len(xs)}")
-    if any(x.dim != t.dim for x in xs):
-        raise DimensionMismatchError("operand dim does not match tuple dim")
-    return HermitianMatrix._wrap(_log_combine_arr(t.coeffs, [x.array for x in xs]))
+    return HermitianMatrix._wrap(_log_combine_arr(t.coeffs, _operands(t, xs)))

@@ -82,6 +82,7 @@ from .hermitian import (
     _max_abs_eig,
     _rand_hermitians,
     _require_pd,
+    _sqrt_psd,
     _sym,
 )
 from .io import INPUT_KEYS
@@ -384,6 +385,18 @@ def _require_seed(seed) -> int:
     return seed
 
 
+def _require_sizes(dim, m=None, noise_scale: float = 0.0) -> None:
+    """Before any draw and the seed check: dim (and m, where a suite takes
+    one) at least 1, then a finite, non-negative noise_scale."""
+    if m is None:
+        if dim < 1:
+            raise InputError("dim must be at least 1")
+    elif dim < 1 or m < 1:
+        raise InputError("dim and m must be at least 1")
+    if not 0.0 <= noise_scale < math.inf:
+        raise InputError(f"noise_scale must be finite and non-negative, got {noise_scale}")
+
+
 def _run_suite(tol: ToleranceConfig, seed: int, salt: int, samples: int, draw, **fixed_ce_fields):
     """The sampling loop of every suite.
 
@@ -546,8 +559,7 @@ def midpoint_convexity_test(
     tol: ToleranceConfig = DEFAULT_TOL,
 ) -> TestVerdict:
     """Search for X, Y with f((X+Y)/2) not below (f(X)+f(Y))/2."""
-    if dim < 1:
-        raise InputError("dim must be at least 1")
+    _require_sizes(dim)
 
     def evaluate(rngs, lo, hi):
         xs = _rand_hermitians(2, dim, lo, hi, rngs)
@@ -579,8 +591,7 @@ def jensen_test(
         raise InputError(f"unknown jensen mode {mode!r}")
     if mode == "isometry" and m != 1:
         raise InputError("isometry mode requires m = 1")
-    if dim < 1 or m < 1:
-        raise InputError("dim and m must be at least 1")
+    _require_sizes(dim, m)
 
     def evaluate(rngs, lo, hi):
         if mode != "map-family":
@@ -610,8 +621,7 @@ def log_midpoint_test(
 ) -> TestVerdict:
     """Check f((X+Y)/2) <= f(X) # f(Y) (geometric mean) on strictly positive
     pairs; f must map (0, inf) into (0, inf)."""
-    if dim < 1:
-        raise InputError("dim must be at least 1")
+    _require_sizes(dim)
 
     def evaluate(rngs, lo, hi):
         xs = _rand_hermitians(2, dim, lo, hi, rngs)
@@ -637,8 +647,7 @@ def log_harmonic_jensen_test(
     """Check the harmonic-mean strengthening of the Jensen inequality,
     f(sum C_i* X_i C_i) <= (sum C_i* f(X_i)^{-1} C_i)^{-1}, which
     characterizes operator log-convex functions."""
-    if dim < 1 or m < 1:
-        raise InputError("dim and m must be at least 1")
+    _require_sizes(dim, m)
 
     def evaluate(rngs, lo, hi):
         coeffs, xs, _ = _tuple_draws(rngs, dim, m, lo, hi)
@@ -669,10 +678,7 @@ def epigraph_closure_test(
     Membership noise: Y = f(X) + G G* with the PSD part scaled to
     `noise_scale` (finite, >= 0) times the norm of f(X); zero keeps Y on the boundary.
     """
-    if dim < 1 or m < 1:
-        raise InputError("dim and m must be at least 1")
-    if not 0.0 <= noise_scale < math.inf:
-        raise InputError(f"noise_scale must be finite and non-negative, got {noise_scale}")
+    _require_sizes(dim, m, noise_scale)
 
     def evaluate(rngs, lo, hi):
         coeffs, xs, z = _tuple_draws(rngs, dim, m, lo, hi, noise=noise_scale > 0.0)
@@ -718,10 +724,7 @@ def log_epigraph_closure_test(
     (0, inf). The combined X_c^{-1} = sum C_i* X_i^{-1} C_i keeps its
     spectrum in the hull of the spectra of the X_i^{-1}, so f(X_c^{-1}) is
     defined whenever every f(X_i^{-1}) is."""
-    if dim < 1 or m < 1:
-        raise InputError("dim and m must be at least 1")
-    if not 0.0 <= noise_scale < math.inf:
-        raise InputError(f"noise_scale must be finite and non-negative, got {noise_scale}")
+    _require_sizes(dim, m, noise_scale)
     d = f.domain
     interval = d  # dom f holds (0, inf), or has no positive part and sample 0 raises
     if d.hi > 0.0 and (d.lo > 0.0 or d.hi < math.inf):
@@ -790,7 +793,7 @@ def interval_set_falsifier(
             )
             return TestVerdict("violated", samples_run=0, worst_margin=margin, counterexample=ce)
 
-    sqrt_a = _from_eig(u, np.sqrt(np.clip(w, 0.0, None)))
+    sqrt_a = _sqrt_psd(a)
 
     def evaluate(m, rngs):
         coeffs, ws, _ = _tuple_draws(rngs, dim, m, 0.0, 1.0)
@@ -955,8 +958,7 @@ def sublevel_family_test(
     """
     if not family:
         raise InputError("the function family is empty")
-    if dim < 1 or m < 1:
-        raise InputError("dim and m must be at least 1")
+    _require_sizes(dim, m)
 
     lo_d = max(f.domain.lo for f, _ in family)
     hi_d = min(f.domain.hi for f, _ in family)

@@ -159,19 +159,20 @@ def polynomial_function(coeffs) -> ScalarFunctionSpec:
     )
 
 
+_CATALOG = {f.label: f for f in map(power_function, (1.0, 0.5, 1.5, 2.0, 3.0, 4.0, -0.5, -1.0))}
+
+
 def catalog() -> dict[str, ScalarFunctionSpec]:
-    """The built-in function catalog, keyed by label."""
-    entries = [power_function(a) for a in (1.0, 0.5, 1.5, 2.0, 3.0, 4.0, -0.5, -1.0)]
-    return {f.label: f for f in entries}
+    """The built-in function catalog, keyed by label; a new dict per call."""
+    return dict(_CATALOG)
 
 
 def parse_function(label: str) -> ScalarFunctionSpec:
     """Resolve a label: catalog entry, `t^<float>`, `const:<c>`, or
     `poly:<c0,c1,...>` (ascending-degree coefficients)."""
     label = label.strip()
-    cat = catalog()
-    if label in cat:
-        return cat[label]
+    if label in _CATALOG:
+        return _CATALOG[label]
     if label.startswith("t^"):
         try:
             return power_function(float(label[2:]))

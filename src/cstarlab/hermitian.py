@@ -153,18 +153,6 @@ class HermitianMatrix:
     def array(self) -> np.ndarray:
         return self.entries
 
-    @classmethod
-    def identity(cls, dim: int) -> "HermitianMatrix":
-        return cls(np.eye(dim, dtype=np.complex128))
-
-    @classmethod
-    def diagonal(cls, values) -> "HermitianMatrix":
-        return cls(np.diag(np.asarray(values, dtype=np.complex128)))
-
-    @classmethod
-    def zero(cls, dim: int) -> "HermitianMatrix":
-        return cls(np.zeros((dim, dim), dtype=np.complex128))
-
     def __repr__(self):
         return f"HermitianMatrix(dim={self.dim})"
 

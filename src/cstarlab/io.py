@@ -17,12 +17,11 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import InputError
-from .combinations import _family_at
 from .hermitian import SCALE_FLOOR, HermitianMatrix, ToleranceConfig
-from .hull import FeasibilityResult, HullCertificate, HullWitness
 
-if TYPE_CHECKING:  # convexity imports this module
+if TYPE_CHECKING:  # convexity imports this module; `report` loads no engine module
     from .convexity import Counterexample, TestVerdict
+    from .hull import FeasibilityResult, HullCertificate, HullWitness
 
 __all__ = [
     "encode_complex_matrix",
@@ -92,15 +91,20 @@ def decode_complex_matrix(payload) -> np.ndarray:
     return arr
 
 
-def load_matrix(path) -> HermitianMatrix:
+def _read_json(path):
+    """The JSON value in `path`; an unreadable file or invalid JSON raises
+    `InputError`."""
     try:
         with open(path) as fh:
-            payload = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
-    arr = decode_complex_matrix(payload)
+
+
+def load_matrix(path) -> HermitianMatrix:
+    arr = decode_complex_matrix(_read_json(path))
     if arr.shape[0] != arr.shape[1]:
         raise InputError(f"{path}: matrix is not square")
     return HermitianMatrix(arr)
@@ -139,6 +143,12 @@ def _map(spec, dim) -> tuple:
     if not isinstance(spec, dict) or spec.get("transpose") not in (True, False):
         raise InputError(f"map {spec!r:.40} is not {{kraus, transpose}}")
     return _matrices(spec["kraus"], dim), bool(spec["transpose"])
+
+
+def _family_at(fams, j: int):
+    from .combinations import _family_at  # only a suite cuts map families
+
+    return _family_at(fams, j)
 
 
 def _interval(value, dim=None) -> tuple:
@@ -336,13 +346,7 @@ def write_report(path, body: dict, meta: dict) -> dict:
 def load_report(path) -> dict:
     """A run report; its body must be an object whose `results`, if any,
     are a list of objects."""
-    try:
-        with open(path) as fh:
-            report = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path} is not valid JSON: {exc}") from exc
+    report = _read_json(path)
     if not isinstance(report, dict) or not isinstance(report.get("body"), dict):
         raise InputError(f"{path} is not a run report (missing body)")
     results = report["body"].get("results", [])

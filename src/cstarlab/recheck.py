@@ -70,9 +70,9 @@ def _maxeig(a) -> float:
 def _fun(label, a):
     f = parse_function(label)
     w, u = _eigh(a)
-    for lam in w:
-        if not f.domain.contains(float(lam)):
-            raise InputError(f"payload eigenvalue {lam} escapes the domain of {label}")
+    escapes = w[~f.domain.contains(w)]
+    if escapes.size:
+        raise InputError(f"payload eigenvalue {escapes[0]} escapes the domain of {label}")
     return (u * np.asarray(f.evaluator(w), float)) @ u.conj().T
 
 

@@ -586,7 +586,7 @@ class TestDeterminism:
         # it as it stands: violations, certificates and witnesses included
         def matrix(name, values):
             path = tmp_path / name
-            save_matrix(path, HermitianMatrix.diagonal(values))
+            save_matrix(path, HermitianMatrix(np.diag(values)))
             return str(path)
 
         spread, flat = matrix("spread.json", [0.5, 1.0, 4.0]), matrix("flat.json", [1.5, 1.5, 1.5])

@@ -75,7 +75,7 @@ class TestApplyCombination:
 
     def test_unitality(self):
         t = sample_tuple(3, 4, 2)
-        out = apply_combination(t, [HermitianMatrix.identity(3)] * 4)
+        out = apply_combination(t, [HermitianMatrix(np.eye(3))] * 4)
         assert specnorm(out.array - np.eye(3)) < 1e-12
 
     def test_length_mismatch(self, rand_herm):
@@ -161,8 +161,11 @@ class TestStackedMaps:
         for dim in (2, 3, 4):
             for m in (1, 2, 3):
                 rngs = [np.random.default_rng((dim, m, j)) for j in range(8)]
-                fams = _sample_families(dim, m, rngs, prob)
-                fam, sizes = fams
+                fam, sizes = _sample_families(dim, m, rngs)
+                if prob != 0.5:  # every sample's maps transposed (1.0) or none (0.0)
+                    fam = UnitalMapFamily([KrausMap(phi.kraus, [bool(prob)] * 8)
+                                           for phi in fam.maps])
+                fams = fam, sizes
                 g = rngs[0].standard_normal((m, 8, dim, dim, 2))
                 xs = list(g[..., 0] + 1j * g[..., 1])
                 stacked = fam.apply_arr(xs)
@@ -181,9 +184,8 @@ class TestStackedMaps:
         # and unitality check; the families must be the ones they would build
         from cstarlab.combinations import _family_at
 
-        for dim, m, prob in ((1, 1, 0.5), (2, 3, 0.5), (4, 2, 1.0)):
-            fams = _sample_families(dim, m, [np.random.default_rng((dim, j)) for j in range(5)],
-                                    prob)
+        for dim, m in ((1, 1), (2, 3), (4, 2)):
+            fams = _sample_families(dim, m, [np.random.default_rng((dim, j)) for j in range(5)])
             for fam in (fams[0], *(_family_at(fams, j) for j in range(5))):
                 checked = UnitalMapFamily([KrausMap(phi.kraus, phi.transpose)
                                            for phi in fam.maps])
@@ -197,7 +199,7 @@ class TestStackedMaps:
                         assert a.tobytes() == b.tobytes()
 
     def test_map_on_a_stack_matches_each_operand(self):
-        phi = sample_map_family(3, 2, 11, transpose_prob=1.0).maps[0]
+        phi = KrausMap(sample_map_family(3, 2, 11).maps[0].kraus, transpose=True)
         g = np.random.default_rng(12).standard_normal((4, 3, 3, 2))
         xs = g[..., 0] + 1j * g[..., 1]
         out = phi.apply_arr(xs)

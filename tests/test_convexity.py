@@ -101,13 +101,13 @@ TOO_SMALL_MSG = "domain [1.0, 1.0] is too small to sample"
          "joint domain is too small to sample"),
         (lambda: sublevel_family_test([(T2, -1.0)], 2, 2, 10, seed=1), InputError,
          "sublevel bounds are infeasible over the sampled window"),
-        (lambda: interval_set_falsifier(HermitianMatrix.diagonal([-1.0, 2.0]), 10, seed=1),
+        (lambda: interval_set_falsifier(HermitianMatrix(np.diag([-1.0, 2.0])), 10, seed=1),
          NonPositiveError, "A must be positive semidefinite (min eig -1.000e+00)"),
-        (lambda: harmonic_sum_closure_test(HermitianMatrix.diagonal([0.0, 1.0]),
-                                           HermitianMatrix.identity(2), 10, seed=1),
+        (lambda: harmonic_sum_closure_test(HermitianMatrix(np.diag([0.0, 1.0])),
+                                           HermitianMatrix(np.eye(2)), 10, seed=1),
          NonPositiveError, "T1 must be strictly positive (min eig 0.000e+00)"),
-        (lambda: harmonic_sum_closure_test(HermitianMatrix.identity(2),
-                                           HermitianMatrix.identity(3), 10, seed=1),
+        (lambda: harmonic_sum_closure_test(HermitianMatrix(np.eye(2)),
+                                           HermitianMatrix(np.eye(3)), 10, seed=1),
          DimensionMismatchError, "dims 2 and 3 differ"),
     ],
 )
@@ -302,7 +302,7 @@ class TestIntervalSet:
         recheck_ok(ce)
 
     def test_identity_bound_is_cstar_convex(self):
-        v = interval_set_falsifier(HermitianMatrix.identity(2), 2000, seed=42)
+        v = interval_set_falsifier(HermitianMatrix(np.eye(2)), 2000, seed=42)
         assert v.status == "no-violation-found"
 
     def test_three_dim_violates(self):
@@ -337,11 +337,11 @@ def harmonic_sum_counterexample() -> Counterexample:
     so no suite finds one. T1 = diag(1, 3) and T2 = diag(0.5, 2) bound the
     set by [p(1, 0.5), p(3, 2)] = [1/3, 6/5], and the log-combination of
     Z = diag(2, 1/2) with itself, Z, exceeds 6/5 by 0.8."""
-    z = HermitianMatrix.diagonal([2.0, 0.5])
+    z = HermitianMatrix(np.diag([2.0, 0.5]))
     coeffs = [np.eye(2) / np.sqrt(2.0)] * 2
     return Counterexample(kind="harmonic-sum", dim=2, inputs={"xs": [z, z], "coeffs": coeffs,
                                                             "interval": (1.0 / 3.0, 1.2)},
-                          lhs=z, rhs=HermitianMatrix.diagonal([1.2, 1.2]), violation=-0.8)
+                          lhs=z, rhs=HermitianMatrix(np.diag([1.2, 1.2])), violation=-0.8)
 
 
 # each suite's (violated, clean) verdict; the harmonic-sum closure is a
@@ -361,15 +361,15 @@ NATIVE_VERDICTS = {
                  lambda: epigraph_closure_test(T2, 2, 2, 20, seed=1)),
     "log-epigraph": (lambda: log_epigraph_closure_test(T1, 2, 2, 200, seed=42),
                      lambda: log_epigraph_closure_test(TINV, 2, 2, 20, seed=1, noise_scale=0.0)),
-    "interval-set": (lambda: interval_set_falsifier(HermitianMatrix.diagonal([2.0, 1.0]), seed=1),
+    "interval-set": (lambda: interval_set_falsifier(HermitianMatrix(np.diag([2.0, 1.0])), seed=1),
                      lambda: interval_set_falsifier(HermitianMatrix(2.0 * np.eye(3)), 20, seed=1)),
     "sublevel": (lambda: sublevel_family_test([(parse_function("poly:1,0,-2,0,1"), 0.9)], 2, 2, 300,
                                               seed=23),
                  lambda: sublevel_family_test([(T2, 4.0), (TINV, 3.0)], 2, 2, 20, seed=1)),
     "harmonic-sum": (lambda: TestVerdict("violated", samples_run=1, worst_margin=-0.8,
                                          counterexample=harmonic_sum_counterexample()),
-                     lambda: harmonic_sum_closure_test(HermitianMatrix.diagonal([1.0, 3.0]),
-                                                       HermitianMatrix.diagonal([0.5, 2.0]), 20,
+                     lambda: harmonic_sum_closure_test(HermitianMatrix(np.diag([1.0, 3.0])),
+                                                       HermitianMatrix(np.diag([0.5, 2.0])), 20,
                                                        seed=1)),
 }
 
@@ -387,7 +387,7 @@ def test_verdict_payloads_hold_json_native_leaves(suite, violated):
 def payloads():
     """One valid payload of each shape the malformed-payload tests edit,
     read back from JSON."""
-    t13, outside = HermitianMatrix.diagonal([1.0, 3.0]), HermitianMatrix.diagonal([0.0, 2.0])
+    t13, outside = HermitianMatrix(np.diag([1.0, 3.0])), HermitianMatrix(np.diag([0.0, 2.0]))
     out = {
         "midpoint": midpoint_convexity_test(T4, 2, 1000, seed=42).counterexample,
         "jensen": jensen_test(T4, "tuple", 2, 2, 1000, seed=42).counterexample,
@@ -443,6 +443,20 @@ def test_operand_lists_of_unequal_length_are_rejected(payloads, base, key):
     payload["inputs"][key].append(payload["inputs"][key][0])
     with pytest.raises(InputError, match="operand lists of lengths"):
         recheck_payload(payload)
+
+
+@pytest.mark.parametrize("label, spectrum, message", [
+    ("t^0.5", [1.0, -0.5, -2.5], "payload eigenvalue -2.5 escapes the domain of t^0.5"),
+    ("t^-1", [3.0, 0.0, 1.0], "payload eigenvalue 0.0 escapes the domain of t^-1"),
+    ("t^-0.5", [2.0, -1e-300, -7.0], "payload eigenvalue -7.0 escapes the domain of t^-0.5"),
+])
+def test_recheck_names_the_least_eigenvalue_outside_the_domain(label, spectrum, message):
+    payload = {"kind": "midpoint", "dim": 3, "function": label, "mode": None, "violation": -1.0,
+               "inputs": {"xs": [encode_complex_matrix(np.diag(spectrum)),
+                                 encode_complex_matrix(np.eye(3))]}}
+    with pytest.raises(InputError) as err:
+        recheck_payload(payload)
+    assert str(err.value) == message
 
 
 class TestCertificates:
@@ -528,8 +542,8 @@ CHUNKING_CASES = {
     "sublevel clean": (
         lambda: sublevel_family_test([(T2, 4.0), (TINV, 3.0)], 2, 2, N, seed=1), "clean"),
     "harmonic-sum clean": (
-        lambda: harmonic_sum_closure_test(HermitianMatrix.diagonal([1.0, 3.0]),
-                                          HermitianMatrix.diagonal([0.5, 2.0]), N, seed=1),
+        lambda: harmonic_sum_closure_test(HermitianMatrix(np.diag([1.0, 3.0])),
+                                          HermitianMatrix(np.diag([0.5, 2.0])), N, seed=1),
         "clean"),
     # first violations on both sides of the chunk boundaries at 17 and 81
     "midpoint last of [1, 17)": (lambda: midpoint_convexity_test(T4, 2, N, seed=64), 17),
@@ -563,7 +577,7 @@ CHUNKING_CASES = {
     "log-midpoint rerun violates at 6 inside [1, 17)": (
         lambda: log_midpoint_test(CUT_STEEP, 2, N, seed=0), 7),
     "interval-set swap certificate": (
-        lambda: interval_set_falsifier(HermitianMatrix.diagonal([0.5, 1.0, 4.0]), N, seed=1), 0),
+        lambda: interval_set_falsifier(HermitianMatrix(np.diag([0.5, 1.0, 4.0])), N, seed=1), 0),
     # a positive-valued suite meets a non-positive value after clean samples,
     # at index 10 inside [1, 17) and at index 63 inside [17, 81)
     "log-midpoint non-positive at 10": (lambda: log_midpoint_test(CUT, 2, N, seed=0), (NonPositiveError, 10)),
@@ -817,16 +831,59 @@ SEEDED_SUITES = {
     "log-epigraph": lambda seed: log_epigraph_closure_test(TINV, 2, 2, 10, seed=seed),
     "interval-set": lambda seed: interval_set_falsifier(HermitianMatrix(2.0 * np.eye(2)), 10, seed=seed),
     "interval-set certificate": lambda seed: interval_set_falsifier(
-        HermitianMatrix.diagonal([0.5, 1.0, 4.0]), 10, seed=seed),
+        HermitianMatrix(np.diag([0.5, 1.0, 4.0])), 10, seed=seed),
     "sublevel": lambda seed: sublevel_family_test([(T2, 4.0)], 2, 2, 10, seed=seed),
     "harmonic-sum": lambda seed: harmonic_sum_closure_test(
-        HermitianMatrix.identity(2), HermitianMatrix.identity(2), 10, seed=seed),
+        HermitianMatrix(np.eye(2)), HermitianMatrix(np.eye(2)), 10, seed=seed),
 }
 BAD_SEEDS = {
     -1: "seed must be non-negative, got -1",
     2.5: "seed must be an integer, got 2.5",
     "7": "seed must be an integer, got '7'",
 }
+
+
+# each suite with a dim, an m or a noise_scale, called as (dim, m, noise_scale, seed)
+SIZED_SUITES = {
+    "midpoint": lambda d, m, z, seed: midpoint_convexity_test(T2, d, 10, seed=seed),
+    "log-midpoint": lambda d, m, z, seed: log_midpoint_test(T2, d, 10, seed=seed),
+    "jensen tuple": lambda d, m, z, seed: jensen_test(T2, "tuple", d, m, 10, seed=seed),
+    "jensen map-family": lambda d, m, z, seed: jensen_test(T2, "map-family", d, m, 10, seed=seed),
+    "log-harmonic": lambda d, m, z, seed: log_harmonic_jensen_test(T2, d, m, 10, seed=seed),
+    "epigraph": lambda d, m, z, seed: epigraph_closure_test(T2, d, m, 10, seed=seed,
+                                                            noise_scale=z),
+    "log-epigraph": lambda d, m, z, seed: log_epigraph_closure_test(TINV, d, m, 10, seed=seed,
+                                                                    noise_scale=z),
+    "sublevel": lambda d, m, z, seed: sublevel_family_test([(T2, 4.0)], d, m, 10, seed=seed),
+}
+NOISE_MSG = "noise_scale must be finite and non-negative, got {}"
+# (suites, dim, m, noise_scale, message); the dim and m check comes first
+BAD_SIZES = [
+    (("midpoint", "log-midpoint"), 0, 2, 0.1, "dim must be at least 1"),
+    (("midpoint", "log-midpoint"), -3, 0, 0.1, "dim must be at least 1"),
+    *[((s,), d, m, z, DIM_M_MSG) for s in SIZED_SUITES if not s.endswith("midpoint")
+      for d, m, z in ((0, 2, 0.1), (2, 0, 0.1), (0, 0, 0.1), (-1, 2, 0.1))],
+    *[((s,), d, m, z, message) for s in ("epigraph", "log-epigraph") for d, m, z, message in (
+        (2, 2, -1.0, NOISE_MSG.format(-1.0)), (2, 2, math.nan, NOISE_MSG.format(math.nan)),
+        (2, 2, math.inf, NOISE_MSG.format(math.inf)), (0, 2, math.nan, DIM_M_MSG),
+        (2, 0, -1.0, DIM_M_MSG))],
+]
+
+
+@pytest.mark.parametrize("seed", [1, -1, "7"])
+@pytest.mark.parametrize("suites, dim, m, noise, message", BAD_SIZES,
+                         ids=[f"{'+'.join(s)}-d{d}-m{m}-z{z}" for s, d, m, z, _ in BAD_SIZES])
+def test_bad_sizes_raise_before_any_draw_and_the_seed(suites, dim, m, noise, message, seed,
+                                                       monkeypatch):
+    def no_sampling(*args):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(convexity, "_sample_rngs", no_sampling)
+    for suite in suites:
+        with pytest.raises(InputError) as err:
+            SIZED_SUITES[suite](dim, m, noise, seed)
+        assert type(err.value) is InputError
+        assert str(err.value) == message
 
 
 @pytest.mark.parametrize("seed", BAD_SEEDS)

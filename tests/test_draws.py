@@ -36,7 +36,7 @@ def ref_rand_hermitian(dim, lo, hi, rngs):
     return (a + a.conj().mT) / 2.0
 
 
-def ref_sample_families(dim, m, rngs, transpose_prob):
+def ref_sample_families(dim, m, rngs):
     sizes = np.array([[int(rng.integers(1, _MAX_KRAUS + 1)) for _ in range(m)] for rng in rngs])
     totals = sizes.sum(axis=1)
     kraus = np.zeros((m, _MAX_KRAUS, len(rngs), dim, dim), dtype=np.complex128)
@@ -49,7 +49,7 @@ def ref_sample_families(dim, m, rngs, transpose_prob):
             for i, size in enumerate(sizes[j].tolist()):
                 kraus[i, :size, j] = blocks[pos, at : at + size]
                 at += size
-    flips = np.array([[rng.random() < transpose_prob for _ in range(m)] for rng in rngs])
+    flips = np.array([[rng.random() < 0.5 for _ in range(m)] for rng in rngs])
     return kraus, flips, sizes
 
 
@@ -151,10 +151,10 @@ def test_harmonic_operand_pairs_match(n):
 @pytest.mark.parametrize("n", CHUNKS)
 @pytest.mark.parametrize("dim, m", [(1, 1), (2, 2), (3, 3), (4, 2)])
 def test_map_families_match_the_former_sampler(dim, m, n):
-    for prob in (0.0, 0.5, 1.0):
-        rngs, ref_rngs = twin_rngs(n, 11 * dim + m)
-        family, sizes = _sample_families(dim, m, rngs, prob)
-        kraus, flips, ref_sizes = ref_sample_families(dim, m, ref_rngs, prob)
+    for seed in (11 * dim + m, 11 * dim + m + 100, 11 * dim + m + 200):
+        rngs, ref_rngs = twin_rngs(n, seed)
+        family, sizes = _sample_families(dim, m, rngs)
+        kraus, flips, ref_sizes = ref_sample_families(dim, m, ref_rngs)
         assert_same(sizes, ref_sizes)
         for i, phi in enumerate(family.maps):
             assert_same(phi.kraus, kraus[i])

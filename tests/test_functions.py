@@ -19,6 +19,16 @@ def test_catalog_labels():
         assert label in cat
 
 
+def test_catalog_specs_are_built_once_and_each_call_gets_a_new_dict():
+    first, second = catalog(), catalog()
+    assert first is not second
+    assert list(first) == ["t", "t^0.5", "t^1.5", "t^2", "t^3", "t^4", "t^-0.5", "t^-1"]
+    assert all(first[label] is second[label] for label in first)
+    first.clear()
+    assert parse_function(" t^2 ") is parse_function("t^2") is second["t^2"]
+    assert parse_function("t^2.5") is not parse_function("t^2.5")
+
+
 @pytest.mark.parametrize(
     "alpha,expected,source",
     [

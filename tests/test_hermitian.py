@@ -57,7 +57,7 @@ class TestConstruction:
         assert h.array.dtype == np.complex128
 
     def test_entries_read_only(self):
-        h = HermitianMatrix.identity(3)
+        h = HermitianMatrix(np.eye(3))
         with pytest.raises(ValueError):
             h.array[0, 0] = 5.0
 
@@ -100,7 +100,7 @@ class TestEig:
 
 class TestLoewner:
     def test_identity_pair(self):
-        r = loewner_leq(HermitianMatrix.identity(2), HermitianMatrix(2 * np.eye(2)))
+        r = loewner_leq(HermitianMatrix(np.eye(2)), HermitianMatrix(2 * np.eye(2)))
         assert r.holds and abs(r.margin - 1.0) < 1e-12
 
     def test_indefinite_difference(self):
@@ -123,7 +123,7 @@ class TestLoewner:
 
     def test_dim_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            loewner_leq(HermitianMatrix.identity(2), HermitianMatrix.identity(3))
+            loewner_leq(HermitianMatrix(np.eye(2)), HermitianMatrix(np.eye(3)))
 
 
 class TestApplyFunction:
@@ -173,7 +173,7 @@ class TestGeometricMean:
 
     def test_identity_left(self, rand_herm):
         b = rand_herm(3, 0.5, 2.0, 2)
-        g = geometric_mean(HermitianMatrix.identity(3), b)
+        g = geometric_mean(HermitianMatrix(np.eye(3)), b)
         root = apply_function(parse_function("t^0.5"), b)
         assert specnorm(g.array - root.array) < 1e-10
 
@@ -203,7 +203,7 @@ class TestGeometricMean:
 
     def test_rejects_nonpositive(self):
         with pytest.raises(NonPositiveError):
-            geometric_mean(HermitianMatrix(np.diag([1.0, 0.0])), HermitianMatrix.identity(2))
+            geometric_mean(HermitianMatrix(np.diag([1.0, 0.0])), HermitianMatrix(np.eye(2)))
 
 
 class TestSampling:

@@ -109,7 +109,7 @@ class TestHullMembership:
 
     def test_dim_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            hull_membership(HermitianMatrix.identity(2), HermitianMatrix.identity(3))
+            hull_membership(HermitianMatrix(np.eye(2)), HermitianMatrix(np.eye(3)))
 
     @pytest.mark.parametrize("tol", [DEFAULT_TOL, TOL_1E11], ids=("default", "tol-1e-11"))
     @pytest.mark.parametrize("xe", [
@@ -295,7 +295,7 @@ class TestSampleHullMember:
 
         with pytest.raises(InputError):
             sample_hull_member(
-                HermitianMatrix.identity(2), CoefficientTuple([np.eye(2), np.eye(2)])
+                HermitianMatrix(np.eye(2)), CoefficientTuple([np.eye(2), np.eye(2)])
             )
 
 
@@ -311,7 +311,7 @@ class TestLchMembership:
 
     def test_requires_positive(self):
         with pytest.raises(NonPositiveError):
-            lch_membership(HermitianMatrix(np.diag([1.0, 0.0])), HermitianMatrix.identity(2))
+            lch_membership(HermitianMatrix(np.diag([1.0, 0.0])), HermitianMatrix(np.eye(2)))
 
 
 class TestHarmonicSplit:
@@ -431,5 +431,5 @@ class TestHarmonicSumClosure:
     def test_requires_positive(self):
         with pytest.raises(NonPositiveError):
             harmonic_sum_closure_test(
-                HermitianMatrix(np.diag([1.0, -0.1])), HermitianMatrix.identity(2), 10, seed=0
+                HermitianMatrix(np.diag([1.0, -0.1])), HermitianMatrix(np.eye(2)), 10, seed=0
             )

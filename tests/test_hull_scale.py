@@ -78,8 +78,8 @@ def expected_status(t, x) -> str:
 
 
 # block eigenvalues of 5e-4 in the witness of a member at scale 1e12
-SMALL_BLOCKS = (HermitianMatrix.diagonal([1.0, 2.0, 3.0]),
-                HermitianMatrix.diagonal([1.001, 1.5, 2.999]), 2.0)
+SMALL_BLOCKS = (HermitianMatrix(np.diag([1.0, 2.0, 3.0])),
+                HermitianMatrix(np.diag([1.001, 1.5, 2.999])), 2.0)
 
 
 @PROPERTY

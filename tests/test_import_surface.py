@@ -143,6 +143,13 @@ def test_each_command_loads_only_its_modules(files, argv, code, absent):
     assert ("scipy" in loaded) == (argv[0] == "verify")
 
 
+def test_report_loads_no_engine_module(files):
+    argv = ["report", "--in", str(files / "r.json")]
+    loaded = loaded_by(f"import cstarlab.cli; assert cstarlab.cli.main({argv!r}) == 0")
+    assert {m for m in loaded if m.startswith("cstarlab")} == {
+        "cstarlab", "cstarlab.cli", "cstarlab.errors", "cstarlab.io", "cstarlab.hermitian"}
+
+
 # each way checks that a name resolves to the object its submodule defines
 RESOLVE = """
 import importlib, json, sys

@@ -118,7 +118,7 @@ OWN_FUNCTIONS = {f.label: f for f in (POINT, NEGATIVE, BUMP)}
 
 
 def _diag(*values) -> HermitianMatrix:
-    return HermitianMatrix.diagonal(values)
+    return HermitianMatrix(np.diag(values))
 
 
 def _rotated(values, seed: int) -> HermitianMatrix:
