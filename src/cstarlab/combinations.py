@@ -225,7 +225,7 @@ _TRANSPOSE_PROB = 0.5  # chance that a sampled map is transposed
 
 def sample_map_family(dim: int, m: int, rng_seed) -> UnitalMapFamily:
     """Random unital family of positive maps: Kraus blocks cut from one tall
-    isometry, each map transposed with probability `_TRANSPOSE_PROB`."""
+    isometry, each map transposed with probability 1/2."""
     if dim < 1 or m < 1:
         raise InputError("dim and m must be at least 1")
     rng = _seeded_rng(rng_seed)

@@ -497,7 +497,7 @@ def _openblas_core() -> str:
                        "openblas_get_corename"):
             get = getattr(lib, symbol, None)
             if get is not None:
-                get.restype = ctypes.c_char_p
+                get.argtypes, get.restype = [], ctypes.c_char_p
                 return get().decode()
     return "unreadable"
 
