@@ -25,9 +25,8 @@ from .errors import (
     NonPositiveError,
 )
 from .hermitian import (
-    DEFAULT_TOL,
+    CONSTRUCTION_TOL,
     HermitianMatrix,
-    ToleranceConfig,
     _Draws,
     _eigh,
     _from_eig,
@@ -140,7 +139,7 @@ class UnitalMapFamily:
 
     maps: tuple
 
-    def __init__(self, maps: Sequence[KrausMap], tol: ToleranceConfig = DEFAULT_TOL):
+    def __init__(self, maps: Sequence[KrausMap]):
         ms = tuple(maps)
         if not ms:
             raise InputError("a map family needs at least one map")
@@ -148,10 +147,10 @@ class UnitalMapFamily:
         if any(m.dim != d for m in ms):
             raise DimensionMismatchError("maps in a family must share one dim")
         # each unit image sum_i Phi_i(I) of the stack must be I within
-        # construction_tol (spectral norm)
+        # CONSTRUCTION_TOL (spectral norm)
         units = sum(m.unit_image() for m in ms)
         defects = np.linalg.norm(units - np.eye(d), 2, axis=(-2, -1))
-        bad = defects > tol.construction_tol
+        bad = defects > CONSTRUCTION_TOL
         if np.any(bad):
             raise InputError(f"family is not unital: defect {defects[bad][0]:.3e}")
         object.__setattr__(self, "maps", ms)
@@ -185,11 +184,11 @@ class TupleValidation:
         return self.ok
 
 
-def validate_tuple(t: CoefficientTuple, tol: ToleranceConfig = DEFAULT_TOL) -> TupleValidation:
-    """Spectral-norm defect of sum C_i* C_i - I, compared to construction_tol."""
+def validate_tuple(t: CoefficientTuple) -> TupleValidation:
+    """Spectral-norm defect of sum C_i* C_i - I, compared to CONSTRUCTION_TOL."""
     s = sum(c.conj().T @ c for c in t.coeffs)
     defect = float(np.linalg.norm(s - np.eye(t.dim), 2))
-    return TupleValidation(ok=defect <= tol.construction_tol, defect=defect)
+    return TupleValidation(ok=defect <= CONSTRUCTION_TOL, defect=defect)
 
 
 def _tuple_blocks(g: np.ndarray, m: int) -> list[np.ndarray]:

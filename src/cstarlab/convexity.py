@@ -51,6 +51,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import (
     DimensionMismatchError,
@@ -267,25 +268,15 @@ def _seed_words(seed: int, salt: int, idxs: range) -> np.ndarray:
     return state.T.astype("<u4", order="C").view("<u8").astype(np.uint64, copy=False)
 
 
-@functools.cache
-def _words_class():
-    """`_Words`, built on first use. Its base class lives in numpy.random,
-    about 10 ms to import, so importing this module leaves numpy.random to
-    the first suite that draws, like the package root and the CLI parser,
-    which import no numpy at all."""
-    from numpy.random.bit_generator import ISeedSequence
+class _Words(ISeedSequence):
+    """The seed sequence of one sample: hands PCG64 its row of
+    `_seed_words`, the buffer PCG64 reads as its four seed words."""
 
-    class _Words(ISeedSequence):
-        """The seed sequence of one sample: hands PCG64 its row of
-        `_seed_words`, the buffer PCG64 reads as its four seed words."""
+    def __init__(self, row: np.ndarray):
+        self.row = row
 
-        def __init__(self, row: np.ndarray):
-            self.row = row
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            return self.row
-
-    return _Words
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.row
 
 
 def _sample_rngs(seed: int, salt: int, idxs: range) -> list[np.random.Generator]:
@@ -294,8 +285,8 @@ def _sample_rngs(seed: int, salt: int, idxs: range) -> list[np.random.Generator]
     numpy's own for a lone index (it is faster there), else `_seed_words`."""
     if len(idxs) == 1:
         return [np.random.default_rng(np.random.SeedSequence((seed, salt, idxs.start)))]
-    seq, generator, pcg64 = _words_class(), np.random.Generator, np.random.PCG64
-    return [generator(pcg64(seq(row))) for row in _seed_words(seed, salt, idxs)]
+    generator, pcg64 = np.random.Generator, np.random.PCG64
+    return [generator(pcg64(_Words(row))) for row in _seed_words(seed, salt, idxs)]
 
 
 def _round_windows(domain: SpectrumInterval, samples: int, positive: bool = False):

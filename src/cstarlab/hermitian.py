@@ -43,6 +43,7 @@ __all__ = [
 
 HERMITIAN_ATOL = 1e-12  # entrywise |M - M*| allowed, times max(1, max |M_jk|)
 SCALE_FLOOR = 1e-14  # spectral scales below this count as this in every band
+CONSTRUCTION_TOL = 1e-12  # bound on dimensionless defects such as ||sum C_i* C_i - I||
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -84,17 +85,15 @@ def _sqrt_psd(a: np.ndarray) -> np.ndarray:
 class ToleranceConfig:
     """Tolerances relative to spectral scale: each band is tol * max(scale,
     SCALE_FLOOR), so scaling all operands by c keeps every verdict while
-    c * scale >= SCALE_FLOOR. `construction_tol` bounds dimensionless defects."""
+    c * scale >= SCALE_FLOOR. Dimensionless defects are bounded by the
+    fixed `CONSTRUCTION_TOL` instead."""
 
-    construction_tol: float = 1e-12
     psd_tol: float = 1e-8
     solver_tol: float = 1e-9
 
     def __post_init__(self):
-        if not all(0 < t < math.inf for t in (self.construction_tol, self.psd_tol, self.solver_tol)):
+        if not all(0 < t < math.inf for t in (self.psd_tol, self.solver_tol)):
             raise InputError("tolerances must be finite and strictly positive")
-        if self.construction_tol > self.psd_tol:
-            raise InputError("construction_tol must not exceed psd_tol")
 
     def psd(self, scale: float) -> float:
         return self.psd_tol * max(scale, SCALE_FLOOR)
@@ -218,20 +217,18 @@ def eig_hermitian(H: HermitianMatrix) -> SpectralDecomposition:
     return SpectralDecomposition(eigenvalues=w, unitary=u)
 
 
-def loewner_leq(
-    A: HermitianMatrix, B: HermitianMatrix, tol: ToleranceConfig = DEFAULT_TOL
-) -> LoewnerResult:
+def loewner_leq(A: HermitianMatrix, B: HermitianMatrix) -> LoewnerResult:
     """Decide A <= B in the Loewner order.
 
-    Holds iff the smallest eigenvalue of B - A is >= -psd_tol * scale, where
-    scale is the largest absolute eigenvalue among the operands. The margin
+    Holds iff the smallest eigenvalue of B - A is >= -DEFAULT_TOL.psd(scale),
+    where scale is the largest absolute eigenvalue among the operands. The margin
     is that smallest eigenvalue, so callers get a signed certificate.
     """
     if A.dim != B.dim:
         raise DimensionMismatchError(f"dims {A.dim} and {B.dim} differ")
     margin = float(np.linalg.eigvalsh(B.array - A.array)[0])
     scale = float(max(_max_abs_eig(A.array), _max_abs_eig(B.array)))
-    return LoewnerResult(holds=margin >= -tol.psd(scale), margin=margin)
+    return LoewnerResult(holds=margin >= -DEFAULT_TOL.psd(scale), margin=margin)
 
 
 def _apply_arr(f, a: np.ndarray, positive: bool = False) -> np.ndarray:
@@ -288,9 +285,7 @@ def _geometric_mean_arr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _sym(rs @ mid @ rs)
 
 
-def geometric_mean(
-    A: HermitianMatrix, B: HermitianMatrix, tol: ToleranceConfig = DEFAULT_TOL
-) -> HermitianMatrix:
+def geometric_mean(A: HermitianMatrix, B: HermitianMatrix) -> HermitianMatrix:
     """Matrix geometric mean A^(1/2) (A^(-1/2) B A^(-1/2))^(1/2) A^(1/2).
 
     Both operands must be strictly positive. The result is symmetric in its
@@ -298,7 +293,7 @@ def geometric_mean(
     """
     if A.dim != B.dim:
         raise DimensionMismatchError(f"dims {A.dim} and {B.dim} differ")
-    _require_pd(tol, A=A, B=B)
+    _require_pd(DEFAULT_TOL, A=A, B=B)
     return HermitianMatrix._wrap(_geometric_mean_arr(A.array, B.array))
 
 

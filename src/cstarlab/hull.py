@@ -141,9 +141,7 @@ def _scale_of(lam: np.ndarray, w: np.ndarray) -> float:
     return max(float(np.max(np.abs(lam))), float(np.max(np.abs(w))))
 
 
-def spectral_interval_oracle(
-    T: HermitianMatrix, X: HermitianMatrix, tol: ToleranceConfig = DEFAULT_TOL
-) -> OracleResult:
+def spectral_interval_oracle(T: HermitianMatrix, X: HermitianMatrix) -> OracleResult:
     """Interval test: X belongs to the hull of T iff every eigenvalue of X
     lies in [lam_min(T), lam_max(T)].
 
@@ -157,7 +155,7 @@ def spectral_interval_oracle(
     lam = np.linalg.eigvalsh(T.array)
     w = np.linalg.eigvalsh(X.array)
     margin = float(min(np.min(w) - lam[0], lam[-1] - np.max(w)))
-    return OracleResult(inside=margin >= -tol.psd(_scale_of(lam, w)), margin=margin)
+    return OracleResult(inside=margin >= -DEFAULT_TOL.psd(_scale_of(lam, w)), margin=margin)
 
 
 def _certificate(x: np.ndarray, lam_lo: float, lam_hi: float) -> HullCertificate:
@@ -241,16 +239,14 @@ def hull_membership(
     return FeasibilityResult(status="boundary", residual=residual, t=T, x=X, check=check)
 
 
-def two_point_witness(
-    T: HermitianMatrix, X: HermitianMatrix, tol: ToleranceConfig = DEFAULT_TOL
-) -> HullWitness:
+def two_point_witness(T: HermitianMatrix, X: HermitianMatrix) -> HullWitness:
     """Closed-form witness using only the extreme eigenvalues of T:
     E_min = (lam_max I - X)/(lam_max - lam_min) and
     E_max = (X - lam_min I)/(lam_max - lam_min), all other blocks zero.
 
     Raises InputError when X escapes the hull beyond the psd band. The
     witness is returned unvalidated; check it with `HullWitness.validate`."""
-    _, _, flat, escape, witness = _closed_form(T, X, tol)
+    _, _, flat, escape, witness = _closed_form(T, X, DEFAULT_TOL)
     if witness is None:
         if flat is not None:
             raise InputError("degenerate T: only lam I itself lies in the hull")

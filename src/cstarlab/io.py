@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import InputError
-from .hermitian import SCALE_FLOOR, HermitianMatrix, ToleranceConfig
+from .hermitian import CONSTRUCTION_TOL, SCALE_FLOOR, HermitianMatrix, ToleranceConfig
 
 if TYPE_CHECKING:  # convexity imports this module; `report` loads no engine module
     from .convexity import Counterexample, TestVerdict
@@ -327,7 +327,7 @@ def build_report(command: Sequence[str], seed, tol: ToleranceConfig, results: li
         "command": list(command),
         "seed": seed,
         "tolerances": {
-            "construction_tol": tol.construction_tol,
+            "construction_tol": CONSTRUCTION_TOL,
             "psd_tol": tol.psd_tol,
             "solver_tol": tol.solver_tol,
             "abs_floor": SCALE_FLOOR,

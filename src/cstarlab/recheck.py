@@ -12,9 +12,9 @@ payload's dim) raises `InputError`; only the input layout is shared, and
 every formula here is recheck's own.
 
 This is the only module that uses scipy, and `cstarlab verify` the only
-command that reaches it, so `scipy.linalg` is imported on the first
-eigensolver call rather than with the package. There is no numpy fallback:
-the recheck is only independent of the engines on scipy's path.
+command that imports it, so scipy loads with this module and no other
+command pays for it. There is no numpy fallback: the recheck is only
+independent of the engines on scipy's path.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import InputError, NumericalError
 from .functions import parse_function
@@ -39,18 +40,11 @@ class RecheckResult:
     detail: str = ""
 
 
-def _linalg():
-    """scipy.linalg, imported on first use (see the module docstring)."""
-    import scipy.linalg
-
-    return scipy.linalg
-
-
 def _eigh(a, eigvals_only=False):
     """scipy's eigh of the Hermitian part of a; a convergence failure, which
     scipy raises as a ValueError, is a NumericalError and not bad input."""
     try:
-        return _linalg().eigh((a + a.conj().T) / 2.0, eigvals_only=eigvals_only)
+        return scipy.linalg.eigh((a + a.conj().T) / 2.0, eigvals_only=eigvals_only)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"scipy eigensolver failed: {exc}") from exc
 

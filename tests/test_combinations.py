@@ -19,7 +19,7 @@ from cstarlab import (
     validate_tuple,
 )
 from cstarlab.combinations import _combine_arr, _sample_families, _sample_tuple_arrs
-from cstarlab.hermitian import _rand_hermitians, _sym
+from cstarlab.hermitian import CONSTRUCTION_TOL, _rand_hermitians, _sym
 
 from conftest import specnorm
 
@@ -150,6 +150,21 @@ class TestUnitalMapFamily:
     def test_non_unital_rejected(self):
         with pytest.raises(InputError):
             UnitalMapFamily([KrausMap([np.eye(2)]), KrausMap([np.eye(2)])])
+
+
+@pytest.mark.parametrize("factor", [0.5, 2.0])
+def test_unit_defect_is_bounded_by_the_construction_tolerance(factor):
+    # C* C = (1 + eps) I: a unit-image defect of eps for the tuple (C) and
+    # for the family of the one map X -> C* X C
+    c = np.sqrt(1.0 + factor * CONSTRUCTION_TOL) * np.eye(2)
+    check = validate_tuple(CoefficientTuple([c]))
+    assert check.defect == pytest.approx(factor * CONSTRUCTION_TOL, rel=1e-3)
+    assert check.ok == (factor < 1.0)
+    if factor < 1.0:
+        UnitalMapFamily([KrausMap([c])])
+    else:
+        with pytest.raises(InputError, match="not unital"):
+            UnitalMapFamily([KrausMap([c])])
 
 
 class TestStackedMaps:

@@ -264,8 +264,6 @@ class TestTolerances:
         for bad in (np.nan, np.inf):
             with pytest.raises(InputError, match="finite"):
                 ToleranceConfig(psd_tol=bad)
-        with pytest.raises(InputError):
-            ToleranceConfig(construction_tol=1e-6, psd_tol=1e-8)
 
 
 class TestSpectrumInterval:
