@@ -392,8 +392,17 @@ def _echo(args) -> list:
     return out
 
 
+class _Parser(argparse.ArgumentParser):
+    """Takes options by full name only. With abbreviations, `--ou X` would
+    escape `_echo` and put the output path in the report body; subparsers
+    are built with the class of their parent."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cstarlab",
         description="Operator-convexity laboratory: Jensen-type inequality "
         "falsifiers, C*-convexity suites, and constructive C*-convex hull "

@@ -97,6 +97,7 @@ def power_function(alpha: float) -> ScalarFunctionSpec:
     Nonnegative integer powers live on the whole real line, fractional
     positive powers on [0, inf), negative powers on (0, inf).
     """
+    _require_finite("exponent", alpha)
     if alpha < 0:
         domain = POSITIVE
     elif float(alpha).is_integer():
@@ -114,11 +115,18 @@ def power_function(alpha: float) -> ScalarFunctionSpec:
     )
 
 
+def _require_finite(name: str, value: float) -> None:
+    """`InputError` unless the parameter `value` is finite."""
+    if not math.isfinite(value):
+        raise InputError(f"{name} must be finite, got {value!r}")
+
+
 def _fmt_exp(alpha: float) -> str:
     return str(int(alpha)) if float(alpha).is_integer() else repr(float(alpha))
 
 
 def constant_function(c: float) -> ScalarFunctionSpec:
+    _require_finite("constant", c)
     if c <= 0:
         # keep log suites meaningful; nonpositive constants are rejected
         raise InputError("constant functions must be positive")
@@ -141,6 +149,8 @@ def polynomial_function(coeffs) -> ScalarFunctionSpec:
     cs = [float(c) for c in coeffs]
     if not cs:
         raise InputError("polynomial needs at least one coefficient")
+    for c in cs:
+        _require_finite("coefficient", c)
     while len(cs) > 1 and cs[-1] == 0.0:
         cs.pop()
     deg = len(cs) - 1

@@ -132,6 +132,13 @@ class TestClassify:
     def test_unknown_label(self):
         assert main(["classify", "--function", "zeta", "--dims", "2", "--seed", "1"]) == 2
 
+    @pytest.mark.parametrize("label", ["t^nan", "t^inf", "const:nan", "const:inf",
+                                       "poly:1,nan", "poly:inf"])
+    def test_non_finite_parameter_is_an_input_error(self, label, capsys):
+        assert main(["classify", "--function", label, "--dims", "2", "--samples", "5",
+                     "--seed", "1"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_seed_required(self, capsys):
         assert main(["classify", "--function", "t^2", "--dims", "2"]) == 2
 
@@ -539,6 +546,28 @@ class TestDeterminism:
         main(["hull", "member", "--t", diag13, "--x", two_eye, "--out", str(p1)])
         main(["hull", "member", "--t", diag13, "--x", two_eye, "--out", str(p2)])
         assert report_body_bytes(load_report(p1)) == report_body_bytes(load_report(p2))
+
+    def test_options_are_taken_by_full_name_only(self, tmp_path, diag13, two_eye, capsys):
+        # an abbreviated --out would escape the echo's filter and put the
+        # output path in the body, so no option may be abbreviated
+        run = ["jensen", "--function", "t^4", "--dims", "2", "--samples", "30", "--seed", "7"]
+        out = str(tmp_path / "abbrev.json")
+        for argv in (
+            [*run, "--ou", out],
+            [*run, "--o=" + out],
+            [*run, "--ou=" + out],
+            ["jensen", "--func", "t^4", "--dims", "2", "--seed", "7"],
+            ["hull", "member", "--t", diag13, "--x", two_eye, "--to", "1e-6", "--out", out],
+            ["--he"],
+        ):
+            assert main(argv) == 2, argv
+            assert "error:" in capsys.readouterr().err
+        assert not os.path.exists(out)
+        bodies = []
+        for spelled in (["--out", str(tmp_path / "r1.json")], ["--out=" + str(tmp_path / "r2.json")]):
+            assert main([*run, *spelled]) == 1
+            bodies.append(load_report(tmp_path / f"r{len(bodies) + 1}.json")["body"])
+        assert bodies[0] == bodies[1] and bodies[0]["command"] == run
 
     def test_reused_parser_matches_fresh(self, tmp_path, capsys):
         # one parser serves every call in a process; failed parses, help and

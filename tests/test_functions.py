@@ -82,3 +82,10 @@ def test_parse_errors():
     for bad in ("sin", "t^", "poly:", "const:abc", "const:-1"):
         with pytest.raises(InputError):
             parse_function(bad)
+
+
+@pytest.mark.parametrize("label", ["t^nan", "t^inf", "t^-inf", "const:nan", "const:inf",
+                                   "poly:1,nan", "poly:inf", "poly:1,-inf,0"])
+def test_non_finite_parameters_are_rejected(label):
+    with pytest.raises(InputError, match="must be finite"):
+        parse_function(label)
