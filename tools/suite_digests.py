@@ -351,6 +351,12 @@ def cli_grid():
         yield f"verify {report}", ["verify", "--report", report], "stdout"
     yield "classify t^2 seed 2^64-1", ["classify", "--function", "t^2", "--dims", "2", "--samples",
                                       str(SAMPLES), "--seed", str(2**64 - 1)], "report"
+    # the report echoes construction_tol as the fixed 1e-12 below it
+    yield "hull member tol 1e-14", [
+        "hull", "member", "--t", "t.json", "--x", "x-in.json", "--tol", "1e-14"], "report"
+    # an abbreviated --out would put the output path in the body
+    yield "jensen abbreviated --ou parse failure", [
+        "jensen", "--function", "t^4", "--dims", "2", *run, "--ou", "jensen-ou.json"], "stderr"
 
 
 def non_native(obj) -> int:
