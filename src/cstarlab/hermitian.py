@@ -221,8 +221,8 @@ def loewner_leq(A: HermitianMatrix, B: HermitianMatrix) -> LoewnerResult:
     """Decide A <= B in the Loewner order.
 
     Holds iff the smallest eigenvalue of B - A is >= -DEFAULT_TOL.psd(scale),
-    where scale is the largest absolute eigenvalue among the operands. The margin
-    is that smallest eigenvalue, so callers get a signed certificate.
+    where scale is the largest absolute eigenvalue among the operands. The
+    margin is that smallest eigenvalue, so callers get a signed certificate.
     """
     if A.dim != B.dim:
         raise DimensionMismatchError(f"dims {A.dim} and {B.dim} differ")

@@ -563,11 +563,11 @@ class TestDeterminism:
             assert main(argv) == 2, argv
             assert "error:" in capsys.readouterr().err
         assert not os.path.exists(out)
-        bodies = []
-        for spelled in (["--out", str(tmp_path / "r1.json")], ["--out=" + str(tmp_path / "r2.json")]):
-            assert main([*run, *spelled]) == 1
-            bodies.append(load_report(tmp_path / f"r{len(bodies) + 1}.json")["body"])
-        assert bodies[0] == bodies[1] and bodies[0]["command"] == run
+        p1, p2 = tmp_path / "r1.json", tmp_path / "r2.json"
+        assert main([*run, "--out", str(p1)]) == 1
+        assert main([*run, f"--out={p2}"]) == 1
+        b1, b2 = load_report(p1)["body"], load_report(p2)["body"]
+        assert b1 == b2 and b1["command"] == run
 
     def test_reused_parser_matches_fresh(self, tmp_path, capsys):
         # one parser serves every call in a process; failed parses, help and
