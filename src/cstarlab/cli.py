@@ -64,7 +64,7 @@ def _tolconfig(args):
     t = getattr(args, "tol", None)
     if t is None:
         return DEFAULT_TOL
-    return ToleranceConfig(psd_tol=t, solver_tol=min(DEFAULT_TOL.solver_tol, t))
+    return ToleranceConfig(psd_tol=t)
 
 
 def _emit(args, body: dict, summary: str) -> None:

@@ -69,7 +69,6 @@ from .combinations import (
 from .functions import ScalarFunctionSpec
 from .hermitian import (
     DEFAULT_TOL,
-    SCALE_FLOOR,
     HermitianMatrix,
     SpectrumInterval,
     ToleranceConfig,
@@ -316,11 +315,6 @@ def _window(domain: SpectrumInterval, spread: float, positive: bool = False):
     return lo_f + pad, hi_f - pad
 
 
-def _bands(tol: ToleranceConfig, scales: np.ndarray) -> np.ndarray:
-    """`tol.psd(scale)` for each scale of an array."""
-    return tol.psd_tol * np.maximum(scales, SCALE_FLOOR)
-
-
 class _Tracker:
     """Margin bookkeeping shared by all suites."""
 
@@ -338,7 +332,7 @@ class _Tracker:
         above it. A non-finite margin or scale fails every comparison or
         makes the band infinite, so it raises rather than pass as a clean
         sample, unless a violation comes first."""
-        bands = _bands(self.tol, scales)
+        bands = self.tol.psd(scales)
         finite = np.isfinite(margins) & np.isfinite(scales)
         violated = (margins < -bands) & finite
         stops = np.flatnonzero(violated | ~finite)
@@ -515,8 +509,8 @@ def _order_suite(f, tol, seed, salt, samples, evaluate, positive=False, interval
         scales = np.maximum(np.linalg.norm(lhs, axis=(-2, -1)), np.linalg.norm(rhs, axis=(-2, -1)))
         size = np.abs(margins)
         exact = ~(np.isfinite(margins) & np.isfinite(scales))
-        exact |= ((size >= _bands(tol, scales / math.sqrt(lhs.shape[-1])) * (1.0 - 1e-9))
-                  & (size <= _bands(tol, scales) * (1.0 + 1e-9)))
+        exact |= ((size >= tol.psd(scales / math.sqrt(lhs.shape[-1])) * (1.0 - 1e-9))
+                  & (size <= tol.psd(scales) * (1.0 + 1e-9)))
         if exact.any():
             # one LAPACK call for both stacks; it works matrix by matrix, so
             # each eigenvalue is the one a call on its own stack would give
@@ -844,7 +838,6 @@ def harmonic_sum_closure_test(
     samples: int = 300,
     *,
     seed: int,
-    tol: ToleranceConfig = DEFAULT_TOL,
 ) -> TestVerdict:
     """Closure of {(X^{-1} + Y^{-1})^{-1}: X in LCH(T1), Y in LCH(T2)} under
     log-combinations.
@@ -857,7 +850,7 @@ def harmonic_sum_closure_test(
     """
     if T1.dim != T2.dim:
         raise DimensionMismatchError(f"dims {T1.dim} and {T2.dim} differ")
-    _require_pd(tol, T1=T1, T2=T2)
+    _require_pd(DEFAULT_TOL, T1=T1, T2=T2)
     dim = T1.dim
     l1 = np.linalg.eigvalsh(T1.array)
     l2 = np.linalg.eigvalsh(T2.array)
@@ -879,7 +872,7 @@ def harmonic_sum_closure_test(
             [combined - h_lo * eye, h_hi * eye - combined, combined])).reshape(3, len(rngs), -1)
         margins = _min(eig_lo[:, 0], eig_hi[:, 0])
         scales = np.maximum(max(abs(h_lo), abs(h_hi)), np.max(np.abs(eig), axis=-1))
-        bands = _bands(tol, scales)
+        bands = DEFAULT_TOL.psd(scales)
         inside = margins >= -bands
         if inside.any():
             # constructive expressibility: split the spectrum of each combined element inside
@@ -898,7 +891,7 @@ def harmonic_sum_closure_test(
     def draw(rngs, idxs):
         return _by_key([int(rng.integers(1, 4)) for rng in rngs], rngs, evaluate)
 
-    return _run_suite(tol, seed, _SALT_HARMONIC, samples, draw, kind="harmonic-sum")
+    return _run_suite(DEFAULT_TOL, seed, _SALT_HARMONIC, samples, draw, kind="harmonic-sum")
 
 
 def _sublevel_draws(rngs, dim: int, m: int, windows, feasible):
@@ -939,7 +932,6 @@ def sublevel_family_test(
     samples: int = 300,
     *,
     seed: int,
-    tol: ToleranceConfig = DEFAULT_TOL,
 ) -> TestVerdict:
     """Closure of the joint sublevel set {X: f_a(X) <= M_a for all a} under
     C*-combinations; all f_a are expected operator convex.
@@ -981,4 +973,4 @@ def sublevel_family_test(
         labels = [family[i][0].label for i in worst]
         return margins[worst, each], scale, _stacked(inputs, fx_bad, rhs, labels)
 
-    return _run_suite(tol, seed, _SALT_SUBLEVEL, samples, draw, kind="sublevel")
+    return _run_suite(DEFAULT_TOL, seed, _SALT_SUBLEVEL, samples, draw, kind="sublevel")

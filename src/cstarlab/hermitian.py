@@ -44,6 +44,7 @@ __all__ = [
 HERMITIAN_ATOL = 1e-12  # entrywise |M - M*| allowed, times max(1, max |M_jk|)
 SCALE_FLOOR = 1e-14  # spectral scales below this count as this in every band
 CONSTRUCTION_TOL = 1e-12  # bound on dimensionless defects such as ||sum C_i* C_i - I||
+SOLVER_TOL = 1e-9  # largest relative solver band, used while psd_tol is above it
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -85,18 +86,24 @@ def _sqrt_psd(a: np.ndarray) -> np.ndarray:
 class ToleranceConfig:
     """Tolerances relative to spectral scale: each band is tol * max(scale,
     SCALE_FLOOR), so scaling all operands by c keeps every verdict while
-    c * scale >= SCALE_FLOOR. Dimensionless defects are bounded by the
-    fixed `CONSTRUCTION_TOL` instead."""
+    c * scale >= SCALE_FLOOR. `psd_tol`, the one value `--tol` sets, gives
+    the psd band; the solver band's `solver_tol` is derived from it.
+    Dimensionless defects are bounded by the fixed `CONSTRUCTION_TOL`."""
 
     psd_tol: float = 1e-8
-    solver_tol: float = 1e-9
 
     def __post_init__(self):
-        if not all(0 < t < math.inf for t in (self.psd_tol, self.solver_tol)):
+        if not 0 < self.psd_tol < math.inf:
             raise InputError("tolerances must be finite and strictly positive")
 
-    def psd(self, scale: float) -> float:
-        return self.psd_tol * max(scale, SCALE_FLOOR)
+    @property
+    def solver_tol(self) -> float:
+        """min(SOLVER_TOL, psd_tol): a smaller psd_tol narrows it too."""
+        return min(SOLVER_TOL, self.psd_tol)
+
+    def psd(self, scale):
+        """The psd band at a scale, or at each scale of an array."""
+        return self.psd_tol * np.maximum(scale, SCALE_FLOOR)
 
     def solver(self, scale: float) -> float:
         return self.solver_tol * max(scale, SCALE_FLOOR)
@@ -228,7 +235,7 @@ def loewner_leq(A: HermitianMatrix, B: HermitianMatrix) -> LoewnerResult:
         raise DimensionMismatchError(f"dims {A.dim} and {B.dim} differ")
     margin = float(np.linalg.eigvalsh(B.array - A.array)[0])
     scale = float(max(_max_abs_eig(A.array), _max_abs_eig(B.array)))
-    return LoewnerResult(holds=margin >= -DEFAULT_TOL.psd(scale), margin=margin)
+    return LoewnerResult(holds=bool(margin >= -DEFAULT_TOL.psd(scale)), margin=margin)
 
 
 def _apply_arr(f, a: np.ndarray, positive: bool = False) -> np.ndarray:

@@ -83,7 +83,7 @@ class HullWitness:
         moment = (self.eigenvalues[:, None, None] * E).sum(axis=0)
         moment_defect = float(np.linalg.norm(moment - X.array, 2))
         band = DEFAULT_TOL.psd(_scale_of(self.eigenvalues, np.linalg.eigvalsh(X.array)))
-        valid = min_eig >= -1e-10 and sum_defect <= 1e-8 and moment_defect <= band
+        valid = bool(min_eig >= -1e-10 and sum_defect <= 1e-8 and moment_defect <= band)
         return WitnessCheck(valid, min_eig, sum_defect, moment_defect)
 
 
@@ -155,7 +155,7 @@ def spectral_interval_oracle(T: HermitianMatrix, X: HermitianMatrix) -> OracleRe
     lam = np.linalg.eigvalsh(T.array)
     w = np.linalg.eigvalsh(X.array)
     margin = float(min(np.min(w) - lam[0], lam[-1] - np.max(w)))
-    return OracleResult(inside=margin >= -DEFAULT_TOL.psd(_scale_of(lam, w)), margin=margin)
+    return OracleResult(inside=bool(margin >= -DEFAULT_TOL.psd(_scale_of(lam, w))), margin=margin)
 
 
 def _certificate(x: np.ndarray, lam_lo: float, lam_hi: float) -> HullCertificate:

@@ -16,10 +16,13 @@ from cstarlab import (
     apply_function,
     eig_hermitian,
     geometric_mean,
+    hull_membership,
     loewner_leq,
     parse_function,
     sample_hermitian,
+    spectral_interval_oracle,
 )
+from cstarlab.hermitian import SCALE_FLOOR
 
 from conftest import specnorm
 
@@ -264,6 +267,30 @@ class TestTolerances:
         for bad in (np.nan, np.inf):
             with pytest.raises(InputError, match="finite"):
                 ToleranceConfig(psd_tol=bad)
+
+    @pytest.mark.parametrize("t", [1e-14, 1e-11, 1e-9, 1e-8, 1e-6])
+    def test_solver_tol_is_derived_from_psd_tol(self, t):
+        assert ToleranceConfig(t).solver_tol == min(1e-9, t)
+
+    def test_solver_tol_is_not_a_field(self):
+        with pytest.raises(TypeError):
+            ToleranceConfig(solver_tol=1e-9)
+
+    def test_psd_on_an_array_matches_each_scale(self):
+        scales = [0.0, SCALE_FLOOR, 1.0, 1e12, np.nan]
+        for tol in (DEFAULT_TOL, ToleranceConfig(1e-11)):
+            each = np.array([tol.psd(s) for s in scales])
+            rule = np.array([tol.psd_tol * max(s, SCALE_FLOOR) for s in scales])
+            stacked = tol.psd(np.array(scales))
+            assert stacked.view(np.uint64).tolist() == each.view(np.uint64).tolist()
+            assert each.view(np.uint64).tolist() == rule.view(np.uint64).tolist()
+
+    def test_band_decisions_are_python_bools(self):
+        # psd gives a numpy float, so a comparison with it a numpy bool
+        a, b = HermitianMatrix(np.diag([1.0, 2.0])), HermitianMatrix(np.diag([1.0, 3.0]))
+        assert type(loewner_leq(a, b).holds) is bool and bool(loewner_leq(a, b))
+        assert type(spectral_interval_oracle(b, a).inside) is bool
+        assert type(hull_membership(b, a).check.valid) is bool
 
 
 class TestSpectrumInterval:

@@ -30,7 +30,7 @@ from conftest import specnorm
 
 
 # the tolerances of `hull member --tol 1e-11`
-TOL_1E11 = ToleranceConfig(psd_tol=1e-11, solver_tol=1e-11)
+TOL_1E11 = ToleranceConfig(psd_tol=1e-11)
 # gap 5e-10: within the default solver band, beyond that of TOL_1E11
 NEAR_FLAT = (1.0, 1.0 + 5e-10)
 
