@@ -293,7 +293,7 @@ def _round_windows(domain: SpectrumInterval, samples: int, positive: bool = Fals
     suite of `samples`: the window of its escalation round, each of the
     three computed once."""
     rounds = [_window(domain, spread, positive) for spread in SPREADS]
-    return lambda idxs: [rounds[min(i * 3 // max(samples, 1), 2)] for i in idxs]
+    return lambda idxs: [rounds[min(i * 3 // samples, 2)] for i in idxs]
 
 
 def _window(domain: SpectrumInterval, spread: float, positive: bool = False):
@@ -370,6 +370,20 @@ def _require_seed(seed) -> int:
     return seed
 
 
+def _require_samples(samples) -> int:
+    """A suite's sample budget as a Python int: an integer of at least 1
+    (a bool is not a budget)."""
+    try:
+        if isinstance(samples, bool):
+            raise TypeError
+        samples = operator.index(samples)
+    except TypeError:
+        raise InputError(f"samples must be an integer, got {samples!r}") from None
+    if samples < 1:
+        raise InputError(f"samples must be at least 1, got {samples}")
+    return samples
+
+
 def _require_sizes(dim, m=None, noise_scale: float = 0.0) -> None:
     """Before any draw and the seed check: dim (and m, where a suite takes
     one) at least 1, then a finite, non-negative noise_scale."""
@@ -404,13 +418,15 @@ def _run_suite(tol: ToleranceConfig, seed: int, salt: int, samples: int, draw, *
     `fixed_ce_fields` (kind, function, mode) complete the counterexample.
 
     Sample i draws the stream of `SeedSequence((seed, salt, i))` whatever its
-    chunk (`_sample_rngs`). `seed` must be a non-negative integer; anything
-    else raises `InputError` before the first sample.
+    chunk (`_sample_rngs`). `samples` must be an integer of at least 1 and
+    `seed` a non-negative integer; anything else raises `InputError`, in that
+    order, before the first sample.
 
     Draws run with numpy's overflow and invalid-value warnings off: a
     non-finite margin or scale raises `NumericalError` when it is
     classified, so the warnings would only repeat that error on stderr.
     """
+    samples = _require_samples(samples)
     seed = _require_seed(seed)
 
     def run(idxs):
@@ -746,7 +762,9 @@ def interval_set_falsifier(
     singleton. Random rounds then mix Haar-sampled members with random
     tuples.
     """
-    _require_seed(seed)  # the certificate returns before the sampling loop checks it
+    # the certificate returns before the sampling loop checks these
+    _require_samples(samples)
+    _require_seed(seed)
     a = A.array
     dim = A.dim
     w, u = _eigh(a)
@@ -846,7 +864,8 @@ def harmonic_sum_closure_test(
     characterization [p(a1, a2), p(b1, b2)] (p = parallel sum of the hull
     interval endpoints), and every eigenvalue of a combined element Z inside
     it is constructively split into admissible parts; X and Y follow from
-    those parts in Z's eigenbasis.
+    those parts in Z's eigenbasis. No command reaches this suite, and it
+    classifies with the default band, `DEFAULT_TOL`.
     """
     if T1.dim != T2.dim:
         raise DimensionMismatchError(f"dims {T1.dim} and {T2.dim} differ")
@@ -937,11 +956,16 @@ def sublevel_family_test(
     C*-combinations; all f_a are expected operator convex.
 
     Member eigenvalues are rejection-sampled from the scalar feasible set
-    {t: f_a(t) <= M_a for all a}; an empty feasible set raises.
+    {t: f_a(t) <= M_a for all a}; an empty feasible set raises, and so does
+    a bound M_a that is not finite, before any draw. No command reaches this
+    suite, and it classifies with the default band, `DEFAULT_TOL`.
     """
     if not family:
         raise InputError("the function family is empty")
     _require_sizes(dim, m)
+    for f, bound in family:
+        if not math.isfinite(bound):
+            raise InputError(f"the sublevel bound of {f.label} must be finite, got {bound}")
 
     lo_d = max(f.domain.lo for f, _ in family)
     hi_d = min(f.domain.hi for f, _ in family)

@@ -907,6 +907,70 @@ def test_numpy_integer_seeds_run_as_python_ints(suite):
     assert body(np.int32(7)) == body(7)
 
 
+# each of the nine suites (interval-set also on a certificate A), called as (samples, seed)
+BUDGET_SUITES = {
+    "midpoint": lambda n, seed: midpoint_convexity_test(T2, 2, n, seed=seed),
+    "jensen": lambda n, seed: jensen_test(T2, "tuple", 2, 2, n, seed=seed),
+    "log-midpoint": lambda n, seed: log_midpoint_test(TINV, 2, n, seed=seed),
+    "log-harmonic": lambda n, seed: log_harmonic_jensen_test(TINV, 2, 2, n, seed=seed),
+    "epigraph": lambda n, seed: epigraph_closure_test(T2, 2, 2, n, seed=seed),
+    "log-epigraph": lambda n, seed: log_epigraph_closure_test(TINV, 2, 2, n, seed=seed),
+    "interval-set": lambda n, seed: interval_set_falsifier(
+        HermitianMatrix(2.0 * np.eye(2)), n, seed=seed),
+    "interval-set certificate": lambda n, seed: interval_set_falsifier(
+        HermitianMatrix(np.diag([0.5, 1.0, 4.0])), n, seed=seed),
+    "sublevel": lambda n, seed: sublevel_family_test([(T2, 4.0)], 2, 2, n, seed=seed),
+    "harmonic-sum": lambda n, seed: harmonic_sum_closure_test(
+        HermitianMatrix(np.eye(2)), HermitianMatrix(np.diag([1.0, 2.0])), n, seed=seed),
+}
+BAD_BUDGETS = [
+    (0, "samples must be at least 1, got 0"),
+    (-3, "samples must be at least 1, got -3"),
+    (2.5, "samples must be an integer, got 2.5"),
+    (True, "samples must be an integer, got True"),
+]
+
+
+@pytest.mark.parametrize("seed", [1, -1])
+@pytest.mark.parametrize("samples, message", BAD_BUDGETS, ids=[repr(n) for n, _ in BAD_BUDGETS])
+@pytest.mark.parametrize("suite", BUDGET_SUITES)
+def test_a_budget_below_one_raises_before_any_sample_and_the_seed(suite, samples, message, seed,
+                                                                  monkeypatch):
+    def no_sampling(*args):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(convexity, "_sample_rngs", no_sampling)
+    with pytest.raises(InputError) as err:
+        BUDGET_SUITES[suite](samples, seed)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("suite", BUDGET_SUITES)
+def test_numpy_integer_budgets_run_as_python_ints(suite):
+    def body(samples):
+        return canonical_dumps(verdict_to_payload(BUDGET_SUITES[suite](samples, 3)))
+
+    assert body(np.int64(20)) == body(20)
+    assert body(np.uint8(1)) == body(1)
+
+
+@pytest.mark.parametrize("bound", [math.inf, -math.inf, math.nan])
+def test_a_sublevel_bound_that_is_not_finite_raises_before_any_draw(bound, monkeypatch):
+    def no_sampling(*args):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(convexity, "_sample_rngs", no_sampling)
+    family = [(T2, 4.0), (TINV, bound)]
+    for seed, samples in ((1, 20), (-1, 0)):
+        with pytest.raises(InputError) as err:
+            sublevel_family_test(family, 2, 2, samples, seed=seed)
+        assert type(err.value) is InputError
+        assert str(err.value) == f"the sublevel bound of t^-1 must be finite, got {bound}"
+    # after the size checks
+    with pytest.raises(InputError, match="^dim and m must be at least 1$"):
+        sublevel_family_test(family, 0, 2, 20, seed=1)
+
+
 def _python_min(values):
     worst = math.inf
     for v in values:
