@@ -14,6 +14,7 @@ chunk and applies it through the same `apply_arr` as a single map.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -209,11 +210,22 @@ def _sample_tuple_arrs(dim: int, m: int, rngs) -> list[np.ndarray]:
     return _tuple_blocks(g, m)
 
 
+def _require_sizes(dim, m=None, noise_scale: float = 0.0) -> None:
+    """Before any draw and a suite's seed check: dim (and m, where a caller
+    takes one) at least 1, then a finite, non-negative noise_scale."""
+    if m is None:
+        if dim < 1:
+            raise InputError("dim must be at least 1")
+    elif dim < 1 or m < 1:
+        raise InputError("dim and m must be at least 1")
+    if not 0.0 <= noise_scale < math.inf:
+        raise InputError(f"noise_scale must be finite and non-negative, got {noise_scale}")
+
+
 def sample_tuple(dim: int, m: int, rng_seed) -> CoefficientTuple:
     """Haar-style random coefficient tuple; identical seeds give identical
     tuples. With m = 1 the single coefficient is a Haar unitary."""
-    if dim < 1 or m < 1:
-        raise InputError("dim and m must be at least 1")
+    _require_sizes(dim, m)
     rng = _seeded_rng(rng_seed)
     return CoefficientTuple([c[0] for c in _sample_tuple_arrs(dim, m, [rng])])
 
@@ -225,8 +237,7 @@ _TRANSPOSE_PROB = 0.5  # chance that a sampled map is transposed
 def sample_map_family(dim: int, m: int, rng_seed) -> UnitalMapFamily:
     """Random unital family of positive maps: Kraus blocks cut from one tall
     isometry, each map transposed with probability 1/2."""
-    if dim < 1 or m < 1:
-        raise InputError("dim and m must be at least 1")
+    _require_sizes(dim, m)
     rng = _seeded_rng(rng_seed)
     return _family_at(_sample_families(dim, m, [rng]), 0)
 

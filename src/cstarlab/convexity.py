@@ -64,6 +64,7 @@ from .combinations import (
     _family_draws,
     _inv_pd_arr,
     _log_combine_arr,
+    _require_sizes,
     _tuple_blocks,
 )
 from .functions import ScalarFunctionSpec
@@ -79,7 +80,6 @@ from .hermitian import (
     _geometric_mean_arr,
     _haar_from,
     _hermitians_from,
-    _max_abs_eig,
     _rand_hermitians,
     _require_pd,
     _sqrt_psd,
@@ -382,18 +382,6 @@ def _require_samples(samples) -> int:
     if samples < 1:
         raise InputError(f"samples must be at least 1, got {samples}")
     return samples
-
-
-def _require_sizes(dim, m=None, noise_scale: float = 0.0) -> None:
-    """Before any draw and the seed check: dim (and m, where a suite takes
-    one) at least 1, then a finite, non-negative noise_scale."""
-    if m is None:
-        if dim < 1:
-            raise InputError("dim must be at least 1")
-    elif dim < 1 or m < 1:
-        raise InputError("dim and m must be at least 1")
-    if not 0.0 <= noise_scale < math.inf:
-        raise InputError(f"noise_scale must be finite and non-negative, got {noise_scale}")
 
 
 def _run_suite(tol: ToleranceConfig, seed: int, salt: int, samples: int, draw, **fixed_ce_fields):
@@ -987,11 +975,12 @@ def sublevel_family_test(
         coeffs, xs = _sublevel_draws(rngs, dim, m, windows, feasible)
         combined = _combine_arr(coeffs, xs)
         fxs = np.stack([_apply_arr(f, combined) for f, _ in family])
-        margins = bounds[:, None] - np.linalg.eigvalsh(fxs)[..., -1]
+        eig = np.linalg.eigvalsh(fxs)
+        margins = bounds[:, None] - eig[..., -1]
         worst = np.argmin(margins, axis=0)
         each = np.arange(len(rngs))
         fx_bad, bound_bad = fxs[worst, each], bounds[worst]
-        scale = np.maximum(np.abs(bound_bad), _max_abs_eig(fx_bad))
+        scale = np.maximum(np.abs(bound_bad), np.max(np.abs(eig[worst, each]), axis=-1))
         inputs = {"xs": xs, "coeffs": coeffs, "bound_value": bound_bad}
         rhs = bound_bad[:, None, None] * np.eye(dim, dtype=np.complex128)
         labels = [family[i][0].label for i in worst]
