@@ -6,10 +6,12 @@ canonical JSON of `verdict_to_payload(verdict)` (or of the raised error's
 type and message). The grid covers all nine suites, including
 `sublevel_family_test` and `harmonic_sum_closure_test`, which no CLI command
 reaches, at a budget of 30 samples, and runs log-epigraph also on the
-bounded domain [0, 2] (lines named `log-epigraph bump ...`). A second grid
-reruns a subset of it at 300 samples (lines named `n300 ...`), so that clean
-runs walk the sampling engine's chunks of 1, 16, 64 and 219 and violations
-fall far from the first sample. A third reruns a smaller subset at 300
+bounded domain [0, 2] (lines named `log-epigraph bump ...`). Its input
+errors include budgets of 0 (lines named `... samples0`) and sublevel
+bounds that are not finite. A second grid reruns a subset of it at 300
+samples (lines named `n300 ...`), so that clean runs walk the sampling
+engine's chunks of 1, 16, 64 and 219 and violations fall far from the
+first sample. A third reruns a smaller subset at 300
 samples at two seeds of two 32-bit words, 2^63 + 12345 and 2^64 - 1 (lines
 named `n300 seed<seed> ...`), since SEED = 7 seeds every sample from three
 words of entropy and the CLI's seeds reach 2^64 - 1. A fourth runs clean
@@ -58,6 +60,7 @@ import ctypes
 import glob
 import hashlib
 import json
+import math
 import os
 import platform
 import sys
@@ -216,6 +219,19 @@ def grid():
     }
     for name, (a, b) in pairs.items():
         yield f"harmonic-sum {name}", lambda a=a, b=b: harmonic_sum_closure_test(a, b, SAMPLES, seed=SEED)
+
+    # input errors: a budget of 0 (interval-set on an A with a certificate,
+    # which returns before the sampling loop) and bounds that are not finite
+    for name, thunk in (
+        ("midpoint t^2 d2 samples0", lambda: midpoint_convexity_test(t2, 2, 0, seed=SEED)),
+        ("interval-set rot3 samples0", lambda: interval_set_falsifier(bounds["rot3"], 0, seed=SEED)),
+        ("harmonic-sum d2 samples0", lambda: harmonic_sum_closure_test(*pairs["d2"], 0, seed=SEED)),
+        ("sublevel t2<=inf d2 m2", lambda: sublevel_family_test(
+            [(t2, math.inf)], 2, 2, SAMPLES, seed=SEED)),
+        ("sublevel t2<=nan d2 m2", lambda: sublevel_family_test(
+            [(t2, math.nan)], 2, 2, SAMPLES, seed=SEED)),
+    ):
+        yield name, thunk
 
 
 def long_grid():
