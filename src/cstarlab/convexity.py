@@ -371,17 +371,17 @@ def _require_seed(seed) -> int:
 
 
 def _require_samples(samples) -> int:
-    """A suite's sample budget as a Python int: an integer of at least 1
-    (a bool is not a budget)."""
+    """A suite's sample budget as a Python int: an integer, not a bool, of
+    at least 1."""
     try:
-        if isinstance(samples, bool):
-            raise TypeError
-        samples = operator.index(samples)
+        count = operator.index(samples)
     except TypeError:
-        raise InputError(f"samples must be an integer, got {samples!r}") from None
-    if samples < 1:
-        raise InputError(f"samples must be at least 1, got {samples}")
-    return samples
+        count = None
+    if count is None or isinstance(samples, bool):
+        raise InputError(f"samples must be an integer, got {samples!r}")
+    if count < 1:
+        raise InputError(f"samples must be at least 1, got {count}")
+    return count
 
 
 def _run_suite(tol: ToleranceConfig, seed: int, salt: int, samples: int, draw, **fixed_ce_fields):
