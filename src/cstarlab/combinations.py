@@ -14,7 +14,6 @@ chunk and applies it through the same `apply_arr` as a single map.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -32,6 +31,7 @@ from .hermitian import (
     _eigh,
     _from_eig,
     _haar_from,
+    _require_sizes,
     _seeded_rng,
     _sym,
 )
@@ -208,18 +208,6 @@ def _sample_tuple_arrs(dim: int, m: int, rngs) -> list[np.ndarray]:
     g = draws.normal(2, m * dim, dim)
     draws.run(rngs)
     return _tuple_blocks(g, m)
-
-
-def _require_sizes(dim, m=None, noise_scale: float = 0.0) -> None:
-    """Before any draw and a suite's seed check: dim (and m, where a caller
-    takes one) at least 1, then a finite, non-negative noise_scale."""
-    if m is None:
-        if dim < 1:
-            raise InputError("dim must be at least 1")
-    elif dim < 1 or m < 1:
-        raise InputError("dim and m must be at least 1")
-    if not 0.0 <= noise_scale < math.inf:
-        raise InputError(f"noise_scale must be finite and non-negative, got {noise_scale}")
 
 
 def sample_tuple(dim: int, m: int, rng_seed) -> CoefficientTuple:

@@ -46,7 +46,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -64,7 +63,6 @@ from .combinations import (
     _family_draws,
     _inv_pd_arr,
     _log_combine_arr,
-    _require_sizes,
     _tuple_blocks,
 )
 from .functions import ScalarFunctionSpec
@@ -81,7 +79,9 @@ from .hermitian import (
     _haar_from,
     _hermitians_from,
     _rand_hermitians,
+    _require_int,
     _require_pd,
+    _require_sizes,
     _sqrt_psd,
     _sym,
 )
@@ -359,31 +359,6 @@ class _Tracker:
         )
 
 
-def _require_seed(seed) -> int:
-    """A suite's seed as a Python int; it must be a non-negative integer."""
-    try:
-        seed = operator.index(seed)
-    except TypeError:
-        raise InputError(f"seed must be an integer, got {seed!r}") from None
-    if seed < 0:
-        raise InputError(f"seed must be non-negative, got {seed}")
-    return seed
-
-
-def _require_samples(samples) -> int:
-    """A suite's sample budget as a Python int: an integer, not a bool, of
-    at least 1."""
-    try:
-        count = operator.index(samples)
-    except TypeError:
-        count = None
-    if count is None or isinstance(samples, bool):
-        raise InputError(f"samples must be an integer, got {samples!r}")
-    if count < 1:
-        raise InputError(f"samples must be at least 1, got {count}")
-    return count
-
-
 def _run_suite(tol: ToleranceConfig, seed: int, salt: int, samples: int, draw, **fixed_ce_fields):
     """The sampling loop of every suite.
 
@@ -407,15 +382,16 @@ def _run_suite(tol: ToleranceConfig, seed: int, salt: int, samples: int, draw, *
 
     Sample i draws the stream of `SeedSequence((seed, salt, i))` whatever its
     chunk (`_sample_rngs`). `samples` must be an integer of at least 1 and
-    `seed` a non-negative integer; anything else raises `InputError`, in that
-    order, before the first sample.
+    `seed` one of at least 0, numpy's integers included and bools not (see
+    `_require_int`); anything else raises `InputError`, in that order,
+    before the first sample.
 
     Draws run with numpy's overflow and invalid-value warnings off: a
     non-finite margin or scale raises `NumericalError` when it is
     classified, so the warnings would only repeat that error on stderr.
     """
-    samples = _require_samples(samples)
-    seed = _require_seed(seed)
+    samples = _require_int("samples", samples, 1)
+    seed = _require_int("seed", seed, 0)
 
     def run(idxs):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -751,8 +727,8 @@ def interval_set_falsifier(
     tuples.
     """
     # the certificate returns before the sampling loop checks these
-    _require_samples(samples)
-    _require_seed(seed)
+    _require_int("samples", samples, 1)
+    _require_int("seed", seed, 0)
     a = A.array
     dim = A.dim
     w, u = _eigh(a)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,35 @@ HERMITIAN_ATOL = 1e-12  # entrywise |M - M*| allowed, times max(1, max |M_jk|)
 SCALE_FLOOR = 1e-14  # spectral scales below this count as this in every band
 CONSTRUCTION_TOL = 1e-12  # bound on dimensionless defects such as ||sum C_i* C_i - I||
 SOLVER_TOL = 1e-9  # largest relative solver band, used while psd_tol is above it
+
+
+def _require_int(name: str, value, least: int | None = None) -> int:
+    """`value` as a Python int: an integer, numpy's included but not a bool,
+    of at least `least` where one is given; anything else raises InputError
+    naming `name`."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        n = None
+    if n is None or isinstance(value, bool):
+        raise InputError(f"{name} must be an integer, got {value!r}")
+    if least is not None and n < least:
+        raise InputError(f"{name} must be at least {least}, got {n}")
+    return n
+
+
+def _require_sizes(dim, m=None, noise_scale: float = 0.0) -> None:
+    """Before any draw and the seed check: dim (and m, where a caller takes
+    one) an integer (see `_require_int`), then at least 1, then a finite,
+    non-negative noise_scale."""
+    _require_int("dim", dim)
+    if m is None:
+        if dim < 1:
+            raise InputError("dim must be at least 1")
+    elif _require_int("m", m) < 1 or dim < 1:
+        raise InputError("dim and m must be at least 1")
+    if not 0.0 <= noise_scale < math.inf:
+        raise InputError(f"noise_scale must be finite and non-negative, got {noise_scale}")
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -415,10 +445,10 @@ def sample_hermitian(
     margin of 1e-6, in a Haar-random eigenbasis. An unbounded interval
     requires an explicit sampling `scale`, finite and positive, which
     replaces the missing endpoint(s) at distance `scale`; a window whose
-    width overflows a float is rejected.
+    width overflows a float is rejected. `dim` is checked first, as
+    `_require_sizes` says, and the seed last, as `_seeded_rng` says.
     """
-    if dim < 1:
-        raise InputError("dimension must be at least 1")
+    _require_sizes(dim)
     lo, hi = spectrum.lo, spectrum.hi
     if not math.isfinite(lo) or not math.isfinite(hi):
         if scale is None:
@@ -443,9 +473,10 @@ def sample_hermitian(
 
 
 def _seeded_rng(seed) -> np.random.Generator:
-    """Generator from an integer seed or a tuple used as an entropy pool."""
-    if isinstance(seed, np.random.Generator):
-        return seed
+    """Generator from a tuple used as an entropy pool, or else from an
+    integer seed of at least 0 (see `_require_int`)."""
+    if not isinstance(seed, tuple):
+        seed = _require_int("seed", seed, 0)
     return np.random.default_rng(np.random.SeedSequence(seed))
 
 
@@ -453,14 +484,11 @@ def _hermitians_from(g: np.ndarray, r: np.ndarray, lo, hi) -> np.ndarray:
     """The one random Hermitian sampler, on the buffers of
     `_Draws.hermitians`: a Haar eigenbasis from each Ginibre draw and
     eigenvalues lo + (hi - lo) * r, which is numpy's `uniform(lo, hi)` bit
-    for bit. `lo` and `hi` are numbers or arrays that broadcast against the
-    (count, n) stack: one entry per sample, say, or (count, 1) for one per
-    operand."""
+    for bit on the finite widths that every caller passes. `lo` and `hi` are
+    numbers or arrays that broadcast against the (count, n) stack: one entry
+    per sample, say, or (count, 1) for one per operand."""
     lo, hi = np.asarray(lo, float)[..., None], np.asarray(hi, float)[..., None]
-    width = hi - lo
-    if not np.isfinite(width).all():
-        raise OverflowError("high - low range exceeds valid bounds")  # as numpy's uniform
-    return _from_eig(_haar_from(g), lo + width * r)
+    return _from_eig(_haar_from(g), lo + (hi - lo) * r)
 
 
 def _rand_hermitians(count: int, dim: int, lo, hi, rngs) -> np.ndarray:

@@ -9,11 +9,13 @@ from cstarlab import (
     HermitianMatrix,
     InputError,
     KrausMap,
+    SpectrumInterval,
     UnitalMapFamily,
     apply_combination,
     apply_log_combination,
     eig_hermitian,
     haar_unitary,
+    sample_hermitian,
     sample_map_family,
     sample_tuple,
     validate_tuple,
@@ -57,6 +59,40 @@ class TestSampleTuple:
         t1, t2 = sample_tuple(3, 3, 9), sample_tuple(3, 3, 9)
         for a, b in zip(t1.coeffs, t2.coeffs):
             assert np.array_equal(a, b)
+
+
+# each sampler as (dim, m, seed) -> the arrays it drew
+SAMPLERS = {
+    "sample_tuple": lambda d, m, seed: sample_tuple(d, m, seed).coeffs,
+    "sample_map_family": lambda d, m, seed: [
+        a for phi in sample_map_family(d, m, seed).maps for a in phi.kraus],
+    "sample_hermitian": lambda d, m, seed: [
+        sample_hermitian(d, SpectrumInterval(0.0, 1.0), seed).array],
+}
+# (samplers, dim, m, seed, message); sample_hermitian takes no m
+BAD_SAMPLER_ARGS = [
+    (tuple(SAMPLERS), 2.5, 2, 7, "dim must be an integer, got 2.5"),
+    (("sample_tuple", "sample_map_family"), 2, 1.5, 7, "m must be an integer, got 1.5"),
+    (tuple(SAMPLERS), 2, 2, -1, "seed must be at least 0, got -1"),
+    (tuple(SAMPLERS), 2, 2, 2.5, "seed must be an integer, got 2.5"),
+    (tuple(SAMPLERS), 2, 2, True, "seed must be an integer, got True"),
+]
+
+
+@pytest.mark.parametrize("samplers, dim, m, seed, message", BAD_SAMPLER_ARGS,
+                         ids=[f"d{d}-m{m}-seed{s}" for _, d, m, s, _ in BAD_SAMPLER_ARGS])
+def test_samplers_reject_sizes_and_seeds_that_are_not_integers(samplers, dim, m, seed, message):
+    for sampler in samplers:
+        with pytest.raises(InputError) as err:
+            SAMPLERS[sampler](dim, m, seed)
+        assert type(err.value) is InputError
+        assert str(err.value) == message
+
+
+@pytest.mark.parametrize("sampler", SAMPLERS)
+def test_samplers_draw_the_same_from_a_numpy_integer_seed(sampler):
+    by_numpy, by_int = SAMPLERS[sampler](2, 2, np.int64(7)), SAMPLERS[sampler](2, 2, 7)
+    assert [a.tobytes() for a in by_numpy] == [a.tobytes() for a in by_int]
 
 
 class TestApplyCombination:

@@ -836,11 +836,14 @@ SEEDED_SUITES = {
     "harmonic-sum": lambda seed: harmonic_sum_closure_test(
         HermitianMatrix(np.eye(2)), HermitianMatrix(np.eye(2)), 10, seed=seed),
 }
-BAD_SEEDS = {
-    -1: "seed must be non-negative, got -1",
-    2.5: "seed must be an integer, got 2.5",
-    "7": "seed must be an integer, got '7'",
-}
+# (seed, message) pairs, not a dict: True and np.True_ are equal keys
+BAD_SEEDS = [
+    (-1, "seed must be at least 0, got -1"),
+    (2.5, "seed must be an integer, got 2.5"),
+    ("7", "seed must be an integer, got '7'"),
+    (True, "seed must be an integer, got True"),
+    (np.True_, "seed must be an integer, got np.True_"),
+]
 
 
 # each suite with a dim, an m or a noise_scale, called as (dim, m, noise_scale, seed)
@@ -857,12 +860,20 @@ SIZED_SUITES = {
     "sublevel": lambda d, m, z, seed: sublevel_family_test([(T2, 4.0)], d, m, 10, seed=seed),
 }
 NOISE_MSG = "noise_scale must be finite and non-negative, got {}"
-# (suites, dim, m, noise_scale, message); the dim and m check comes first
+# (suites, dim, m, noise_scale, message); the dim and m check comes first,
+# and their types come before their values
 BAD_SIZES = [
     (("midpoint", "log-midpoint"), 0, 2, 0.1, "dim must be at least 1"),
     (("midpoint", "log-midpoint"), -3, 0, 0.1, "dim must be at least 1"),
+    (("midpoint", "log-midpoint"), 2.5, 2, 0.1, "dim must be an integer, got 2.5"),
+    (("midpoint", "log-midpoint"), True, 2, 0.1, "dim must be an integer, got True"),
     *[((s,), d, m, z, DIM_M_MSG) for s in SIZED_SUITES if not s.endswith("midpoint")
       for d, m, z in ((0, 2, 0.1), (2, 0, 0.1), (0, 0, 0.1), (-1, 2, 0.1))],
+    *[((s,), d, m, z, message) for s in SIZED_SUITES if not s.endswith("midpoint")
+      for d, m, z, message in ((2.5, 2, 0.1, "dim must be an integer, got 2.5"),
+                               (True, 2, 0.1, "dim must be an integer, got True"),
+                               (2, 1.5, 0.1, "m must be an integer, got 1.5"),
+                               (0, 1.5, 0.1, "m must be an integer, got 1.5"))],
     *[((s,), d, m, z, message) for s in ("epigraph", "log-epigraph") for d, m, z, message in (
         (2, 2, -1.0, NOISE_MSG.format(-1.0)), (2, 2, math.nan, NOISE_MSG.format(math.nan)),
         (2, 2, math.inf, NOISE_MSG.format(math.inf)), (0, 2, math.nan, DIM_M_MSG),
@@ -886,16 +897,16 @@ def test_bad_sizes_raise_before_any_draw_and_the_seed(suites, dim, m, noise, mes
         assert str(err.value) == message
 
 
-@pytest.mark.parametrize("seed", BAD_SEEDS)
+@pytest.mark.parametrize("seed, message", BAD_SEEDS, ids=[repr(s) for s, _ in BAD_SEEDS])
 @pytest.mark.parametrize("suite", SEEDED_SUITES)
-def test_bad_seeds_raise_before_any_sample(suite, seed, monkeypatch):
+def test_bad_seeds_raise_before_any_sample(suite, seed, message, monkeypatch):
     def no_sampling(*args):
         raise AssertionError("a sample was drawn")
 
     monkeypatch.setattr(convexity, "_sample_rngs", no_sampling)
     with pytest.raises(InputError) as err:
         SEEDED_SUITES[suite](seed)
-    assert str(err.value) == BAD_SEEDS[seed]
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("suite", SEEDED_SUITES)
