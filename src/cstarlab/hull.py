@@ -141,21 +141,29 @@ def _scale_of(lam: np.ndarray, w: np.ndarray) -> float:
     return max(float(np.max(np.abs(lam))), float(np.max(np.abs(w))))
 
 
-def spectral_interval_oracle(T: HermitianMatrix, X: HermitianMatrix) -> OracleResult:
-    """Interval test: X belongs to the hull of T iff every eigenvalue of X
-    lies in [lam_min(T), lam_max(T)].
-
-    The margin is the signed distance of the worst eigenvalue of X to that
-    interval: positive inside, negative outside. This characterization is
-    validated against brute-force sampling and the two-point construction
-    in the test suite before anything else relies on it.
-    """
+def _interval(T: HermitianMatrix, X: HermitianMatrix):
+    """(lam, w, scale, margin): the ascending eigenvalues of T and of X,
+    their spectral scale, and the signed distance of the worst eigenvalue of
+    X to [lam_min, lam_max], positive inside and negative outside."""
     if T.dim != X.dim:
         raise DimensionMismatchError(f"dims {T.dim} and {X.dim} differ")
     lam = np.linalg.eigvalsh(T.array)
     w = np.linalg.eigvalsh(X.array)
-    margin = float(min(np.min(w) - lam[0], lam[-1] - np.max(w)))
-    return OracleResult(inside=bool(margin >= -DEFAULT_TOL.psd(_scale_of(lam, w))), margin=margin)
+    return lam, w, _scale_of(lam, w), float(min(w[0] - lam[0], lam[-1] - w[-1]))
+
+
+def spectral_interval_oracle(T: HermitianMatrix, X: HermitianMatrix) -> OracleResult:
+    """Interval test: X belongs to the hull of T iff every eigenvalue of X
+    lies in [lam_min(T), lam_max(T)].
+
+    The margin is `_interval`'s, the signed distance of the worst eigenvalue
+    of X to that interval, and `inside` holds within the default psd band.
+    This characterization is validated against brute-force sampling and the
+    two-point construction in the test suite before anything else relies on
+    it.
+    """
+    _, _, scale, margin = _interval(T, X)
+    return OracleResult(inside=bool(margin >= -DEFAULT_TOL.psd(scale)), margin=margin)
 
 
 def _certificate(x: np.ndarray, lam_lo: float, lam_hi: float) -> HullCertificate:
@@ -174,24 +182,21 @@ def _certificate(x: np.ndarray, lam_lo: float, lam_hi: float) -> HullCertificate
 def _closed_form(T: HermitianMatrix, X: HermitianMatrix, tol: ToleranceConfig):
     """(lam, scale, flat, escape, witness), shared by `hull_membership` and
     `two_point_witness`. escape is the distance by which the spectrum of X
-    leaves [lam_min, lam_max] (negative inside). T counts as degenerate when
-    its gap is within `tol.solver`; then flat is max |w - mean(lam)| over the
-    eigenvalues w of X, the distance of X to the hull {lam I}, and the
-    witness E_1 = I. Otherwise flat is None and the witness the two-point
-    one. The witness is None when escape exceeds the psd band, else
-    unvalidated.
+    leaves [lam_min, lam_max] (negative inside): minus `_interval`'s margin,
+    so the decision and `spectral_interval_oracle` read one interval at one
+    scale. T counts as degenerate when its gap is within `tol.solver`; then
+    flat is max |w - mean(lam)| over the eigenvalues w of X, the distance of
+    X to the hull {lam I}, and the witness E_1 = I. Otherwise flat is None
+    and the witness the two-point one. The witness is None when escape
+    exceeds the psd band, else unvalidated.
     """
-    if T.dim != X.dim:
-        raise DimensionMismatchError(f"dims {T.dim} and {X.dim} differ")
-    lam = np.linalg.eigvalsh(T.array)
+    lam, w, scale, margin = _interval(T, X)
     x = X.array
-    w = np.linalg.eigvalsh(x)
     dim = T.dim
-    scale = _scale_of(lam, w)
     eye = np.eye(dim, dtype=np.complex128)
     stack = np.zeros((lam.shape[0], dim, dim), np.complex128)
     gap = float(lam[-1] - lam[0])
-    escape = float(max(lam[0] - w[0], w[-1] - lam[-1]))
+    escape = -margin
     flat = None
     if gap <= tol.solver(scale):
         flat = float(np.max(np.abs(w - np.mean(lam))))

@@ -162,6 +162,9 @@ class TestHullMembership:
                 if res.status == "member":
                     check = res.witness.validate(x)
                     assert check.valid
+                else:
+                    # the decision and the oracle read one interval
+                    assert res.residual == -oracle.margin
         assert checked > 80
 
     def test_idempotence(self):
