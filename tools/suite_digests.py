@@ -7,8 +7,9 @@ type and message). The grid covers all nine suites, including
 `sublevel_family_test` and `harmonic_sum_closure_test`, which no CLI command
 reaches, at a budget of 30 samples, and runs log-epigraph also on the
 bounded domain [0, 2] (lines named `log-epigraph bump ...`). Its input
-errors include budgets of 0 (lines named `... samples0`) and sublevel
-bounds that are not finite. A second grid reruns a subset of it at 300
+errors include budgets of 0 (lines named `... samples0`), sublevel
+bounds that are not finite, and sizes and a seed that are not integers
+(`d2.5`, `m1.5`, `seedTrue`). A second grid reruns a subset of it at 300
 samples (lines named `n300 ...`), so that clean runs walk the sampling
 engine's chunks of 1, 16, 64 and 219 and violations fall far from the
 first sample. A third reruns a smaller subset at 300
@@ -221,7 +222,8 @@ def grid():
         yield f"harmonic-sum {name}", lambda a=a, b=b: harmonic_sum_closure_test(a, b, SAMPLES, seed=SEED)
 
     # input errors: a budget of 0 (interval-set on an A with a certificate,
-    # which returns before the sampling loop) and bounds that are not finite
+    # which returns before the sampling loop), bounds that are not finite,
+    # and sizes and a seed that are not integers
     for name, thunk in (
         ("midpoint t^2 d2 samples0", lambda: midpoint_convexity_test(t2, 2, 0, seed=SEED)),
         ("interval-set rot3 samples0", lambda: interval_set_falsifier(bounds["rot3"], 0, seed=SEED)),
@@ -230,6 +232,9 @@ def grid():
             [(t2, math.inf)], 2, 2, SAMPLES, seed=SEED)),
         ("sublevel t2<=nan d2 m2", lambda: sublevel_family_test(
             [(t2, math.nan)], 2, 2, SAMPLES, seed=SEED)),
+        ("midpoint t^2 d2.5", lambda: midpoint_convexity_test(t2, 2.5, SAMPLES, seed=SEED)),
+        ("jensen tuple m1.5", lambda: jensen_test(t2, "tuple", 2, 1.5, SAMPLES, seed=SEED)),
+        ("midpoint seedTrue", lambda: midpoint_convexity_test(t2, 2, SAMPLES, seed=True)),
     ):
         yield name, thunk
 
